@@ -28,6 +28,7 @@ import numpy as np
 
 from .kinematics import (
     SingularConfiguration,
+    TorqueJacobian,
     allocate_body_torque,
     torque_jacobian,
 )
@@ -139,15 +140,16 @@ def control_step(
     imu: ImuReading,
     mode: ControllerMode,
     gains: ControllerGains,
-    sub: SubmovementParams,
+    jac: TorqueJacobian,
     params: RobotParams,
     q_desired: np.ndarray | None = None,
 ) -> TorqueCommand:
     """One controller tick: PD demand, allocation, saturation.
 
-    Only FreefallStabilize produces torque.  A singular steering
-    configuration zeroes the command and raises the steering saturation
-    flag rather than crashing the loop.
+    ``jac`` is the torque Jacobian of the commanded steering
+    configuration.  Only FreefallStabilize produces torque.  A singular
+    steering configuration zeroes the command and raises the steering
+    saturation flag rather than crashing the loop.
     """
     if mode != ControllerMode.FREEFALL_STABILIZE:
         return TorqueCommand.zero()
@@ -155,7 +157,7 @@ def control_step(
         q_desired = np.zeros(3)
     demand = pd_attitude(imu.euler, imu.omega, q_desired, gains)
     try:
-        return allocate_body_torque(demand, sub, params)
+        return allocate_body_torque(demand, jac, params)
     except SingularConfiguration:
         return TorqueCommand(
             np.zeros(4), 0.0, saturated=[False, False, False, False, True]
@@ -226,14 +228,18 @@ class ControllerConfig:
             gains = ControllerGains(kp=kp, kd=kd)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        threshold = take_float(
+            entries, "freefall_accel_threshold", base.freefall_accel_threshold
+        )
+        if threshold <= 0.0:
+            raise ConfigError("freefall_accel_threshold must be positive")
+        debounce = take_float(entries, "freefall_debounce", base.freefall_debounce)
+        if debounce < 0.0:
+            raise ConfigError("freefall_debounce must be non-negative")
         return ControllerConfig(
             gains=gains,
-            freefall_accel_threshold=take_float(
-                entries, "freefall_accel_threshold", base.freefall_accel_threshold
-            ),
-            freefall_debounce=take_float(
-                entries, "freefall_debounce", base.freefall_debounce
-            ),
+            freefall_accel_threshold=threshold,
+            freefall_debounce=debounce,
             dt_control=take_float(entries, "dt_control", base.dt_control),
             enabled=take_bool(entries, "controller_enabled", base.enabled),
         )
@@ -246,7 +252,8 @@ class AttitudeControlLoop:
     ``update`` consumes one IMU reading per control tick and returns the
     torque command.  Entering FreefallStabilize swings alpha to pi/4
     (beta preserved) and latches the yaw setpoint at the current heading
-    with zero desired roll and pitch.
+    with zero desired roll and pitch.  The allocation Jacobian is built
+    for the current ``sub`` and rebuilt only when ``sub`` changes.
     """
 
     def __init__(self, config: ControllerConfig, params: RobotParams,
@@ -255,6 +262,7 @@ class AttitudeControlLoop:
         self.params = params
         self.fsm = FsmState()
         self.sub = initial_sub
+        self.jacobian = torque_jacobian(initial_sub)
         self.q_desired = np.zeros(3)
         self._history: deque[tuple[float, float]] = deque()
 
@@ -281,16 +289,14 @@ class AttitudeControlLoop:
             and self.fsm.mode == ControllerMode.FREEFALL_STABILIZE
         ):
             self.sub = SubmovementParams(alpha=FLIGHT_ALPHA, beta=self.sub.beta)
+            self.jacobian = torque_jacobian(self.sub)
             self.q_desired = np.array([0.0, 0.0, imu.euler[2]])
 
         return control_step(
-            imu, self.fsm.mode, self.config.gains, self.sub, self.params,
+            imu, self.fsm.mode, self.config.gains, self.jacobian, self.params,
             q_desired=self.q_desired,
         )
 
     @property
     def mode(self) -> ControllerMode:
         return self.fsm.mode
-
-    def steering_jacobian_condition(self) -> float:
-        return abs(float(np.linalg.det(torque_jacobian(self.sub).direction)))

@@ -37,12 +37,13 @@ matrix rather than iterating).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .params import RobotParams
-from .state import BodyState, SteeringState, TorqueCommand, quat_derivative
+from .state import BodyState, SteeringState, TorqueCommand
 
 GRAVITY_DIR = np.array([0.0, 0.0, -1.0])
 
@@ -154,16 +155,9 @@ def angular_acceleration(
     the raw steering angles, so agreement between the two exercises the
     angle-addition identities rather than shared code.
     """
-    from .kinematics import submovements_from_steering, torque_jacobian
-
-    cmd.require_flight_symmetric()
-    sub = submovements_from_steering(s)
-    inertia = effective_inertia(params, s)
-    pair = np.array([cmd.tau[0], cmd.tau[1], cmd.tau_delta])
-    torque = torque_jacobian(sub).full @ pair
-    omega = state.omega
-    gyro = np.cross(omega, inertia * omega)
-    return (torque - gyro) / inertia
+    kernel = FlightKernel(s, params)
+    kernel.set_command(cmd)
+    return np.array(kernel.derivative(state.flat())[10:13])
 
 
 @dataclass(frozen=True)
@@ -251,6 +245,110 @@ def torque_jacobian_reaction(s: SteeringState) -> np.ndarray:
     return out
 
 
+class NonFiniteState(Exception):
+    """Integration produced NaN or Inf; carries the offending time."""
+
+    def __init__(self, message: str, t: float):
+        super().__init__(f"{message} at t={t:.6f} s")
+        self.t = t
+
+
+class FlightKernel:
+    """Flight physics at one locked steering configuration.
+
+    Built once per steering configuration, it holds the effective
+    inertia, the full torque Jacobian, the wheel spin axes, gravity and
+    the body-frame wheel centers.  ``set_command`` fixes the command held
+    over a control tick; ``step`` then advances a flat state of 17 floats
+    (r_ob, v_ob, quat, omega, wheel_speed) by one classical RK4 step.
+
+    The scalar arithmetic repeats the array formulation operation for
+    operation (``np.cross`` order for the gyroscopic term, the
+    ``quat_multiply`` order including its zero products), and the wheel
+    term keeps the numpy matrix-vector product, so trajectories match the
+    array formulation bit for bit.
+    """
+
+    def __init__(self, s: SteeringState, params: RobotParams):
+        from .kinematics import submovements_from_steering, torque_jacobian
+
+        self.inertia = effective_inertia(params, s).tolist()
+        self.full = torque_jacobian(submovements_from_steering(s)).full
+        # Spin axes are the negated drive-reaction directions.
+        self.spin_axes = -_drive_torque_columns(s)
+        self.accel = (params.g * GRAVITY_DIR).tolist()
+        self.centers = wheel_centers(params, s)
+        self.j_wyy = params.j_wyy
+        # No attitude brings a wheel to the ground while the base is
+        # higher than this; the relative margin covers the rounding of
+        # the exact contact-height arithmetic.
+        reach = float(np.linalg.norm(self.centers, axis=1).max()) + params.wheel_radius
+        self.contact_reach = reach * (1.0 + 1e-9)
+
+    def set_command(self, cmd: TorqueCommand) -> None:
+        """Hold ``cmd`` for the following steps; required before ``step``."""
+        cmd.require_flight_symmetric()
+        pair = np.array([cmd.tau[0], cmd.tau[1], cmd.tau_delta])
+        self.torque = (self.full @ pair).tolist()
+        self.tau_over_j = cmd.tau / self.j_wyy
+
+    def derivative(self, y) -> list[float]:
+        """Time derivative of a flat state under the held command.
+
+        Wheel reactions are internal, so translation is pure gravity.
+        Wheel spin integrates the drive torque against the spin inertia
+        minus the base angular-acceleration component along each spin
+        axis; the spin state exists to let the simulator enforce wheel
+        speed limits and does not feed back into the base dynamics.
+        """
+        vx, vy, vz = y[3], y[4], y[5]
+        qw, qx, qy, qz = y[6], y[7], y[8], y[9]
+        ox, oy, oz = y[10], y[11], y[12]
+        ix, iy, iz = self.inertia
+        tx, ty, tz = self.torque
+        hx, hy, hz = ix * ox, iy * oy, iz * oz
+        odx = (tx - (oy * hz - oz * hy)) / ix
+        ody = (ty - (oz * hx - ox * hz)) / iy
+        odz = (tz - (ox * hy - oy * hx)) / iz
+        wheel = self.tau_over_j - self.spin_axes @ np.array([odx, ody, odz])
+        return [
+            vx, vy, vz, *self.accel,
+            0.5 * (qw * 0.0 - qx * ox - qy * oy - qz * oz),
+            0.5 * (qw * ox + qx * 0.0 + qy * oz - qz * oy),
+            0.5 * (qw * oy - qx * oz + qy * 0.0 + qz * ox),
+            0.5 * (qw * oz + qx * oy - qy * ox + qz * 0.0),
+            odx, ody, odz, *wheel.tolist(),
+        ]
+
+    def step(self, y, dt: float) -> list[float]:
+        """One RK4 step of length ``dt``; renormalizes the quaternion.
+
+        Raises NonFiniteState (carrying ``dt``) if any component leaves
+        the finite range or the quaternion degenerates.
+        """
+        half = 0.5 * dt
+        k1 = self.derivative(y)
+        k2 = self.derivative([a + half * b for a, b in zip(y, k1)])
+        k3 = self.derivative([a + half * b for a, b in zip(y, k2)])
+        k4 = self.derivative([a + dt * b for a, b in zip(y, k3)])
+        sixth = dt / 6.0
+        y1 = [
+            a + sixth * (p + 2.0 * q + 2.0 * r + w)
+            for a, p, q, r, w in zip(y, k1, k2, k3, k4)
+        ]
+        if not all(map(math.isfinite, y1)):
+            raise NonFiniteState("non-finite state after RK4 step", t=dt)
+        quat = np.array(y1[6:10])
+        quat_norm = float(np.linalg.norm(quat))
+        if not math.isfinite(quat_norm) or quat_norm < 1e-12:
+            # Divergence can zero the quaternion by cancellation or push
+            # its norm past the float range while every component stays
+            # finite.
+            raise NonFiniteState("quaternion degenerated during RK4 step", t=dt)
+        y1[6:10] = (quat / quat_norm).tolist()
+        return y1
+
+
 @dataclass(frozen=True)
 class StateDerivative:
     """Time derivative of every BodyState field."""
@@ -268,24 +366,14 @@ def state_derivative(
     cmd: TorqueCommand,
     params: RobotParams,
 ) -> StateDerivative:
-    """Full airborne state derivative.
-
-    Wheel reactions are internal, so translation is pure gravity.  Wheel
-    spin integrates the drive torque against the spin inertia minus the
-    base angular-acceleration component along each reaction direction;
-    the spin state exists to let the simulator enforce wheel speed
-    limits, and does not feed back into the base dynamics.
-    """
-    omega_dot = angular_acceleration(state, s, cmd, params)
-    a_ob = params.g * GRAVITY_DIR
-    quat_dot = quat_derivative(state.quat, state.omega)
-    # Spin axes are the negated drive-reaction directions.
-    spin_axes = -_drive_torque_columns(s)
-    wheel_accel = cmd.tau / params.j_wyy - spin_axes @ omega_dot
+    """Full airborne state derivative; see ``FlightKernel.derivative``."""
+    kernel = FlightKernel(s, params)
+    kernel.set_command(cmd)
+    k = kernel.derivative(state.flat())
     return StateDerivative(
-        v_ob=state.v_ob.copy(),
-        a_ob=a_ob,
-        quat_dot=quat_dot,
-        omega_dot=omega_dot,
-        wheel_accel=wheel_accel,
+        v_ob=np.array(k[0:3]),
+        a_ob=np.array(k[3:6]),
+        quat_dot=np.array(k[6:10]),
+        omega_dot=np.array(k[10:13]),
+        wheel_accel=np.array(k[13:17]),
     )

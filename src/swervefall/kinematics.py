@@ -85,8 +85,7 @@ class TorqueJacobian:
     direction: the per-pair normalized direction matrix N with
         det N = sin(2 alpha); relates to the block by a row swap and a
         factor 2 (N = roll_pitch[[1, 0], :] / 2).
-    reaction: 3x4 matrix mapping per-wheel axle-normal reaction torques
-        into body axes (columns are the wheel rolling directions).
+    det: det N evaluated numerically; allocation refuses near zero.
     """
 
     alpha: float
@@ -94,7 +93,7 @@ class TorqueJacobian:
     full: np.ndarray
     roll_pitch: np.ndarray
     direction: np.ndarray
-    reaction: np.ndarray
+    det: float
 
 
 def _direction_matrix(alpha: float, beta: float) -> np.ndarray:
@@ -112,20 +111,14 @@ def torque_jacobian(sub: SubmovementParams) -> TorqueJacobian:
         [2.0 * math.sin(a + b), 2.0 * math.sin(a - b), 0.0],
         [0.0, 0.0, 4.0],
     ])
-    d1 = b + a
-    d2 = b - a
-    reaction = np.array([
-        [math.cos(d1), -math.cos(d2), -math.cos(d1), math.cos(d2)],
-        [math.sin(d1), -math.sin(d2), -math.sin(d1), math.sin(d2)],
-        [0.0, 0.0, 0.0, 0.0],
-    ])
+    direction = _direction_matrix(a, b)
     return TorqueJacobian(
         alpha=a,
         beta=b,
         full=full,
         roll_pitch=full[:2, :2].copy(),
-        direction=_direction_matrix(a, b),
-        reaction=reaction,
+        direction=direction,
+        det=float(np.linalg.det(direction)),
     )
 
 
@@ -152,8 +145,7 @@ class ManipulabilityReport:
 
 
 def manipulability(sub: SubmovementParams) -> ManipulabilityReport:
-    jac = torque_jacobian(sub)
-    det = float(np.linalg.det(jac.direction))
+    det = torque_jacobian(sub).det
     # Authority per axis: row norms of the full-scale block at beta = 0;
     # beta only rotates the axes (orthogonal), leaving the magnitudes.
     aligned = 2.0 * _direction_matrix(sub.alpha, 0.0)
@@ -190,19 +182,19 @@ def map_wheel_to_body_torque(
 
 
 def allocate_body_torque(
-    desired: BodyTorque, sub: SubmovementParams, limits: RobotParams
+    desired: BodyTorque, jac: TorqueJacobian, limits: RobotParams
 ) -> TorqueCommand:
     """Invert the torque map and clamp each channel to its limit.
 
-    Saturation is independent per channel (no direction-preserving
-    scaling); flags mark clamped channels.  Raises SingularConfiguration
-    when |det N| < 1e-6, where the inverse would amplify without bound.
+    ``jac`` is the Jacobian of the commanded steering configuration,
+    built once per configuration with ``torque_jacobian``.  Saturation is
+    independent per channel (no direction-preserving scaling); flags mark
+    clamped channels.  Raises SingularConfiguration when |det N| < 1e-6,
+    where the inverse would amplify without bound.
     """
-    jac = torque_jacobian(sub)
-    det = float(np.linalg.det(jac.direction))
-    if abs(det) < SINGULARITY_TOL:
+    if abs(jac.det) < SINGULARITY_TOL:
         raise SingularConfiguration(
-            f"|det| = {abs(det):.3e} at alpha = {sub.alpha:.6f}"
+            f"|det| = {abs(jac.det):.3e} at alpha = {jac.alpha:.6f}"
         )
     pair = np.linalg.solve(jac.full, desired.as_array())
     tau_1, tau_2 = float(pair[0]), float(pair[1])

@@ -157,9 +157,12 @@ def take_float(entries: dict[str, str], key: str, default: float) -> float:
         return default
     raw = entries.pop(key)
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"key '{key}': not a number: '{raw}'") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}': not a finite number: '{raw}'")
+    return value
 
 
 def take_int(entries: dict[str, str], key: str, default: int) -> int:

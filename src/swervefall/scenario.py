@@ -42,6 +42,7 @@ from .params import (
 from .simulation import (
     NoiseModel,
     ScenarioConfig,
+    SimClock,
     Trajectory,
     simulate,
 )
@@ -120,13 +121,17 @@ def resolve_config_path(ref: str | Path) -> Path:
 
 
 def load_scenario_file(ref: str | Path) -> LoadedScenario:
-    """Load and fully validate one scenario config file.
+    """Load and fully validate one scenario config file."""
+    path = resolve_config_path(ref)
+    return loaded_from_entries(read_config_file(path), name=path.stem)
+
+
+def loaded_from_entries(entries: dict[str, str], name: str) -> LoadedScenario:
+    """Validate parsed config entries into one runnable scenario.
 
     Consumes every key; anything left over is an unknown key and a hard
-    error.
+    error.  Timing that the simulator would reject is a config error too.
     """
-    path = resolve_config_path(ref)
-    entries = read_config_file(path)
     params = robot_params_from_entries(entries)
     controller = ControllerConfig.from_entries(entries)
     scenario = scenario_config_from_entries(entries)
@@ -134,13 +139,11 @@ def load_scenario_file(ref: str | Path) -> LoadedScenario:
         unknown = ", ".join(sorted(entries))
         raise ConfigError(f"unknown config keys: {unknown}")
     try:
-        from .simulation import SimClock
-
         SimClock.create(scenario.dt_physics, controller.dt_control)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return LoadedScenario(
-        params=params, controller=controller, scenario=scenario, name=path.stem
+        params=params, controller=controller, scenario=scenario, name=name
     )
 
 
@@ -356,13 +359,8 @@ def sweep(
     for value in values:
         text = _override_key(base_text, parameter, value)
         stem = f"{base_path.stem}_{parameter}_{value:g}"
-        parsed = parse_flat_config(text, source=stem)
-        params = robot_params_from_entries(parsed)
-        controller = ControllerConfig.from_entries(parsed)
-        scenario = scenario_config_from_entries(parsed)
-        if parsed:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(parsed))}")
-        trajectory = simulate(scenario, controller, params)
+        loaded = loaded_from_entries(parse_flat_config(text, source=stem), stem)
+        trajectory = simulate(loaded.scenario, loaded.controller, loaded.params)
         write_trajectory_csv(trajectory, out / f"{stem}.csv")
         summary = summarize(stem, trajectory)
         summaries.append(summary)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import state_derivative, wheel_centers
+from .dynamics import FlightKernel, NonFiniteState, wheel_centers
 from .params import RobotParams
 from .state import (
     BodyState,
@@ -27,17 +27,10 @@ from .state import (
     TorqueCommand,
     euler_from_quaternion,
     quat_from_euler,
+    quat_to_matrix,
 )
 
 BISECTION_TOL = 1e-6
-
-
-class NonFiniteState(Exception):
-    """Integration produced NaN or Inf; carries the offending time."""
-
-    def __init__(self, message: str, t: float):
-        super().__init__(f"{message} at t={t:.6f} s")
-        self.t = t
 
 
 @dataclass(frozen=True)
@@ -114,44 +107,23 @@ def step_rk4(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-
-    def pack(st: BodyState) -> np.ndarray:
-        return np.concatenate([st.r_ob, st.v_ob, st.quat, st.omega, st.wheel_speed])
-
-    def unpack(y: np.ndarray) -> BodyState:
-        return BodyState(y[0:3], y[3:6], y[6:10], y[10:13], y[13:17])
-
-    def deriv(y: np.ndarray) -> np.ndarray:
-        st = BodyState.__new__(BodyState)
-        object.__setattr__(st, "r_ob", y[0:3])
-        object.__setattr__(st, "v_ob", y[3:6])
-        object.__setattr__(st, "quat", y[6:10])
-        object.__setattr__(st, "omega", y[10:13])
-        object.__setattr__(st, "wheel_speed", y[13:17])
-        d = state_derivative(st, s, cmd, params)
-        return np.concatenate([d.v_ob, d.a_ob, d.quat_dot, d.omega_dot, d.wheel_accel])
-
-    y0 = pack(state)
-    k1 = deriv(y0)
-    k2 = deriv(y0 + 0.5 * dt * k1)
-    k3 = deriv(y0 + 0.5 * dt * k2)
-    k4 = deriv(y0 + dt * k3)
-    y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(y1)):
-        raise NonFiniteState("non-finite state after RK4 step", t=dt)
-    quat_norm = float(np.linalg.norm(y1[6:10]))
-    if not np.isfinite(quat_norm) or quat_norm < 1e-12:
-        # Divergence can zero the quaternion by cancellation or push its
-        # norm past the float range while every component stays finite.
-        raise NonFiniteState("quaternion degenerated during RK4 step", t=dt)
-    return unpack(y1)
+    kernel = FlightKernel(s, params)
+    kernel.set_command(cmd)
+    return BodyState.from_flat(kernel.step(state.flat(), dt))
 
 
 def contact_height(state: BodyState, s: SteeringState, params: RobotParams) -> float:
     """Height of the lowest wheel contact point above the ground plane."""
-    rot = state.rotation()
-    centers_world_z = state.r_ob[2] + (rot @ wheel_centers(params, s).T)[2]
-    return float(centers_world_z.min() - params.wheel_radius)
+    return _lowest_contact(
+        state.r_ob[2], state.quat, wheel_centers(params, s), params.wheel_radius
+    )
+
+
+def _lowest_contact(
+    z: float, quat, centers: np.ndarray, wheel_radius: float
+) -> float:
+    centers_world_z = z + (quat_to_matrix(quat) @ centers.T)[2]
+    return float(centers_world_z.min() - wheel_radius)
 
 
 @dataclass(frozen=True)
@@ -283,6 +255,8 @@ class ScenarioConfig:
             raise ValueError("drop_height must be non-negative")
         if self.t_max < 0.0:
             raise ValueError("t_max must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 SETTLED_ANGLE_LIMIT = math.radians(2.0)
@@ -317,7 +291,8 @@ def simulate(scenario, controller, params: RobotParams) -> Trajectory:
     clock = SimClock.create(scenario.dt_physics, controller.dt_control)
     sub = SubmovementParams(alpha=scenario.alpha0, beta=scenario.beta0)
     steering = steering_from_submovements(sub)
-    state = initial_body_state(scenario, steering, params)
+    kernel = FlightKernel(steering, params)
+    y = initial_body_state(scenario, steering, params).flat()
     loop = AttitudeControlLoop(controller, params, sub)
     rng = np.random.default_rng(scenario.seed) if scenario.noise.enabled() else None
 
@@ -326,6 +301,7 @@ def simulate(scenario, controller, params: RobotParams) -> Trajectory:
     tick = 0
     t = 0.0
     while True:
+        state = BodyState.from_flat(y)
         imu = imu_sample(state, scenario.noise, t, rng=rng, g=params.g)
         if controller.enabled:
             previous_mode = loop.mode
@@ -337,6 +313,7 @@ def simulate(scenario, controller, params: RobotParams) -> Trajectory:
             ):
                 trajectory.events.append((t, "freefall_start"))
                 steering = steering_from_submovements(loop.sub)
+                kernel = FlightKernel(steering, params)
             cmd = apply_wheel_speed_limit(cmd, state, params)
         else:
             cmd = TorqueCommand.zero()
@@ -367,21 +344,26 @@ def simulate(scenario, controller, params: RobotParams) -> Trajectory:
         if next_tick_t > scenario.t_max + 1e-12:
             break
 
+        kernel.set_command(cmd)
         for sub_step in range(clock.steps_per_tick):
             t_step = t + sub_step * clock.dt_physics
             try:
-                stepped = step_rk4(state, cmd, steering, params, clock.dt_physics)
+                stepped = kernel.step(y, clock.dt_physics)
             except NonFiniteState as exc:
                 raise NonFiniteState("simulation diverged", t=t_step) from exc
-            if contact_height(stepped, steering, params) <= 0.0:
+            near_ground = stepped[2] <= kernel.contact_reach
+            if near_ground and _lowest_contact(
+                stepped[2], stepped[6:10], kernel.centers, params.wheel_radius
+            ) <= 0.0:
                 td_t, td_state = refine_touchdown(
-                    state, cmd, steering, params, clock.dt_physics, t_step
+                    BodyState.from_flat(y), cmd, steering, params,
+                    clock.dt_physics, t_step,
                 )
                 trajectory.events.append((td_t, "touchdown"))
                 trajectory.touchdown_time = td_t
                 trajectory.touchdown_state = td_state
                 return trajectory
-            state = stepped
+            y = stepped
         tick += 1
         t = tick * controller.dt_control
     return trajectory

@@ -77,12 +77,6 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     ])
 
 
-def quat_derivative(q: np.ndarray, omega_body: np.ndarray) -> np.ndarray:
-    """Kinematic rate q_dot = 0.5 * q (x) (0, omega_body)."""
-    ow, ox, oy, oz = 0.0, *np.asarray(omega_body, dtype=float)
-    return 0.5 * quat_multiply(q, np.array([ow, ox, oy, oz]))
-
-
 def quat_from_euler(phi: float, theta: float, psi: float) -> np.ndarray:
     """Unit quaternion for intrinsic Z-Y-X angles (yaw, pitch, roll)."""
     cphi, sphi = math.cos(phi / 2), math.sin(phi / 2)
@@ -234,6 +228,30 @@ class BodyState:
         if wheel_speed is None:
             wheel_speed = np.zeros(4)
         object.__setattr__(self, "wheel_speed", _frozen(wheel_speed, (4,)))
+
+    @staticmethod
+    def from_flat(y) -> "BodyState":
+        """Wrap a flat state (r_ob, v_ob, quat, omega, wheel_speed; 17
+        floats) whose quaternion the integrator has already normalized.
+
+        The quaternion is stored as given: normalizing it a second time
+        could move its last bits.
+        """
+        flat = _frozen(y, (17,))
+        state = BodyState.__new__(BodyState)
+        object.__setattr__(state, "r_ob", flat[0:3])
+        object.__setattr__(state, "v_ob", flat[3:6])
+        object.__setattr__(state, "quat", flat[6:10])
+        object.__setattr__(state, "omega", flat[10:13])
+        object.__setattr__(state, "wheel_speed", flat[13:17])
+        return state
+
+    def flat(self) -> list[float]:
+        """The 17 state floats in ``from_flat`` order."""
+        return [
+            *self.r_ob.tolist(), *self.v_ob.tolist(), *self.quat.tolist(),
+            *self.omega.tolist(), *self.wheel_speed.tolist(),
+        ]
 
     @staticmethod
     def at_rest(position=(0.0, 0.0, 0.0)) -> "BodyState":

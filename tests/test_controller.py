@@ -149,14 +149,15 @@ def test_gains_must_be_nonnegative():
 
 def test_zero_error_zero_command(params):
     cmd = control_step(reading(), ControllerMode.FREEFALL_STABILIZE,
-                       ControllerGains.default(), ISO, params)
+                       ControllerGains.default(), torque_jacobian(ISO), params)
     np.testing.assert_allclose(cmd.tau, np.zeros(4), atol=1e-15)
 
 
 def test_ground_and_landed_modes_emit_nothing(params):
     imu = reading(euler=(0.5, -0.4, 0.2), omega=(1, 1, 1))
     for mode in (ControllerMode.GROUND_TELEOP, ControllerMode.LANDED):
-        cmd = control_step(imu, mode, ControllerGains.default(), ISO, params)
+        cmd = control_step(imu, mode, ControllerGains.default(),
+                           torque_jacobian(ISO), params)
         np.testing.assert_array_equal(cmd.tau, np.zeros(4))
         assert cmd.tau_delta == 0.0
 
@@ -166,7 +167,7 @@ def test_drop_attitude_saturates_wheels_two_and_four(params):
     # demand concentrates on the 2-4 diagonal, which clips at the limit.
     imu = reading(euler=(math.radians(16), math.radians(23), 0.0))
     cmd = control_step(imu, ControllerMode.FREEFALL_STABILIZE,
-                       ControllerGains.default(), ISO, params)
+                       ControllerGains.default(), torque_jacobian(ISO), params)
     assert abs(cmd.tau[1]) == params.tau_wheel_max
     assert abs(cmd.tau[3]) == params.tau_wheel_max
     assert cmd.saturated[1] and cmd.saturated[3]
@@ -176,7 +177,8 @@ def test_drop_attitude_saturates_wheels_two_and_four(params):
 def test_singular_configuration_zeroes_command(params):
     imu = reading(euler=(0.3, 0.1, 0.0))
     cmd = control_step(imu, ControllerMode.FREEFALL_STABILIZE,
-                       ControllerGains.default(), SubmovementParams(0.0, 0.0), params)
+                       ControllerGains.default(),
+                       torque_jacobian(SubmovementParams(0.0, 0.0)), params)
     np.testing.assert_array_equal(cmd.tau, np.zeros(4))
     assert cmd.saturated[4]
 
@@ -187,7 +189,8 @@ def test_achievable_command_reproduces_demand(params):
     gains = ControllerGains(kp=[5.0, 5.0, 1.0], kd=[1.0, 1.0, 0.1])
     imu = reading(euler=(0.2, -0.1, 0.05), omega=(0.1, 0.0, -0.2))
     demand = pd_attitude(imu.euler, imu.omega, np.zeros(3), gains)
-    cmd = control_step(imu, ControllerMode.FREEFALL_STABILIZE, gains, ISO, params)
+    cmd = control_step(imu, ControllerMode.FREEFALL_STABILIZE, gains,
+                       torque_jacobian(ISO), params)
     assert not cmd.any_saturated()
     body = map_wheel_to_body_torque(cmd, ISO)
     np.testing.assert_allclose(

@@ -19,10 +19,14 @@ from swervefall import (
     quat_from_euler,
 )
 from swervefall.dynamics import (
+    GRAVITY_DIR,
+    _drive_torque_columns,
     effective_inertia,
     steer_points,
     wheel_centers,
 )
+from swervefall.kinematics import submovements_from_steering, torque_jacobian
+from swervefall.state import quat_multiply
 
 SQRT2 = math.sqrt(2.0)
 ISO = steering_from_submovements(SubmovementParams(math.pi / 4, 0.0))
@@ -224,3 +228,56 @@ def test_wheel_acceleration_formula(params, rng):
     spin_axes = -_drive_torque_columns(steering)
     expected = cmd.tau / params.j_wyy - spin_axes @ deriv.omega_dot
     np.testing.assert_allclose(deriv.wheel_accel, expected, atol=1e-12)
+
+
+# --- scalar kernel against the array formulation ------------------------------
+
+def reference_derivative(y, steering, cmd, params):
+    """The flight derivative in array form, operation for operation as
+    the scalar kernel must reproduce it."""
+    inertia = effective_inertia(params, steering)
+    pair = np.array([cmd.tau[0], cmd.tau[1], cmd.tau_delta])
+    torque = torque_jacobian(submovements_from_steering(steering)).full @ pair
+    omega = y[10:13]
+    omega_dot = (torque - np.cross(omega, inertia * omega)) / inertia
+    quat_dot = 0.5 * quat_multiply(y[6:10], np.array([0.0, *omega]))
+    spin_axes = -_drive_torque_columns(steering)
+    wheel_accel = cmd.tau / params.j_wyy - spin_axes @ omega_dot
+    return np.concatenate(
+        [y[3:6], params.g * GRAVITY_DIR, quat_dot, omega_dot, wheel_accel]
+    )
+
+
+def reference_rk4(y0, steering, cmd, params, dt):
+    def deriv(y):
+        return reference_derivative(y, steering, cmd, params)
+
+    k1 = deriv(y0)
+    k2 = deriv(y0 + 0.5 * dt * k1)
+    k3 = deriv(y0 + 0.5 * dt * k2)
+    k4 = deriv(y0 + dt * k3)
+    y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y1[6:10] = y1[6:10] / float(np.linalg.norm(y1[6:10]))
+    return y1
+
+
+def test_derivative_matches_array_formulation_bitwise(params, rng):
+    for _ in range(50):
+        state, steering, cmd = random_symmetric_setup(rng)
+        deriv = state_derivative(state, steering, cmd, params)
+        expected = reference_derivative(np.array(state.flat()), steering, cmd, params)
+        got = np.concatenate([deriv.v_ob, deriv.a_ob, deriv.quat_dot,
+                              deriv.omega_dot, deriv.wheel_accel])
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_rk4_matches_array_formulation_bitwise(params, rng):
+    # A tumbling base under a held command, long enough for any rounding
+    # difference to surface.
+    for _ in range(5):
+        state, steering, cmd = random_symmetric_setup(rng)
+        y = np.array(state.flat())
+        for _ in range(200):
+            state = step_rk4(state, cmd, steering, params, 1e-3)
+            y = reference_rk4(y, steering, cmd, params, 1e-3)
+            assert state.flat() == y.tolist()

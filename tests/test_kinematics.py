@@ -206,7 +206,9 @@ def test_yaw_decoupling_for_random_configs(rng):
 
 
 def test_allocate_isotropic_pitch_demand(params):
-    cmd = allocate_body_torque(BodyTorque(0.0, 2 * SQRT2, 0.0), ISO, params)
+    cmd = allocate_body_torque(
+        BodyTorque(0.0, 2 * SQRT2, 0.0), torque_jacobian(ISO), params
+    )
     np.testing.assert_allclose(cmd.tau, [1.0, 1.0, -1.0, -1.0], atol=1e-12)
     assert abs(cmd.tau_delta) < 1e-15
     assert not cmd.any_saturated()
@@ -215,20 +217,24 @@ def test_allocate_isotropic_pitch_demand(params):
 def test_allocate_refuses_singular_configuration(params):
     with pytest.raises(SingularConfiguration):
         allocate_body_torque(
-            BodyTorque(1.0, 0.0, 0.0), SubmovementParams(0.0, 0.0), params
+            BodyTorque(1.0, 0.0, 0.0),
+            torque_jacobian(SubmovementParams(0.0, 0.0)),
+            params,
         )
 
 
 def test_allocate_clamps_and_flags(params):
     huge = BodyTorque(0.0, 1e4, 1e4)
-    cmd = allocate_body_torque(huge, ISO, params)
+    cmd = allocate_body_torque(huge, torque_jacobian(ISO), params)
     assert np.abs(cmd.tau).max() == params.tau_wheel_max
     assert abs(cmd.tau_delta) == params.tau_steer_max
     assert cmd.saturated[0] and cmd.saturated[1] and cmd.saturated[4]
 
 
 def test_allocate_expands_symmetric_pairs(params):
-    cmd = allocate_body_torque(BodyTorque(1.0, 2.0, 0.4), ISO, params)
+    cmd = allocate_body_torque(
+        BodyTorque(1.0, 2.0, 0.4), torque_jacobian(ISO), params
+    )
     assert cmd.tau[2] == -cmd.tau[0]
     assert cmd.tau[3] == -cmd.tau[1]
 
@@ -245,7 +251,7 @@ def test_allocate_map_round_trip_grid(params):
         for beta in betas:
             sub = SubmovementParams(float(alpha), float(beta))
             body = map_wheel_to_body_torque(base, sub)
-            back = allocate_body_torque(body, sub, params)
+            back = allocate_body_torque(body, torque_jacobian(sub), params)
             assert abs(back.tau[0] - base.tau[0]) < 1e-9
             assert abs(back.tau[1] - base.tau[1]) < 1e-9
             assert abs(back.tau_delta - base.tau_delta) < 1e-9

@@ -189,6 +189,26 @@ def test_cli_bad_sweep_values_exit_2(tmp_path):
     assert code == 2
 
 
+def test_cli_sweep_bad_timing_exit_2(tmp_path, capsys):
+    code = cli_main(["sweep", "ledge", "--param", "dt_control",
+                     "--values", "0.00015", "-o", str(tmp_path)])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("kp_roll", "nan"),
+    ("freefall_accel_threshold", "-1"),
+    ("freefall_debounce", "-1"),
+    ("seed", "-1"),
+])
+def test_cli_out_of_range_value_exit_2(tmp_path, capsys, key, value):
+    text = QUICK.replace("seed = 5\n", "") + "noise_sigma_accel = 0.05\n"
+    config = write_config(tmp_path, text + f"{key} = {value}\n")
+    assert cli_main(["run", str(config), "-o", str(tmp_path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_cli_nonfinite_exit_3(tmp_path):
     # Microscopic inertia with huge gains and a coarse step drives the
     # integration to overflow.
