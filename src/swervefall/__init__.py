@@ -15,18 +15,15 @@ from .controller import (
     LinearPlant,
     control_step,
     detect_freefall,
-    fsm_step,
     linearized_plant,
     pd_attitude,
 )
 from .dynamics import (
     InertiaReflection,
     ReactionLoads,
-    StateDerivative,
     angular_acceleration,
     oracle_newton_euler,
     reflected_inertia,
-    state_derivative,
 )
 from .kinematics import (
     ManipulabilityReport,
@@ -38,8 +35,9 @@ from .kinematics import (
     map_wheel_to_body_torque,
     steering_from_submovements,
     submovements_from_steering,
+    torque_jacobian,
 )
-from .params import ConfigError, RobotParams, ValidationReport, validate_params
+from .params import ConfigError, RobotParams, validate_params
 from .scenario import RunSummary, compare, run_scenario, sweep
 from .simulation import (
     ImuReading,
@@ -89,21 +87,18 @@ __all__ = [
     "RunSummary",
     "ScenarioConfig",
     "SingularConfiguration",
-    "StateDerivative",
     "SteeringState",
     "SubmovementParams",
     "TelemetrySample",
     "TorqueCommand",
     "TorqueJacobian",
     "Trajectory",
-    "ValidationReport",
     "allocate_body_torque",
     "angular_acceleration",
     "compare",
     "control_step",
     "detect_freefall",
     "euler_from_quaternion",
-    "fsm_step",
     "imu_sample",
     "jacobian_determinant",
     "linearized_plant",
@@ -115,10 +110,10 @@ __all__ = [
     "reflected_inertia",
     "run_scenario",
     "simulate",
-    "state_derivative",
     "steering_from_submovements",
     "step_rk4",
     "submovements_from_steering",
     "sweep",
+    "torque_jacobian",
     "validate_params",
 ]

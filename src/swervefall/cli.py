@@ -8,7 +8,10 @@
 drop_uncontrolled, ledge).  The default output directory comes from
 SWERVEFALL_OUTPUT_DIR, falling back to ./out.
 
-Exit codes: 0 success, 2 config error, 3 simulation diverged.
+Exit codes: 0 success, 2 config error, 3 simulation diverged.  A reader
+that closes the output early (``| head``) ends the command with exit 0
+and no traceback: summaries are printed only after every run and file
+is complete.
 """
 
 from __future__ import annotations
@@ -80,12 +83,20 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError("--values list is empty")
             for summary in sweep(args.config, args.param, values, out_dir):
                 print("\n".join(summary.lines()))
+        # A closed reader surfaces here rather than at interpreter exit.
+        sys.stdout.flush()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonFiniteState as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_NONFINITE
+    except BrokenPipeError:
+        # Point stdout at the null device so the flush at shutdown stays
+        # quiet too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_OK
 
 

@@ -12,9 +12,9 @@ with angle errors wrapped to (-pi, pi].  The body-torque demand is
 allocated to wheel torques by inverting the configuration Jacobian and
 clamping per channel.  The derivative term feeds the gyro rates directly
 instead of differentiated Euler angles; at small angles the two coincide
-and the gyro path avoids differentiation noise.  Touchdown moves the
-machine to Landed, which is terminal for the run; GroundTeleop and
-Landed always command zero torque.
+and the gyro path avoids differentiation noise.  No transition leaves
+FreefallStabilize: the run ends at touchdown.  GroundTeleop always
+commands zero torque.
 """
 
 from __future__ import annotations
@@ -72,13 +72,6 @@ class ControllerGains:
 class ControllerMode(IntEnum):
     GROUND_TELEOP = 0
     FREEFALL_STABILIZE = 1
-    LANDED = 2
-
-
-@dataclass(frozen=True)
-class FsmState:
-    mode: ControllerMode = ControllerMode.GROUND_TELEOP
-    entered_at: float = 0.0
 
 
 def detect_freefall(
@@ -107,21 +100,6 @@ def detect_freefall(
         if t <= window_start + 1e-12:
             break
     return True
-
-
-def fsm_step(
-    fsm: FsmState, freefall_detected: bool, touchdown: bool, t: float
-) -> FsmState:
-    """Advance the mode machine one tick.
-
-    GroundTeleop -> FreefallStabilize on detection; FreefallStabilize ->
-    Landed on touchdown; Landed is terminal.
-    """
-    if fsm.mode == ControllerMode.GROUND_TELEOP and freefall_detected:
-        return FsmState(ControllerMode.FREEFALL_STABILIZE, entered_at=t)
-    if fsm.mode == ControllerMode.FREEFALL_STABILIZE and touchdown:
-        return FsmState(ControllerMode.LANDED, entered_at=t)
-    return fsm
 
 
 def pd_attitude(
@@ -246,57 +224,53 @@ class ControllerConfig:
 
 
 class AttitudeControlLoop:
-    """Stateful per-run controller: IMU history, mode machine, latched
-    setpoints, and the commanded steering configuration.
+    """Stateful per-run controller: IMU history, mode, latched setpoints,
+    and the commanded steering configuration.
 
     ``update`` consumes one IMU reading per control tick and returns the
-    torque command.  Entering FreefallStabilize swings alpha to pi/4
-    (beta preserved) and latches the yaw setpoint at the current heading
-    with zero desired roll and pitch.  The allocation Jacobian is built
-    for the current ``sub`` and rebuilt only when ``sub`` changes.
+    torque command.  The loop starts in GroundTeleop and switches once,
+    on freefall detection; nothing leaves FreefallStabilize, so detection
+    runs only before that switch.  Entering FreefallStabilize swings
+    alpha to pi/4 (beta preserved) and latches the yaw setpoint at the
+    current heading with zero desired roll and pitch.  The allocation
+    Jacobian is built for the current ``sub`` and rebuilt only when
+    ``sub`` changes.
     """
 
     def __init__(self, config: ControllerConfig, params: RobotParams,
                  initial_sub: SubmovementParams):
         self.config = config
         self.params = params
-        self.fsm = FsmState()
+        self.mode = ControllerMode.GROUND_TELEOP
         self.sub = initial_sub
         self.jacobian = torque_jacobian(initial_sub)
         self.q_desired = np.zeros(3)
         self._history: deque[tuple[float, float]] = deque()
 
-    def update(self, imu: ImuReading, touchdown: bool) -> TorqueCommand:
-        t = imu.timestamp
-        self._history.append((t, float(np.linalg.norm(imu.specific_accel))))
-        horizon = t - 2.0 * self.config.freefall_debounce
-        while len(self._history) > 2 and self._history[0][0] < horizon:
-            self._history.popleft()
-
-        try:
-            in_freefall = detect_freefall(
-                self._history,
-                self.config.freefall_accel_threshold,
-                self.config.freefall_debounce,
-            )
-        except InsufficientHistory:
-            in_freefall = False
-
-        previous = self.fsm.mode
-        self.fsm = fsm_step(self.fsm, in_freefall, touchdown, t)
-        if (
-            previous == ControllerMode.GROUND_TELEOP
-            and self.fsm.mode == ControllerMode.FREEFALL_STABILIZE
-        ):
+    def update(self, imu: ImuReading) -> TorqueCommand:
+        if self.mode == ControllerMode.GROUND_TELEOP and self._detect(imu):
+            self.mode = ControllerMode.FREEFALL_STABILIZE
             self.sub = SubmovementParams(alpha=FLIGHT_ALPHA, beta=self.sub.beta)
             self.jacobian = torque_jacobian(self.sub)
             self.q_desired = np.array([0.0, 0.0, imu.euler[2]])
 
         return control_step(
-            imu, self.fsm.mode, self.config.gains, self.jacobian, self.params,
+            imu, self.mode, self.config.gains, self.jacobian, self.params,
             q_desired=self.q_desired,
         )
 
-    @property
-    def mode(self) -> ControllerMode:
-        return self.fsm.mode
+    def _detect(self, imu: ImuReading) -> bool:
+        """Record the reading and test the debounce window for freefall."""
+        t = imu.timestamp
+        self._history.append((t, float(np.linalg.norm(imu.specific_accel))))
+        horizon = t - 2.0 * self.config.freefall_debounce
+        while len(self._history) > 2 and self._history[0][0] < horizon:
+            self._history.popleft()
+        try:
+            return detect_freefall(
+                self._history,
+                self.config.freefall_accel_threshold,
+                self.config.freefall_debounce,
+            )
+        except InsufficientHistory:
+            return False

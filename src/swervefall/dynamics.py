@@ -348,32 +348,3 @@ class FlightKernel:
         y1[6:10] = (quat / quat_norm).tolist()
         return y1
 
-
-@dataclass(frozen=True)
-class StateDerivative:
-    """Time derivative of every BodyState field."""
-
-    v_ob: np.ndarray
-    a_ob: np.ndarray
-    quat_dot: np.ndarray
-    omega_dot: np.ndarray
-    wheel_accel: np.ndarray
-
-
-def state_derivative(
-    state: BodyState,
-    s: SteeringState,
-    cmd: TorqueCommand,
-    params: RobotParams,
-) -> StateDerivative:
-    """Full airborne state derivative; see ``FlightKernel.derivative``."""
-    kernel = FlightKernel(s, params)
-    kernel.set_command(cmd)
-    k = kernel.derivative(state.flat())
-    return StateDerivative(
-        v_ob=np.array(k[0:3]),
-        a_ob=np.array(k[3:6]),
-        quat_dot=np.array(k[6:10]),
-        omega_dot=np.array(k[10:13]),
-        wheel_accel=np.array(k[13:17]),
-    )

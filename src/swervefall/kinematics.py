@@ -171,13 +171,10 @@ def map_wheel_to_body_torque(
     jac = torque_jacobian(sub)
     pair = np.array([cmd.tau[0], cmd.tau[1], cmd.tau_delta])
     body = jac.full @ pair
-    primed = 2.0 * _direction_matrix(sub.alpha, 0.0) @ pair[:2]
     return BodyTorque(
         tau_x=float(body[0]),
         tau_y=float(body[1]),
         tau_z=float(body[2]),
-        tau_x_prime=float(primed[0]),
-        tau_y_prime=float(primed[1]),
     )
 
 
@@ -190,13 +187,17 @@ def allocate_body_torque(
     built once per configuration with ``torque_jacobian``.  Saturation is
     independent per channel (no direction-preserving scaling); flags mark
     clamped channels.  Raises SingularConfiguration when |det N| < 1e-6,
-    where the inverse would amplify without bound.
+    where the inverse would amplify without bound, and ValueError for a
+    non-finite demand, which clamping would turn into full saturation.
     """
+    demand = desired.as_array()
+    if not np.isfinite(demand).all():
+        raise ValueError(f"non-finite body-torque demand: {demand.tolist()}")
     if abs(jac.det) < SINGULARITY_TOL:
         raise SingularConfiguration(
             f"|det| = {abs(jac.det):.3e} at alpha = {jac.alpha:.6f}"
         )
-    pair = np.linalg.solve(jac.full, desired.as_array())
+    pair = np.linalg.solve(jac.full, demand)
     tau_1, tau_2 = float(pair[0]), float(pair[1])
     tau_delta = float(pair[2])
 

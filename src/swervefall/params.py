@@ -12,7 +12,7 @@ files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 
@@ -70,14 +70,6 @@ class RobotParams:
         return self.base_mass + 4.0 * self.wheel_mass
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of parameter validation; report-style, never raises."""
-
-    passed: bool
-    violations: tuple[str, ...] = field(default=())
-
-
 _POSITIVE_FIELDS = (
     "base_mass", "wheel_mass", "a", "b", "c",
     "j_bxx", "j_byy", "j_bzz", "j_wxx", "j_wyy", "j_wzz",
@@ -96,12 +88,13 @@ _INERTIA_TRIPLES = (
 )
 
 
-def validate_params(params: RobotParams) -> ValidationReport:
+def validate_params(params: RobotParams) -> tuple[str, ...]:
     """Check positivity and diagonal-tensor feasibility of all parameters.
 
     Each principal moment of a physical diagonal inertia tensor must not
     exceed the sum of the other two.  A thin disk sits exactly on that
-    boundary, so the comparison allows a small relative slack.
+    boundary, so the comparison allows a small relative slack.  Returns
+    the violations; an empty tuple means the parameters are valid.
     """
     violations: list[str] = []
     for name in _POSITIVE_FIELDS:
@@ -115,7 +108,7 @@ def validate_params(params: RobotParams) -> ValidationReport:
             violations.append(
                 f"inertia feasibility: {moment} exceeds {first} + {second}"
             )
-    return ValidationReport(passed=not violations, violations=tuple(violations))
+    return tuple(violations)
 
 
 # --- flat key-value config files -------------------------------------------
@@ -186,10 +179,6 @@ def take_bool(entries: dict[str, str], key: str, default: bool) -> bool:
     raise ConfigError(f"key '{key}': not a boolean: '{raw}'")
 
 
-def take_str(entries: dict[str, str], key: str, default: str) -> str:
-    return entries.pop(key, default)
-
-
 _ROBOT_KEYS = {f.name for f in fields(RobotParams)}
 
 
@@ -201,7 +190,7 @@ def robot_params_from_entries(entries: dict[str, str]) -> RobotParams:
         overrides[key] = take_float(entries, key, getattr(params, key))
     if overrides:
         params = replace(params, **overrides)
-    report = validate_params(params)
-    if not report.passed:
-        raise ConfigError("invalid robot parameters: " + "; ".join(report.violations))
+    violations = validate_params(params)
+    if violations:
+        raise ConfigError("invalid robot parameters: " + "; ".join(violations))
     return params

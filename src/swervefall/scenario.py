@@ -14,7 +14,7 @@ CSV column order is fixed:
 
 Pose columns are ground truth from the simulated state (IMU noise, when
 enabled, affects only what the controller saw).  ``mode`` is the integer
-controller mode (0 ground, 1 freefall stabilize, 2 landed) and
+controller mode (0 ground, 1 freefall stabilize) and
 ``sat_mask`` packs the saturation flags (bits 0-3 wheels, bit 4
 steering).
 """
@@ -32,12 +32,10 @@ from .controller import ControllerConfig
 from .params import (
     ConfigError,
     RobotParams,
-    parse_flat_config,
     read_config_file,
     robot_params_from_entries,
     take_float,
     take_int,
-    take_str,
 )
 from .simulation import (
     NoiseModel,
@@ -69,7 +67,6 @@ def scenario_config_from_entries(entries: dict[str, str]) -> ScenarioConfig:
         sigma_accel=take_float(entries, "noise_sigma_accel", 0.0),
     )
     config = ScenarioConfig(
-        kind=take_str(entries, "kind", base.kind),
         drop_height=take_float(entries, "drop_height", base.drop_height),
         velocity=(
             take_float(entries, "velocity_x", 0.0),
@@ -343,26 +340,32 @@ def sweep(
 ) -> list[RunSummary]:
     """Run the base scenario once per parameter value.
 
-    Writes one telemetry CSV per run plus an aggregated summary CSV.
-    Unknown parameter names are config errors.
+    The base config is read once, and every value's scenario is validated
+    before the first run, so a bad value leaves no output behind.  Writes
+    one telemetry CSV per run plus an aggregated summary CSV.  Unknown
+    parameter names are config errors.
     """
     if parameter not in sweepable_parameters():
         raise ConfigError(f"unknown sweep parameter '{parameter}'")
     base_path = resolve_config_path(base_config)
-    base_text = base_path.read_text(encoding="utf-8")
+    base_entries = read_config_file(base_path)
+    runs = [
+        loaded_from_entries(
+            dict(base_entries, **{parameter: f"{value:.12g}"}),
+            name=f"{base_path.stem}_{parameter}_{value:g}",
+        )
+        for value in values
+    ]
 
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     summaries: list[RunSummary] = []
     aggregate = ["parameter,value,touchdown_time,settle_time,"
                  "peak_tau_1,peak_tau_2,peak_tau_3,peak_tau_4"]
-    for value in values:
-        text = _override_key(base_text, parameter, value)
-        stem = f"{base_path.stem}_{parameter}_{value:g}"
-        loaded = loaded_from_entries(parse_flat_config(text, source=stem), stem)
+    for value, loaded in zip(values, runs):
         trajectory = simulate(loaded.scenario, loaded.controller, loaded.params)
-        write_trajectory_csv(trajectory, out / f"{stem}.csv")
-        summary = summarize(stem, trajectory)
+        write_trajectory_csv(trajectory, out / f"{loaded.name}.csv")
+        summary = summarize(loaded.name, trajectory)
         summaries.append(summary)
         settle = "" if summary.settle_time is None else f"{summary.settle_time:.12g}"
         touchdown = (
@@ -376,19 +379,3 @@ def sweep(
         "\n".join(aggregate) + "\n", encoding="utf-8"
     )
     return summaries
-
-
-def _override_key(text: str, key: str, value: float) -> str:
-    """Replace or append one key in flat config text."""
-    lines = text.splitlines()
-    replaced = False
-    for i, raw in enumerate(lines):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped.startswith(f"{key} ") or stripped.startswith(f"{key}="):
-            candidate_key = stripped.split("=", 1)[0].strip()
-            if candidate_key == key:
-                lines[i] = f"{key} = {value:.12g}"
-                replaced = True
-    if not replaced:
-        lines.append(f"{key} = {value:.12g}")
-    return "\n".join(lines) + "\n"

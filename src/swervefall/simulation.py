@@ -153,31 +153,31 @@ class Trajectory:
 
 
 def refine_touchdown(
-    state: BodyState,
-    cmd: TorqueCommand,
-    s: SteeringState,
-    params: RobotParams,
-    dt: float,
-    t0: float,
+    kernel: FlightKernel, y: list[float], wheel_radius: float,
+    dt: float, t0: float,
 ) -> tuple[float, BodyState]:
     """Bisect the crossing time of the contact height within one step.
 
-    ``state`` is the pre-step state at time t0 with positive clearance;
-    the clearance at t0 + dt is non-positive.  Returns (t_touchdown,
-    state at touchdown) with the time bracketed to 1e-6 s.
+    ``kernel`` is the tick's flight kernel with its command set; ``y`` is
+    the flat pre-step state at time t0 with positive clearance, and the
+    clearance at t0 + dt is non-positive.  Returns (t_touchdown, state at
+    touchdown) with the time bracketed to 1e-6 s.
     """
+    def clearance(state) -> float:
+        return _lowest_contact(state[2], state[6:10], kernel.centers, wheel_radius)
+
+    if clearance(y) <= 0.0:
+        return t0, BodyState.from_flat(y)
     lo, hi = 0.0, dt
-    state_hi = step_rk4(state, cmd, s, params, dt)
-    if contact_height(state, s, params) <= 0.0:
-        return t0, state
+    y_hi = kernel.step(y, dt)
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        state_mid = step_rk4(state, cmd, s, params, mid)
-        if contact_height(state_mid, s, params) <= 0.0:
-            hi, state_hi = mid, state_mid
+        y_mid = kernel.step(y, mid)
+        if clearance(y_mid) <= 0.0:
+            hi, y_hi = mid, y_mid
         else:
             lo = mid
-    return t0 + hi, state_hi
+    return t0 + hi, BodyState.from_flat(y_hi)
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,6 @@ class ScenarioConfig:
     attitude; alpha/beta set the initial steering configuration.
     """
 
-    kind: str = "drop"
     drop_height: float = 0.85
     velocity: tuple[float, float, float] = (0.0, 0.0, 0.0)
     euler0: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -249,14 +248,15 @@ class ScenarioConfig:
     noise: NoiseModel = NoiseModel()
 
     def validate(self) -> None:
-        if self.kind not in ("drop", "ledge", "custom"):
-            raise ValueError(f"unknown scenario kind '{self.kind}'")
         if self.drop_height < 0.0:
             raise ValueError("drop_height must be non-negative")
         if self.t_max < 0.0:
             raise ValueError("t_max must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        noise = self.noise
+        if min(noise.sigma_euler, noise.sigma_omega, noise.sigma_accel) < 0.0:
+            raise ValueError("IMU noise sigmas must be non-negative")
 
 
 SETTLED_ANGLE_LIMIT = math.radians(2.0)
@@ -305,7 +305,7 @@ def simulate(scenario, controller, params: RobotParams) -> Trajectory:
         imu = imu_sample(state, scenario.noise, t, rng=rng, g=params.g)
         if controller.enabled:
             previous_mode = loop.mode
-            cmd = loop.update(imu, touchdown=False)
+            cmd = loop.update(imu)
             mode = loop.mode
             if (
                 previous_mode == ControllerMode.GROUND_TELEOP
@@ -356,8 +356,7 @@ def simulate(scenario, controller, params: RobotParams) -> Trajectory:
                 stepped[2], stepped[6:10], kernel.centers, params.wheel_radius
             ) <= 0.0:
                 td_t, td_state = refine_touchdown(
-                    BodyState.from_flat(y), cmd, steering, params,
-                    clock.dt_physics, t_step,
+                    kernel, y, params.wheel_radius, clock.dt_physics, t_step
                 )
                 trajectory.events.append((td_t, "touchdown"))
                 trajectory.touchdown_time = td_t

@@ -191,14 +191,11 @@ class TorqueCommand:
 
 @dataclass(frozen=True)
 class BodyTorque:
-    """Net torque on the base in body axes [N·m], with the rotated
-    authority-axis components available for analysis."""
+    """Net torque on the base in body axes [N·m]."""
 
     tau_x: float
     tau_y: float
     tau_z: float
-    tau_x_prime: float = 0.0
-    tau_y_prime: float = 0.0
 
     def as_array(self) -> np.ndarray:
         return np.array([self.tau_x, self.tau_y, self.tau_z])

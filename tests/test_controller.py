@@ -14,7 +14,6 @@ from swervefall import (
     SubmovementParams,
     control_step,
     detect_freefall,
-    fsm_step,
     imu_sample,
     linearized_plant,
     pd_attitude,
@@ -23,7 +22,7 @@ from swervefall import (
     angular_acceleration,
     TorqueCommand,
 )
-from swervefall.controller import FsmState, InsufficientHistory, closed_loop_poles
+from swervefall.controller import InsufficientHistory, closed_loop_poles
 from swervefall.kinematics import torque_jacobian
 
 ISO = SubmovementParams(math.pi / 4, 0.0)
@@ -61,31 +60,6 @@ def test_single_dropout_is_rejected():
 def test_short_history_raises():
     with pytest.raises(InsufficientHistory):
         detect_freefall(history([0.0, 0.0]), threshold=2.0, debounce=0.02)
-
-
-# --- state machine -----------------------------------------------------------
-
-def test_fsm_ground_to_freefall():
-    fsm = fsm_step(FsmState(), freefall_detected=True, touchdown=False, t=0.1)
-    assert fsm.mode == ControllerMode.FREEFALL_STABILIZE
-    assert fsm.entered_at == 0.1
-
-
-def test_fsm_freefall_to_landed():
-    fsm = FsmState(ControllerMode.FREEFALL_STABILIZE, 0.1)
-    fsm = fsm_step(fsm, freefall_detected=True, touchdown=True, t=0.5)
-    assert fsm.mode == ControllerMode.LANDED
-
-
-def test_fsm_landed_is_terminal():
-    fsm = FsmState(ControllerMode.LANDED, 0.5)
-    for detected, touchdown in ((True, False), (True, True), (False, False)):
-        assert fsm_step(fsm, detected, touchdown, 1.0).mode == ControllerMode.LANDED
-
-
-def test_fsm_ground_holds_without_detection():
-    fsm = fsm_step(FsmState(), freefall_detected=False, touchdown=False, t=0.1)
-    assert fsm.mode == ControllerMode.GROUND_TELEOP
 
 
 # --- PD law --------------------------------------------------------------------
@@ -153,13 +127,12 @@ def test_zero_error_zero_command(params):
     np.testing.assert_allclose(cmd.tau, np.zeros(4), atol=1e-15)
 
 
-def test_ground_and_landed_modes_emit_nothing(params):
+def test_ground_mode_emits_nothing(params):
     imu = reading(euler=(0.5, -0.4, 0.2), omega=(1, 1, 1))
-    for mode in (ControllerMode.GROUND_TELEOP, ControllerMode.LANDED):
-        cmd = control_step(imu, mode, ControllerGains.default(),
-                           torque_jacobian(ISO), params)
-        np.testing.assert_array_equal(cmd.tau, np.zeros(4))
-        assert cmd.tau_delta == 0.0
+    cmd = control_step(imu, ControllerMode.GROUND_TELEOP,
+                       ControllerGains.default(), torque_jacobian(ISO), params)
+    np.testing.assert_array_equal(cmd.tau, np.zeros(4))
+    assert cmd.tau_delta == 0.0
 
 
 def test_drop_attitude_saturates_wheels_two_and_four(params):
@@ -249,7 +222,7 @@ def feed_freefall(loop, ticks, yaw=0.25, t0=0.0):
     cmd = TorqueCommand.zero()
     for i in range(ticks):
         imu = reading(euler=(0.1, -0.2, yaw), accel=(0, 0, 0), t=t0 + i * 1e-3)
-        cmd = loop.update(imu, touchdown=False)
+        cmd = loop.update(imu)
     return cmd
 
 
@@ -271,15 +244,17 @@ def test_loop_switches_to_isotropic_alpha_and_latches_yaw(params):
     np.testing.assert_allclose(loop.q_desired, [0.0, 0.0, 0.25], atol=1e-12)
 
 
-def test_loop_lands_and_stays_silent(params):
+def test_loop_stays_in_freefall_stabilize_at_one_g(params):
+    # No transition leaves FreefallStabilize: readings at 1 g after entry
+    # neither switch the mode back nor silence the PD command.
     loop = make_loop(params)
     feed_freefall(loop, ticks=25)
-    cmd = loop.update(reading(euler=(0.2, 0.1, 0), t=0.030), touchdown=True)
-    assert loop.mode == ControllerMode.LANDED
-    np.testing.assert_array_equal(cmd.tau, np.zeros(4))
-    cmd = loop.update(reading(euler=(0.2, 0.1, 0), t=0.031), touchdown=False)
-    assert loop.mode == ControllerMode.LANDED
-    np.testing.assert_array_equal(cmd.tau, np.zeros(4))
+    assert loop.mode == ControllerMode.FREEFALL_STABILIZE
+    for i in range(50):
+        imu = reading(euler=(0.2, 0.1, 0), accel=(0, 0, 9.81), t=0.025 + i * 1e-3)
+        cmd = loop.update(imu)
+        assert loop.mode == ControllerMode.FREEFALL_STABILIZE
+        assert np.abs(cmd.tau).max() > 0.0
 
 
 def test_controller_config_from_entries_roundtrip():

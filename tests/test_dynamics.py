@@ -13,13 +13,13 @@ from swervefall import (
     angular_acceleration,
     oracle_newton_euler,
     reflected_inertia,
-    state_derivative,
     steering_from_submovements,
     step_rk4,
     quat_from_euler,
 )
 from swervefall.dynamics import (
     GRAVITY_DIR,
+    FlightKernel,
     _drive_torque_columns,
     effective_inertia,
     steer_points,
@@ -192,19 +192,26 @@ def test_torque_free_conservation(params):
 
 # --- state derivative --------------------------------------------------------
 
+def kernel_derivative(state, steering, cmd, params):
+    """Flat derivative (v_ob, a_ob, quat_dot, omega_dot, wheel_accel)."""
+    kernel = FlightKernel(steering, params)
+    kernel.set_command(cmd)
+    return np.array(kernel.derivative(state.flat()))
+
+
 def test_rest_state_falls_straight(params):
-    deriv = state_derivative(BodyState.at_rest(), ISO, TorqueCommand.zero(), params)
-    np.testing.assert_allclose(deriv.a_ob, [0.0, 0.0, -params.g], atol=1e-15)
-    np.testing.assert_allclose(deriv.omega_dot, np.zeros(3), atol=1e-15)
-    np.testing.assert_allclose(deriv.v_ob, np.zeros(3), atol=1e-15)
+    deriv = kernel_derivative(BodyState.at_rest(), ISO, TorqueCommand.zero(), params)
+    np.testing.assert_allclose(deriv[3:6], [0.0, 0.0, -params.g], atol=1e-15)
+    np.testing.assert_allclose(deriv[10:13], np.zeros(3), atol=1e-15)
+    np.testing.assert_allclose(deriv[0:3], np.zeros(3), atol=1e-15)
 
 
 def test_vertical_acceleration_independent_of_torque(params, rng):
     for _ in range(20):
         state, steering, cmd = random_symmetric_setup(rng)
-        deriv = state_derivative(state, steering, cmd, params)
-        assert math.isclose(deriv.a_ob[2], -params.g, rel_tol=1e-15)
-        assert deriv.a_ob[0] == 0.0 and deriv.a_ob[1] == 0.0
+        deriv = kernel_derivative(state, steering, cmd, params)
+        assert math.isclose(deriv[5], -params.g, rel_tol=1e-15)
+        assert deriv[3] == 0.0 and deriv[4] == 0.0
 
 
 def test_wheel_speed_integrates_drive_torque(params):
@@ -224,10 +231,10 @@ def test_wheel_acceleration_formula(params, rng):
     from swervefall.dynamics import _drive_torque_columns
 
     state, steering, cmd = random_symmetric_setup(rng)
-    deriv = state_derivative(state, steering, cmd, params)
+    deriv = kernel_derivative(state, steering, cmd, params)
     spin_axes = -_drive_torque_columns(steering)
-    expected = cmd.tau / params.j_wyy - spin_axes @ deriv.omega_dot
-    np.testing.assert_allclose(deriv.wheel_accel, expected, atol=1e-12)
+    expected = cmd.tau / params.j_wyy - spin_axes @ deriv[10:13]
+    np.testing.assert_allclose(deriv[13:17], expected, atol=1e-12)
 
 
 # --- scalar kernel against the array formulation ------------------------------
@@ -264,11 +271,10 @@ def reference_rk4(y0, steering, cmd, params, dt):
 def test_derivative_matches_array_formulation_bitwise(params, rng):
     for _ in range(50):
         state, steering, cmd = random_symmetric_setup(rng)
-        deriv = state_derivative(state, steering, cmd, params)
         expected = reference_derivative(np.array(state.flat()), steering, cmd, params)
-        got = np.concatenate([deriv.v_ob, deriv.a_ob, deriv.quat_dot,
-                              deriv.omega_dot, deriv.wheel_accel])
-        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(
+            kernel_derivative(state, steering, cmd, params), expected
+        )
 
 
 def test_rk4_matches_array_formulation_bitwise(params, rng):

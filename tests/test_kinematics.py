@@ -231,6 +231,17 @@ def test_allocate_clamps_and_flags(params):
     assert cmd.saturated[0] and cmd.saturated[1] and cmd.saturated[4]
 
 
+@pytest.mark.parametrize("demand", [
+    BodyTorque(math.nan, 0.0, 0.0),
+    BodyTorque(math.inf, 0.0, 0.0),
+    BodyTorque(0.0, 0.0, -math.inf),
+], ids=["nan", "inf", "minus-inf"])
+def test_allocate_rejects_non_finite_demand(params, demand):
+    # Clamping would turn NaN or inf into full saturation on every channel.
+    with pytest.raises(ValueError, match="non-finite"):
+        allocate_body_torque(demand, torque_jacobian(ISO), params)
+
+
 def test_allocate_expands_symmetric_pairs(params):
     cmd = allocate_body_torque(
         BodyTorque(1.0, 2.0, 0.4), torque_jacobian(ISO), params

@@ -13,9 +13,7 @@ from swervefall.params import (
 
 
 def test_default_params_pass_validation(params):
-    report = validate_params(params)
-    assert report.passed
-    assert report.violations == ()
+    assert validate_params(params) == ()
 
 
 def test_default_total_mass(params):
@@ -24,27 +22,27 @@ def test_default_total_mass(params):
 
 def test_zero_wheel_mass_rejected(params):
     bad = dataclasses.replace(params, wheel_mass=0.0)
-    report = validate_params(bad)
-    assert not report.passed
-    assert any("wheel_mass must be positive" in v for v in report.violations)
+    violations = validate_params(bad)
+    assert violations
+    assert any("wheel_mass must be positive" in v for v in violations)
 
 
 def test_inertia_feasibility_violation(params):
     bad = dataclasses.replace(params, j_bxx=params.j_byy + params.j_bzz + 0.1)
-    report = validate_params(bad)
-    assert not report.passed
-    assert any("inertia feasibility" in v for v in report.violations)
+    violations = validate_params(bad)
+    assert violations
+    assert any("inertia feasibility" in v for v in violations)
 
 
 def test_thin_disk_wheel_is_feasible(params):
     # A disk sits exactly on the j_yy = j_xx + j_zz boundary.
     assert math.isclose(params.j_wyy, params.j_wxx + params.j_wzz, rel_tol=1e-9)
-    assert validate_params(params).passed
+    assert validate_params(params) == ()
 
 
 def test_negative_limit_rejected(params):
     bad = dataclasses.replace(params, tau_wheel_max=-1.0)
-    assert not validate_params(bad).passed
+    assert validate_params(bad)
 
 
 def test_parse_flat_config_basics():
@@ -81,11 +79,11 @@ def test_take_bool_parses_common_forms():
 
 
 def test_robot_params_from_entries_overrides_and_pops():
-    entries = {"base_mass": "11.0", "kind": "drop"}
+    entries = {"base_mass": "11.0", "drop_height": "0.5"}
     params = robot_params_from_entries(entries)
     assert params.base_mass == 11.0
     assert "base_mass" not in entries
-    assert "kind" in entries  # non-robot keys left for other consumers
+    assert "drop_height" in entries  # non-robot keys left for other consumers
 
 
 def test_robot_params_from_entries_validates():

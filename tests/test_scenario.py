@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,6 @@ from swervefall.scenario import (
 )
 
 QUICK = """
-kind = custom
 drop_height = 0.2
 roll_deg = 4.0
 pitch_deg = -3.0
@@ -196,14 +197,54 @@ def test_cli_sweep_bad_timing_exit_2(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_cli_sweep_validates_every_value_before_running(tmp_path, capsys):
+    out = tmp_path / "partial"
+    code = cli_main(["sweep", "ledge", "--param", "dt_control",
+                     "--values", "0.001,0.00015", "-o", str(out)])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_broken_pipe_exits_cleanly(tmp_path, monkeypatch, capsys):
+    class ClosedPipe:
+        """A stdout whose reader has gone away, as under ``| head``."""
+
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+    try:
+        code = cli_main(["run", "drop_uncontrolled", "-o", str(tmp_path / "o")])
+    finally:
+        os.close(fd)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "o" / "drop_uncontrolled.csv").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("kp_roll", "nan"),
     ("freefall_accel_threshold", "-1"),
     ("freefall_debounce", "-1"),
     ("seed", "-1"),
+    ("noise_sigma_accel", "-0.5"),
+    ("noise_sigma_euler_deg", "-3"),
 ])
 def test_cli_out_of_range_value_exit_2(tmp_path, capsys, key, value):
-    text = QUICK.replace("seed = 5\n", "") + "noise_sigma_accel = 0.05\n"
+    base = QUICK.replace("seed = 5\n", "") + "noise_sigma_accel = 0.05\n"
+    text = "".join(line for line in base.splitlines(keepends=True)
+                   if not line.startswith(f"{key} ="))
     config = write_config(tmp_path, text + f"{key} = {value}\n")
     assert cli_main(["run", str(config), "-o", str(tmp_path)]) == 2
     assert "config error:" in capsys.readouterr().err
@@ -213,7 +254,6 @@ def test_cli_nonfinite_exit_3(tmp_path):
     # Microscopic inertia with huge gains and a coarse step drives the
     # integration to overflow.
     unstable = """
-kind = custom
 drop_height = 50.0
 roll_deg = 40.0
 t_max = 2.0

@@ -193,8 +193,3 @@ def test_event_ordering(params):
         assert times["freefall_start"] <= times["settled"] <= times["touchdown"]
     sample_times = [s.t for s in trajectory.samples]
     assert all(b > a for a, b in zip(sample_times, sample_times[1:]))
-
-
-def test_simulate_rejects_bad_kind(params):
-    with pytest.raises(ValueError):
-        simulate(ScenarioConfig(kind="hopscotch"), ControllerConfig(), params)
