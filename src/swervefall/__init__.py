@@ -14,7 +14,6 @@ from .controller import (
     ControllerMode,
     LinearPlant,
     control_step,
-    detect_freefall,
     linearized_plant,
     pd_attitude,
 )
@@ -44,7 +43,6 @@ from .simulation import (
     NoiseModel,
     NonFiniteState,
     ScenarioConfig,
-    TelemetrySample,
     Trajectory,
     imu_sample,
     simulate,
@@ -89,7 +87,6 @@ __all__ = [
     "SingularConfiguration",
     "SteeringState",
     "SubmovementParams",
-    "TelemetrySample",
     "TorqueCommand",
     "TorqueJacobian",
     "Trajectory",
@@ -97,7 +94,6 @@ __all__ = [
     "angular_acceleration",
     "compare",
     "control_step",
-    "detect_freefall",
     "euler_from_quaternion",
     "imu_sample",
     "jacobian_determinant",

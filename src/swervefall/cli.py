@@ -8,10 +8,13 @@
 drop_uncontrolled, ledge).  The default output directory comes from
 SWERVEFALL_OUTPUT_DIR, falling back to ./out.
 
-Exit codes: 0 success, 2 config error, 3 simulation diverged.  A reader
-that closes the output early (``| head``) ends the command with exit 0
-and no traceback: summaries are printed only after every run and file
-is complete.
+Exit codes: 0 success, 2 config error, 3 simulation diverged.  Config
+errors include a run over the work budget of 10**6 physics steps
+(t_max / dt_physics; one to two minutes of wall time), geometry that
+cannot place the robot at drop_height, and sweep values that print
+alike to 12 significant digits.  A reader that closes the output early
+(``| head``) ends the command with exit 0 and no traceback: summaries
+are printed only after every run and file is complete.
 """
 
 from __future__ import annotations

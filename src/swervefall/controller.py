@@ -1,8 +1,11 @@
 """Freefall detection state machine and the PD attitude controller.
 
 The robot idles in GroundTeleop.  When the accelerometer magnitude stays
-under a threshold for a full debounce window it is in freefall: the
-machine moves to FreefallStabilize, swings the steering to the isotropic
+under a threshold for a full debounce window it is in freefall: the loop
+keeps only the time the current run of under-threshold readings began,
+a reading at or over the threshold clears it, and detection fires once
+that time lies a full window back.  The machine then moves to
+FreefallStabilize, swings the steering to the isotropic
 alpha = pi/4 (equal roll and pitch authority), latches the yaw setpoint,
 and runs the PD law
 
@@ -20,7 +23,6 @@ commands zero torque.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -37,10 +39,6 @@ from .simulation import ImuReading
 from .state import BodyTorque, SubmovementParams, TorqueCommand, wrap_angle
 
 FLIGHT_ALPHA = math.pi / 4.0
-
-
-class InsufficientHistory(Exception):
-    """Freefall detection asked for a window longer than the history."""
 
 
 @dataclass(frozen=True)
@@ -72,34 +70,6 @@ class ControllerGains:
 class ControllerMode(IntEnum):
     GROUND_TELEOP = 0
     FREEFALL_STABILIZE = 1
-
-
-def detect_freefall(
-    history: list[tuple[float, float]] | deque,
-    threshold: float,
-    debounce: float,
-) -> bool:
-    """True iff |specific accel| stayed under threshold for the window.
-
-    ``history`` holds (timestamp, accel magnitude) pairs in time order.
-    Raises InsufficientHistory when the samples span less than the
-    debounce window.
-    """
-    if not history:
-        raise InsufficientHistory("no IMU history")
-    t_last = history[-1][0]
-    t_first = history[0][0]
-    if t_last - t_first < debounce - 1e-12:
-        raise InsufficientHistory(
-            f"history spans {t_last - t_first:.4f} s < debounce {debounce:.4f} s"
-        )
-    window_start = t_last - debounce
-    for t, magnitude in reversed(history):
-        if magnitude >= threshold:
-            return False
-        if t <= window_start + 1e-12:
-            break
-    return True
 
 
 def pd_attitude(
@@ -224,8 +194,8 @@ class ControllerConfig:
 
 
 class AttitudeControlLoop:
-    """Stateful per-run controller: IMU history, mode, latched setpoints,
-    and the commanded steering configuration.
+    """Stateful per-run controller: freefall debounce, mode, latched
+    setpoints, and the commanded steering configuration.
 
     ``update`` consumes one IMU reading per control tick and returns the
     torque command.  The loop starts in GroundTeleop and switches once,
@@ -245,7 +215,7 @@ class AttitudeControlLoop:
         self.sub = initial_sub
         self.jacobian = torque_jacobian(initial_sub)
         self.q_desired = np.zeros(3)
-        self._history: deque[tuple[float, float]] = deque()
+        self._below_since: float | None = None
 
     def update(self, imu: ImuReading) -> TorqueCommand:
         if self.mode == ControllerMode.GROUND_TELEOP and self._detect(imu):
@@ -260,17 +230,12 @@ class AttitudeControlLoop:
         )
 
     def _detect(self, imu: ImuReading) -> bool:
-        """Record the reading and test the debounce window for freefall."""
+        """Track the under-threshold run and test it against the window."""
         t = imu.timestamp
-        self._history.append((t, float(np.linalg.norm(imu.specific_accel))))
-        horizon = t - 2.0 * self.config.freefall_debounce
-        while len(self._history) > 2 and self._history[0][0] < horizon:
-            self._history.popleft()
-        try:
-            return detect_freefall(
-                self._history,
-                self.config.freefall_accel_threshold,
-                self.config.freefall_debounce,
-            )
-        except InsufficientHistory:
+        magnitude = float(np.linalg.norm(imu.specific_accel))
+        if magnitude >= self.config.freefall_accel_threshold:
+            self._below_since = None
             return False
+        if self._below_since is None:
+            self._below_since = t
+        return self._below_since <= t - self.config.freefall_debounce + 1e-12

@@ -3,20 +3,9 @@
 A scenario file is one flat key-value config carrying robot parameters,
 controller gains, and initial conditions together (see the bundled
 ``drop_controlled``, ``drop_uncontrolled``, and ``ledge`` files).  Every
-run writes one telemetry CSV (one row per control tick, angles in
-degrees, at least 9 significant digits) and returns a RunSummary.
-
-CSV column order is fixed:
-
-    t,phi,theta,psi,omega_x,omega_y,omega_z,tau_1,tau_2,tau_3,tau_4,
-    tau_delta,delta_1,delta_2,delta_3,delta_4,pos_x,pos_y,pos_z,
-    wheel_w1,wheel_w2,wheel_w3,wheel_w4,mode,sat_mask
-
-Pose columns are ground truth from the simulated state (IMU noise, when
-enabled, affects only what the controller saw).  ``mode`` is the integer
-controller mode (0 ground, 1 freefall stabilize) and
-``sat_mask`` packs the saturation flags (bits 0-3 wheels, bit 4
-steering).
+run writes one telemetry CSV and returns a RunSummary.  The CSV holds
+the simulator's per-tick rows as they are, under its ``CSV_HEADER``,
+with every float printed to 12 significant digits.
 """
 
 from __future__ import annotations
@@ -26,9 +15,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .controller import ControllerConfig
+from .kinematics import steering_from_submovements
 from .params import (
     ConfigError,
     RobotParams,
@@ -38,21 +26,18 @@ from .params import (
     take_int,
 )
 from .simulation import (
+    CSV_HEADER,
     NoiseModel,
     ScenarioConfig,
     SimClock,
     Trajectory,
+    contact_height,
+    initial_body_state,
     simulate,
 )
-from .state import euler_from_quaternion
+from .state import SubmovementParams, euler_from_quaternion
 
-CSV_HEADER = (
-    "t,phi,theta,psi,omega_x,omega_y,omega_z,"
-    "tau_1,tau_2,tau_3,tau_4,tau_delta,"
-    "delta_1,delta_2,delta_3,delta_4,"
-    "pos_x,pos_y,pos_z,"
-    "wheel_w1,wheel_w2,wheel_w3,wheel_w4,mode,sat_mask"
-)
+TAU_COLUMNS = tuple(CSV_HEADER.split(",").index(f"tau_{i}") for i in range(1, 5))
 
 BUNDLED_SCENARIOS = ("drop_controlled", "drop_uncontrolled", "ledge")
 
@@ -127,7 +112,8 @@ def loaded_from_entries(entries: dict[str, str], name: str) -> LoadedScenario:
     """Validate parsed config entries into one runnable scenario.
 
     Consumes every key; anything left over is an unknown key and a hard
-    error.  Timing that the simulator would reject is a config error too.
+    error.  Timing that the simulator would reject is a config error too,
+    and so is geometry too large to place the robot at ``drop_height``.
     """
     params = robot_params_from_entries(entries)
     controller = ControllerConfig.from_entries(entries)
@@ -139,6 +125,15 @@ def loaded_from_entries(entries: dict[str, str], name: str) -> LoadedScenario:
         SimClock.create(scenario.dt_physics, controller.dt_control)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    steering = steering_from_submovements(
+        SubmovementParams(scenario.alpha0, scenario.beta0)
+    )
+    placed = contact_height(initial_body_state(scenario, steering, params), steering, params)
+    if not abs(placed - scenario.drop_height) <= 1e-9:
+        raise ConfigError(
+            f"cannot place the robot at drop_height {scenario.drop_height:g} m "
+            f"(placed at {placed:g} m; check wheel_radius and the geometry)"
+        )
     return LoadedScenario(
         params=params, controller=controller, scenario=scenario, name=name
     )
@@ -210,14 +205,10 @@ def summarize(name: str, trajectory: Trajectory) -> RunSummary:
         euler_td = tuple(math.degrees(v) for v in (angles.phi, angles.theta, angles.psi))
         omega_td = tuple(float(w) for w in trajectory.touchdown_state.omega)
 
-    n = max(1, len(trajectory.samples))
-    peak = np.zeros(4)
-    sat_counts = np.zeros(5)
-    max_accel = 0.0
-    for sample in trajectory.samples:
-        peak = np.maximum(peak, np.abs(sample.command.tau))
-        sat_counts += sample.command.saturated.astype(float)
-        max_accel = max(max_accel, float(np.linalg.norm(sample.imu.specific_accel)))
+    rows = trajectory.rows
+    n = max(1, len(rows))
+    peak = [max((abs(row[col]) for row in rows), default=0.0) for col in TAU_COLUMNS]
+    sat_counts = [sum(row[-1] >> bit & 1 for row in rows) for bit in range(5)]
 
     return RunSummary(
         name=name,
@@ -226,40 +217,19 @@ def summarize(name: str, trajectory: Trajectory) -> RunSummary:
         omega_touchdown=omega_td,
         settle_time=events.get("settled"),
         freefall_start=events.get("freefall_start"),
-        peak_tau=tuple(float(v) for v in peak),
-        saturation_fraction=tuple(float(v) / n for v in sat_counts[:4]),
-        steer_saturation_fraction=float(sat_counts[4]) / n,
-        max_specific_accel=max_accel,
+        peak_tau=tuple(peak),
+        saturation_fraction=tuple(v / n for v in sat_counts[:4]),
+        steer_saturation_fraction=sat_counts[4] / n,
+        max_specific_accel=trajectory.max_specific_accel,
     )
-
-
-def _csv_row(sample) -> str:
-    deg = math.degrees
-    angles = sample.state.euler()
-    values = [
-        sample.t,
-        deg(angles.phi), deg(angles.theta), deg(angles.psi),
-        *sample.state.omega,
-        *sample.command.tau,
-        sample.command.tau_delta,
-        *(deg(d) for d in sample.steering.delta),
-        *sample.state.r_ob,
-        *sample.state.wheel_speed,
-    ]
-    mask = 0
-    for bit, flag in enumerate(sample.command.saturated):
-        if flag:
-            mask |= 1 << bit
-    # + 0.0 folds IEEE negative zero into plain zero.
-    cells = [f"{v + 0.0:.12g}" for v in values]
-    cells.append(str(sample.mode))
-    cells.append(str(mask))
-    return ",".join(cells)
 
 
 def write_trajectory_csv(trajectory: Trajectory, path: Path) -> None:
     lines = [CSV_HEADER]
-    lines.extend(_csv_row(sample) for sample in trajectory.samples)
+    for *values, mode, sat_mask in trajectory.rows:
+        # + 0.0 folds IEEE negative zero into plain zero.
+        cells = [f"{v + 0.0:.12g}" for v in values]
+        lines.append(",".join([*cells, str(mode), str(sat_mask)]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -340,21 +310,27 @@ def sweep(
 ) -> list[RunSummary]:
     """Run the base scenario once per parameter value.
 
-    The base config is read once, and every value's scenario is validated
+    Each run is named and configured by its value printed to 12
+    significant digits; values that print alike are a config error.  The
+    base config is read once, and every value's scenario is validated
     before the first run, so a bad value leaves no output behind.  Writes
     one telemetry CSV per run plus an aggregated summary CSV.  Unknown
     parameter names are config errors.
     """
     if parameter not in sweepable_parameters():
         raise ConfigError(f"unknown sweep parameter '{parameter}'")
+    texts = [f"{value:.12g}" for value in values]
+    repeated = sorted({text for text in texts if texts.count(text) > 1})
+    if repeated:
+        raise ConfigError(f"duplicate sweep values: {', '.join(repeated)}")
     base_path = resolve_config_path(base_config)
     base_entries = read_config_file(base_path)
     runs = [
         loaded_from_entries(
-            dict(base_entries, **{parameter: f"{value:.12g}"}),
-            name=f"{base_path.stem}_{parameter}_{value:g}",
+            dict(base_entries, **{parameter: text}),
+            name=f"{base_path.stem}_{parameter}_{text}",
         )
-        for value in values
+        for text in texts
     ]
 
     out = Path(output_dir)
@@ -362,7 +338,7 @@ def sweep(
     summaries: list[RunSummary] = []
     aggregate = ["parameter,value,touchdown_time,settle_time,"
                  "peak_tau_1,peak_tau_2,peak_tau_3,peak_tau_4"]
-    for value, loaded in zip(values, runs):
+    for text, loaded in zip(texts, runs):
         trajectory = simulate(loaded.scenario, loaded.controller, loaded.params)
         write_trajectory_csv(trajectory, out / f"{loaded.name}.csv")
         summary = summarize(loaded.name, trajectory)
@@ -372,7 +348,7 @@ def sweep(
             "" if summary.touchdown_time is None else f"{summary.touchdown_time:.12g}"
         )
         aggregate.append(
-            f"{parameter},{value:.12g},{touchdown},{settle},"
+            f"{parameter},{text},{touchdown},{settle},"
             + ",".join(f"{v:.12g}" for v in summary.peak_tau)
         )
     (out / f"sweep_{parameter}.csv").write_text(

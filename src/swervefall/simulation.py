@@ -7,6 +7,14 @@ first instant the lowest wheel contact point (wheel-center height minus
 wheel radius) reaches the ground plane z = 0, refined by bisection to
 1e-6 s.  No contact response is modeled; the run ends there.
 
+Each control tick produces one flat telemetry row: the 25 CSV values in
+``CSV_HEADER`` order, angles in degrees, ending with the integer ``mode``
+and ``sat_mask``.  Pose columns are ground truth from the simulated state
+(IMU noise, when enabled, affects only what the controller saw).  ``mode``
+is the integer controller mode (0 ground, 1 freefall stabilize) and
+``sat_mask`` packs the saturation flags (bits 0-3 wheels, bit 4
+steering).
+
 Determinism: given identical configs and seed, every run produces
 bit-identical trajectories.  IMU noise, when enabled, draws from a
 dedicated seeded generator in a fixed per-tick order.
@@ -31,6 +39,17 @@ from .state import (
 )
 
 BISECTION_TOL = 1e-6
+# Largest t_max / dt_physics a scenario may ask for: about 45 s of wall
+# time at ten physics steps per control tick, 135 s at one (2-vCPU Xeon).
+MAX_PHYSICS_STEPS = 10**6
+
+CSV_HEADER = (
+    "t,phi,theta,psi,omega_x,omega_y,omega_z,"
+    "tau_1,tau_2,tau_3,tau_4,tau_delta,"
+    "delta_1,delta_2,delta_3,delta_4,"
+    "pos_x,pos_y,pos_z,"
+    "wheel_w1,wheel_w2,wheel_w3,wheel_w4,mode,sat_mask"
+)
 
 
 @dataclass(frozen=True)
@@ -54,7 +73,7 @@ class ImuReading:
     """Simulated inertial sensor output in body axes.
 
     specific_accel is the accelerometer signal (true acceleration minus
-    gravity): zero in exact freefall, (0, 0, +g) resting upright.
+    gravity), zero in ballistic flight before noise.
     """
 
     euler: np.ndarray
@@ -68,21 +87,14 @@ def imu_sample(
     noise: NoiseModel,
     t: float,
     rng: np.random.Generator | None = None,
-    world_accel: np.ndarray | None = None,
-    g: float = 9.81,
 ) -> ImuReading:
     """Sample exact kinematic quantities plus optional seeded noise.
 
-    ``world_accel`` is the true acceleration of the body in the world
-    frame; it defaults to ballistic (0, 0, -g).  Pass zeros for a body at
-    rest on support.
+    The body is in ballistic flight, so its specific force is exactly
+    zero; only noise moves the accelerometer.
     """
-    if world_accel is None:
-        world_accel = np.array([0.0, 0.0, -g])
-    rot = state.rotation()
-    specific = rot.T @ (np.asarray(world_accel, dtype=float) - np.array([0.0, 0.0, -g]))
-    angles = euler_from_quaternion(state.quat)
-    euler = angles.as_array()
+    specific = np.zeros(3)
+    euler = euler_from_quaternion(state.quat).as_array()
     omega = state.omega.copy()
     if noise.enabled():
         if rng is None:
@@ -126,28 +138,21 @@ def _lowest_contact(
     return float(centers_world_z.min() - wheel_radius)
 
 
-@dataclass(frozen=True)
-class TelemetrySample:
-    t: float
-    state: BodyState
-    command: TorqueCommand
-    mode: int
-    imu: ImuReading
-    steering: SteeringState
-
-
 @dataclass
 class Trajectory:
-    """Control-tick telemetry records plus run events.
+    """Control-tick telemetry rows plus run events.
 
-    samples: one record per control tick, strictly increasing in time.
+    rows: one tuple of the 25 ``CSV_HEADER`` values per control tick,
+    strictly increasing in time.
     events: (time, kind) with kind in {freefall_start, settled, touchdown}.
+    max_specific_accel: largest accelerometer magnitude the IMU reported.
     touchdown_time/touchdown_state: bisection-refined terminal condition,
     present when the run ended by ground contact rather than t_max.
     """
 
-    samples: list[TelemetrySample] = field(default_factory=list)
+    rows: list[tuple] = field(default_factory=list)
     events: list[tuple[float, str]] = field(default_factory=list)
+    max_specific_accel: float = 0.0
     touchdown_time: float | None = None
     touchdown_state: BodyState | None = None
 
@@ -257,6 +262,13 @@ class ScenarioConfig:
         noise = self.noise
         if min(noise.sigma_euler, noise.sigma_omega, noise.sigma_accel) < 0.0:
             raise ValueError("IMU noise sigmas must be non-negative")
+        if self.dt_physics <= 0.0:
+            raise ValueError("dt_physics must be positive")
+        if self.t_max > MAX_PHYSICS_STEPS * self.dt_physics:
+            raise ValueError(
+                f"t_max / dt_physics exceeds the work budget of "
+                f"{MAX_PHYSICS_STEPS} physics steps (one to two minutes)"
+            )
 
 
 SETTLED_ANGLE_LIMIT = math.radians(2.0)
@@ -297,12 +309,16 @@ def simulate(scenario, controller, params: RobotParams) -> Trajectory:
     rng = np.random.default_rng(scenario.seed) if scenario.noise.enabled() else None
 
     trajectory = Trajectory()
+    delta_deg = [math.degrees(d) for d in steering.delta]
     settled_seen = False
     tick = 0
     t = 0.0
     while True:
         state = BodyState.from_flat(y)
-        imu = imu_sample(state, scenario.noise, t, rng=rng, g=params.g)
+        imu = imu_sample(state, scenario.noise, t, rng=rng)
+        trajectory.max_specific_accel = max(
+            trajectory.max_specific_accel, float(np.linalg.norm(imu.specific_accel))
+        )
         if controller.enabled:
             previous_mode = loop.mode
             cmd = loop.update(imu)
@@ -314,31 +330,30 @@ def simulate(scenario, controller, params: RobotParams) -> Trajectory:
                 trajectory.events.append((t, "freefall_start"))
                 steering = steering_from_submovements(loop.sub)
                 kernel = FlightKernel(steering, params)
+                delta_deg = [math.degrees(d) for d in steering.delta]
             cmd = apply_wheel_speed_limit(cmd, state, params)
         else:
             cmd = TorqueCommand.zero()
             mode = ControllerMode.GROUND_TELEOP
 
-        trajectory.samples.append(
-            TelemetrySample(
-                t=t, state=state, command=cmd, mode=int(mode), imu=imu,
-                steering=steering,
-            )
-        )
+        angles = euler_from_quaternion(state.quat)
+        sat_mask = sum(1 << bit for bit, flag in enumerate(cmd.saturated) if flag)
+        trajectory.rows.append((
+            t, math.degrees(angles.phi), math.degrees(angles.theta),
+            math.degrees(angles.psi), *y[10:13], *cmd.tau.tolist(),
+            cmd.tau_delta, *delta_deg, *y[0:3], *y[13:17], int(mode), sat_mask,
+        ))
 
         if (
             controller.enabled
             and not settled_seen
             and mode == ControllerMode.FREEFALL_STABILIZE
+            and abs(angles.phi) < SETTLED_ANGLE_LIMIT
+            and abs(angles.theta) < SETTLED_ANGLE_LIMIT
+            and float(np.linalg.norm(state.omega)) < SETTLED_RATE_LIMIT
         ):
-            angles = euler_from_quaternion(state.quat)
-            if (
-                abs(angles.phi) < SETTLED_ANGLE_LIMIT
-                and abs(angles.theta) < SETTLED_ANGLE_LIMIT
-                and float(np.linalg.norm(state.omega)) < SETTLED_RATE_LIMIT
-            ):
-                trajectory.events.append((t, "settled"))
-                settled_seen = True
+            trajectory.events.append((t, "settled"))
+            settled_seen = True
 
         next_tick_t = (tick + 1) * controller.dt_control
         if next_tick_t > scenario.t_max + 1e-12:

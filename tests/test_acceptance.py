@@ -32,7 +32,7 @@ from swervefall import (
 from swervefall.dynamics import effective_inertia
 from swervefall.kinematics import torque_jacobian
 from swervefall.scenario import load_scenario_file
-from swervefall.simulation import simulate
+from swervefall.simulation import CSV_HEADER, simulate
 
 _MODULE_T0 = time.time()
 
@@ -181,16 +181,16 @@ def test_07_controlled_drop(drop_controlled):
     with criterion(7, "controlled drop: |roll|,|pitch| < 2.5 deg at 402 ms "
                       "and the 2-4 wheel pair saturates early"):
         loaded, trajectory, _ = drop_controlled
-        sample = min(trajectory.samples, key=lambda s: abs(s.t - 0.402))
-        angles = sample.state.euler()
-        assert abs(math.degrees(angles.phi)) < 2.5
-        assert abs(math.degrees(angles.theta)) < 2.5
+        col = CSV_HEADER.split(",").index
+        row = min(trajectory.rows, key=lambda r: abs(r[col("t")] - 0.402))
+        assert abs(row[col("phi")]) < 2.5
+        assert abs(row[col("theta")]) < 2.5
         half = 0.5 * math.sqrt(2 * loaded.scenario.drop_height / loaded.params.g)
-        early = [s for s in trajectory.samples if s.t <= half]
+        early = [r for r in trajectory.rows if r[col("t")] <= half]
         limit = loaded.params.tau_wheel_max
-        assert any(abs(s.command.tau[1]) == limit for s in early)
-        assert any(abs(s.command.tau[3]) == limit for s in early)
-        assert all(abs(s.command.tau[0]) < limit for s in early)
+        assert any(abs(r[col("tau_2")]) == limit for r in early)
+        assert any(abs(r[col("tau_4")]) == limit for r in early)
+        assert all(abs(r[col("tau_1")]) < limit for r in early)
 
 
 def test_08_ledge_settles_before_impact(ledge):

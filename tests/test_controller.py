@@ -1,7 +1,9 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swervefall import (
     AttitudeControlLoop,
@@ -11,9 +13,9 @@ from swervefall import (
     ControllerMode,
     ImuReading,
     NoiseModel,
+    RobotParams,
     SubmovementParams,
     control_step,
-    detect_freefall,
     imu_sample,
     linearized_plant,
     pd_attitude,
@@ -22,7 +24,7 @@ from swervefall import (
     angular_acceleration,
     TorqueCommand,
 )
-from swervefall.controller import InsufficientHistory, closed_loop_poles
+from swervefall.controller import closed_loop_poles
 from swervefall.kinematics import torque_jacobian
 
 ISO = SubmovementParams(math.pi / 4, 0.0)
@@ -37,29 +39,91 @@ def reading(euler=(0, 0, 0), omega=(0, 0, 0), accel=(0, 0, 0), t=0.0):
     )
 
 
-def history(magnitudes, dt=0.005):
-    return [(i * dt, m) for i, m in enumerate(magnitudes)]
-
-
 # --- freefall detection ------------------------------------------------------
 
-def test_resting_accel_is_not_freefall():
-    assert not detect_freefall(history([9.81] * 10), threshold=2.0, debounce=0.02)
+def windowed_first_detection(magnitudes, dt, threshold, debounce):
+    """Reference debounce: the windowed rule over a trimmed history.
+
+    A tick detects freefall when the history spans the debounce window
+    and every magnitude from the window boundary to now is under the
+    threshold.  Returns the first detecting tick, or None.
+    """
+    history = deque()
+    for tick, magnitude in enumerate(magnitudes):
+        t = tick * dt
+        history.append((t, magnitude))
+        while len(history) > 2 and history[0][0] < t - 2.0 * debounce:
+            history.popleft()
+        if t - history[0][0] < debounce - 1e-12:
+            continue
+        window_start = t - debounce
+        for t_i, m_i in reversed(history):
+            if m_i >= threshold:
+                break
+            if t_i <= window_start + 1e-12:
+                return tick
+        else:
+            return tick
+    return None
 
 
-def test_sustained_zero_accel_is_freefall():
-    assert detect_freefall(history([0.0] * 10), threshold=2.0, debounce=0.02)
+def loop_first_detection(params, magnitudes, dt, threshold=2.0, debounce=0.02):
+    """First tick at which AttitudeControlLoop enters FreefallStabilize."""
+    config = ControllerConfig(freefall_accel_threshold=threshold,
+                              freefall_debounce=debounce, dt_control=dt)
+    loop = AttitudeControlLoop(config, params, ISO)
+    for tick, magnitude in enumerate(magnitudes):
+        loop.update(reading(accel=(0, 0, magnitude), t=tick * dt))
+        if loop.mode == ControllerMode.FREEFALL_STABILIZE:
+            return tick
+    return None
 
 
-def test_single_dropout_is_rejected():
+def test_resting_accel_is_not_freefall(params):
+    assert loop_first_detection(params, [9.81] * 100, dt=0.001) is None
+
+
+def test_sustained_zero_accel_is_freefall(params):
+    # The first reading opens the window; detection waits a full 20 ms,
+    # so nothing fires before the readings span the window.
+    assert loop_first_detection(params, [0.0] * 100, dt=0.001) == 20
+
+
+def test_single_dropout_is_rejected(params):
     # One spurious low reading inside a 1 g stream must not trigger.
-    magnitudes = [9.81] * 4 + [0.1] + [9.81] * 5
-    assert not detect_freefall(history(magnitudes), threshold=2.0, debounce=0.02)
+    magnitudes = [9.81] * 40 + [0.1] + [9.81] * 40
+    assert loop_first_detection(params, magnitudes, dt=0.001) is None
 
 
-def test_short_history_raises():
-    with pytest.raises(InsufficientHistory):
-        detect_freefall(history([0.0, 0.0]), threshold=2.0, debounce=0.02)
+@pytest.mark.parametrize("spike", [2.0, 9.81])
+def test_spike_inside_freefall_restarts_window(params, spike):
+    # A reading at or over the threshold 15 ms into freefall clears the
+    # run; the next reading starts a fresh full window.
+    magnitudes = [0.0] * 15 + [spike] + [0.0] * 60
+    assert loop_first_detection(params, magnitudes, dt=0.001) == 16 + 20
+
+
+MAGNITUDE_FACTORS = (0.0, 0.3, 0.999, 1.0, 4.9)  # times the threshold
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    runs=st.lists(
+        st.tuples(st.sampled_from(MAGNITUDE_FACTORS), st.integers(1, 40)),
+        min_size=1, max_size=8,
+    ),
+    dt=st.one_of(st.just(1e-3), st.floats(1e-4, 1e-2)),
+    debounce=st.one_of(st.just(0.02), st.just(0.0), st.floats(0.0, 0.06)),
+    threshold=st.floats(0.5, 5.0),
+)
+def test_loop_debounce_matches_windowed_rule(runs, dt, debounce, threshold):
+    magnitudes = [
+        float(np.linalg.norm([0.0, 0.0, factor * threshold]))
+        for factor, length in runs for _ in range(length)
+    ]
+    assert loop_first_detection(
+        RobotParams(), magnitudes, dt, threshold, debounce
+    ) == windowed_first_detection(magnitudes, dt, threshold, debounce)
 
 
 # --- PD law --------------------------------------------------------------------

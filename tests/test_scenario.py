@@ -9,11 +9,8 @@ import pytest
 
 from swervefall import ConfigError, compare, run_scenario, simulate, sweep
 from swervefall.cli import main as cli_main
-from swervefall.scenario import (
-    CSV_HEADER,
-    load_scenario_file,
-    resolve_config_path,
-)
+from swervefall.scenario import load_scenario_file, resolve_config_path
+from swervefall.simulation import CSV_HEADER
 
 QUICK = """
 drop_height = 0.2
@@ -64,7 +61,7 @@ def test_run_scenario_writes_pinned_csv(tmp_path):
     # one row per control tick: ticks at 0, dt_control, ... up to touchdown
     loaded = load_scenario_file(config)
     trajectory = simulate(loaded.scenario, loaded.controller, loaded.params)
-    assert len(lines) - 1 == len(trajectory.samples)
+    assert len(lines) - 1 == len(trajectory.rows)
     tick_times = [float(row.split(",", 1)[0]) for row in lines[1:]]
     dt = loaded.controller.dt_control
     assert all(
@@ -206,6 +203,26 @@ def test_cli_sweep_validates_every_value_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_sweep_names_each_value_apart(tmp_path, capsys):
+    out = tmp_path / "s"
+    code = cli_main(["sweep", "ledge", "--param", "drop_height",
+                     "--values", "0.30000001,0.30000002", "-o", str(out)])
+    assert code == 0
+    names = re.findall(r"^run: (\S+)$", capsys.readouterr().out, re.MULTILINE)
+    assert names == ["ledge_drop_height_0.30000001", "ledge_drop_height_0.30000002"]
+    first, second = (out / f"{name}.csv" for name in names)
+    assert first.read_bytes() != second.read_bytes()
+
+
+def test_cli_sweep_duplicate_values_exit_2(tmp_path, capsys):
+    out = tmp_path / "dup"
+    code = cli_main(["sweep", "ledge", "--param", "drop_height",
+                     "--values", "0.5,0.5", "-o", str(out)])
+    assert code == 2
+    assert "duplicate sweep values: 0.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_broken_pipe_exits_cleanly(tmp_path, monkeypatch, capsys):
     class ClosedPipe:
         """A stdout whose reader has gone away, as under ``| head``."""
@@ -240,6 +257,9 @@ def test_cli_broken_pipe_exits_cleanly(tmp_path, monkeypatch, capsys):
     ("seed", "-1"),
     ("noise_sigma_accel", "-0.5"),
     ("noise_sigma_euler_deg", "-3"),
+    ("wheel_radius", "1e308"),
+    ("wheel_radius", "1e20"),
+    ("dt_physics", "1e-12"),
 ])
 def test_cli_out_of_range_value_exit_2(tmp_path, capsys, key, value):
     base = QUICK.replace("seed = 5\n", "") + "noise_sigma_accel = 0.05\n"
