@@ -39,7 +39,6 @@ from .kinematics import (
 from .params import ConfigError, RobotParams, validate_params
 from .scenario import RunSummary, compare, run_scenario, sweep
 from .simulation import (
-    ImuReading,
     NoiseModel,
     NonFiniteState,
     ScenarioConfig,
@@ -74,7 +73,6 @@ __all__ = [
     "ControllerGains",
     "ControllerMode",
     "EulerAngles",
-    "ImuReading",
     "InertiaReflection",
     "LinearPlant",
     "ManipulabilityReport",

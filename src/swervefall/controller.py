@@ -35,32 +35,36 @@ from .kinematics import (
     torque_jacobian,
 )
 from .params import ConfigError, RobotParams, take_bool, take_float
-from .simulation import ImuReading
-from .state import BodyTorque, SubmovementParams, TorqueCommand, wrap_angle
+from .state import SubmovementParams, wrap_angle
 
 FLIGHT_ALPHA = math.pi / 4.0
+
+# (tau_1, tau_2, tau_3, tau_4, tau_delta, sat_mask) of a silent controller.
+ZERO_COMMAND = (0.0, 0.0, 0.0, 0.0, 0.0, 0)
+# The command of a singular steering configuration: no torque, steering
+# saturation flag (bit 4) raised.
+SINGULAR_COMMAND = (0.0, 0.0, 0.0, 0.0, 0.0, 0b10000)
 
 
 @dataclass(frozen=True)
 class ControllerGains:
-    """Diagonal PD gains per Euler axis (roll, pitch, yaw).
+    """Diagonal PD gains per Euler axis (roll, pitch, yaw), each a tuple
+    of three floats.
 
     Entries must be non-negative; zeroing an axis disables it (the yaw
     channel ships disabled).
     """
 
-    kp: np.ndarray
-    kd: np.ndarray
+    kp: tuple[float, float, float]
+    kd: tuple[float, float, float]
 
     def __init__(self, kp, kd) -> None:
         kp = np.asarray(kp, dtype=float).reshape(3)
         kd = np.asarray(kd, dtype=float).reshape(3)
         if (kp < 0).any() or (kd < 0).any():
             raise ValueError("gains must be non-negative")
-        kp.setflags(write=False)
-        kd.setflags(write=False)
-        object.__setattr__(self, "kp", kp)
-        object.__setattr__(self, "kd", kd)
+        object.__setattr__(self, "kp", tuple(kp.tolist()))
+        object.__setattr__(self, "kd", tuple(kd.tolist()))
 
     @staticmethod
     def default() -> "ControllerGains":
@@ -73,43 +77,46 @@ class ControllerMode(IntEnum):
 
 
 def pd_attitude(
-    q: np.ndarray,
-    q_dot: np.ndarray,
-    q_desired: np.ndarray,
-    gains: ControllerGains,
-) -> BodyTorque:
-    """PD law on wrapped Euler errors; returns the body-torque demand."""
-    error = np.array([wrap_angle(d - c) for d, c in zip(q_desired, q)])
-    torque = gains.kp * error - gains.kd * np.asarray(q_dot, dtype=float)
-    return BodyTorque(tau_x=float(torque[0]), tau_y=float(torque[1]), tau_z=float(torque[2]))
+    q, q_dot, q_desired, gains: ControllerGains
+) -> tuple[float, float, float]:
+    """PD law on wrapped Euler errors.
+
+    ``q``, ``q_dot`` and ``q_desired`` are (roll, pitch, yaw) triples of
+    floats; returns the body-torque demand (tau_x, tau_y, tau_z).
+    """
+    (kp_x, kp_y, kp_z), (kd_x, kd_y, kd_z) = gains.kp, gains.kd
+    return (
+        kp_x * wrap_angle(q_desired[0] - q[0]) - kd_x * q_dot[0],
+        kp_y * wrap_angle(q_desired[1] - q[1]) - kd_y * q_dot[1],
+        kp_z * wrap_angle(q_desired[2] - q[2]) - kd_z * q_dot[2],
+    )
 
 
 def control_step(
-    imu: ImuReading,
+    euler,
+    omega,
     mode: ControllerMode,
     gains: ControllerGains,
     jac: TorqueJacobian,
     params: RobotParams,
-    q_desired: np.ndarray | None = None,
-) -> TorqueCommand:
+    q_desired=(0.0, 0.0, 0.0),
+) -> tuple[float, float, float, float, float, int]:
     """One controller tick: PD demand, allocation, saturation.
 
-    ``jac`` is the torque Jacobian of the commanded steering
-    configuration.  Only FreefallStabilize produces torque.  A singular
-    steering configuration zeroes the command and raises the steering
-    saturation flag rather than crashing the loop.
+    ``euler`` and ``omega`` are the IMU's angles and rates as float
+    triples; ``jac`` is the torque Jacobian of the commanded steering
+    configuration.  Returns the command as ``allocate_body_torque`` does.
+    Only FreefallStabilize produces torque.  A singular steering
+    configuration zeroes the command and raises the steering saturation
+    flag rather than crashing the loop.
     """
     if mode != ControllerMode.FREEFALL_STABILIZE:
-        return TorqueCommand.zero()
-    if q_desired is None:
-        q_desired = np.zeros(3)
-    demand = pd_attitude(imu.euler, imu.omega, q_desired, gains)
+        return ZERO_COMMAND
+    demand = pd_attitude(euler, omega, q_desired, gains)
     try:
         return allocate_body_torque(demand, jac, params)
     except SingularConfiguration:
-        return TorqueCommand(
-            np.zeros(4), 0.0, saturated=[False, False, False, False, True]
-        )
+        return SINGULAR_COMMAND
 
 
 @dataclass(frozen=True)
@@ -198,13 +205,13 @@ class AttitudeControlLoop:
     setpoints, and the commanded steering configuration.
 
     ``update`` consumes one IMU reading per control tick and returns the
-    torque command.  The loop starts in GroundTeleop and switches once,
-    on freefall detection; nothing leaves FreefallStabilize, so detection
-    runs only before that switch.  Entering FreefallStabilize swings
-    alpha to pi/4 (beta preserved) and latches the yaw setpoint at the
-    current heading with zero desired roll and pitch.  The allocation
-    Jacobian is built for the current ``sub`` and rebuilt only when
-    ``sub`` changes.
+    torque command as plain numbers (see ``allocate_body_torque``).  The
+    loop starts in GroundTeleop and switches once, on freefall detection;
+    nothing leaves FreefallStabilize, so detection runs only before that
+    switch.  Entering FreefallStabilize swings alpha to pi/4 (beta
+    preserved) and latches the yaw setpoint at the current heading with
+    zero desired roll and pitch.  The allocation Jacobian is built for
+    the current ``sub`` and rebuilt only when ``sub`` changes.
     """
 
     def __init__(self, config: ControllerConfig, params: RobotParams,
@@ -214,25 +221,27 @@ class AttitudeControlLoop:
         self.mode = ControllerMode.GROUND_TELEOP
         self.sub = initial_sub
         self.jacobian = torque_jacobian(initial_sub)
-        self.q_desired = np.zeros(3)
+        self.q_desired = (0.0, 0.0, 0.0)
         self._below_since: float | None = None
 
-    def update(self, imu: ImuReading) -> TorqueCommand:
-        if self.mode == ControllerMode.GROUND_TELEOP and self._detect(imu):
+    def update(
+        self, t: float, euler, omega, accel: float
+    ) -> tuple[float, float, float, float, float, int]:
+        """One tick on the IMU reading at time ``t``: Euler angles and body
+        rates as float triples, and the accelerometer magnitude."""
+        if self.mode == ControllerMode.GROUND_TELEOP and self._detect(t, accel):
             self.mode = ControllerMode.FREEFALL_STABILIZE
             self.sub = SubmovementParams(alpha=FLIGHT_ALPHA, beta=self.sub.beta)
             self.jacobian = torque_jacobian(self.sub)
-            self.q_desired = np.array([0.0, 0.0, imu.euler[2]])
+            self.q_desired = (0.0, 0.0, euler[2])
 
         return control_step(
-            imu, self.mode, self.config.gains, self.jacobian, self.params,
-            q_desired=self.q_desired,
+            euler, omega, self.mode, self.config.gains, self.jacobian,
+            self.params, q_desired=self.q_desired,
         )
 
-    def _detect(self, imu: ImuReading) -> bool:
+    def _detect(self, t: float, magnitude: float) -> bool:
         """Track the under-threshold run and test it against the window."""
-        t = imu.timestamp
-        magnitude = float(np.linalg.norm(imu.specific_accel))
         if magnitude >= self.config.freefall_accel_threshold:
             self._below_since = None
             return False

@@ -155,8 +155,7 @@ def angular_acceleration(
     the raw steering angles, so agreement between the two exercises the
     angle-addition identities rather than shared code.
     """
-    kernel = FlightKernel(s, params)
-    kernel.set_command(cmd)
+    kernel = kernel_holding(cmd, s, params)
     return np.array(kernel.derivative(state.flat())[10:13])
 
 
@@ -245,6 +244,18 @@ def torque_jacobian_reaction(s: SteeringState) -> np.ndarray:
     return out
 
 
+def kernel_holding(
+    cmd: TorqueCommand, s: SteeringState, params: RobotParams
+) -> "FlightKernel":
+    """A flight kernel at steering ``s`` holding ``cmd``, which must be
+    flight-symmetric (tau_3 = -tau_1, tau_4 = -tau_2)."""
+    cmd.require_flight_symmetric()
+    kernel = FlightKernel(s, params)
+    tau_1, tau_2 = cmd.tau[:2].tolist()
+    kernel.set_command(tau_1, tau_2, cmd.tau_delta)
+    return kernel
+
+
 class NonFiniteState(Exception):
     """Integration produced NaN or Inf; carries the offending time."""
 
@@ -259,14 +270,16 @@ class FlightKernel:
     Built once per steering configuration, it holds the effective
     inertia, the full torque Jacobian, the wheel spin axes, gravity and
     the body-frame wheel centers.  ``set_command`` fixes the command held
-    over a control tick; ``step`` then advances a flat state of 17 floats
-    (r_ob, v_ob, quat, omega, wheel_speed) by one classical RK4 step.
+    over a control tick as plain floats; ``step`` then advances a flat
+    state of 17 floats (r_ob, v_ob, quat, omega, wheel_speed) by one
+    classical RK4 step.
 
     The scalar arithmetic repeats the array formulation operation for
     operation (``np.cross`` order for the gyroscopic term, the
     ``quat_multiply`` order including its zero products), and the wheel
-    term keeps the numpy matrix-vector product, so trajectories match the
-    array formulation bit for bit.
+    term keeps numpy's matrix-vector product, formed for the four RK4
+    stages in one stacked product, so trajectories match the array
+    formulation bit for bit.
     """
 
     def __init__(self, s: SteeringState, params: RobotParams):
@@ -276,21 +289,68 @@ class FlightKernel:
         self.full = torque_jacobian(submovements_from_steering(s)).full
         # Spin axes are the negated drive-reaction directions.
         self.spin_axes = -_drive_torque_columns(s)
+        # The same axes as a stack of one: one matmul then forms the four
+        # RK4 stages' products, each bit for bit the per-stage
+        # ``spin_axes @ omega_dot`` (a flattened ``spin_axes @ od.T`` or
+        # an einsum would round differently).
+        self._spin_stack = self.spin_axes[None]
         self.accel = (params.g * GRAVITY_DIR).tolist()
         self.centers = wheel_centers(params, s)
         self.j_wyy = params.j_wyy
+        self.wheel_radius = params.wheel_radius
+        self.center_reach = float(np.linalg.norm(self.centers, axis=1).max())
         # No attitude brings a wheel to the ground while the base is
         # higher than this; the relative margin covers the rounding of
         # the exact contact-height arithmetic.
-        reach = float(np.linalg.norm(self.centers, axis=1).max()) + params.wheel_radius
-        self.contact_reach = reach * (1.0 + 1e-9)
+        self.contact_reach = (self.center_reach + params.wheel_radius) * (1.0 + 1e-9)
 
-    def set_command(self, cmd: TorqueCommand) -> None:
-        """Hold ``cmd`` for the following steps; required before ``step``."""
-        cmd.require_flight_symmetric()
-        pair = np.array([cmd.tau[0], cmd.tau[1], cmd.tau_delta])
-        self.torque = (self.full @ pair).tolist()
-        self.tau_over_j = cmd.tau / self.j_wyy
+    def may_touch_ground(self, y) -> bool:
+        """False when no wheel of flat state ``y`` can reach the ground, so
+        the exact contact height need not be formed.
+
+        The wheel centers lie in the body x-y plane, so none sits lower
+        than the base by more than sin(tilt) times the largest center
+        distance, sin(tilt) being the length of the body x-y part of the
+        world vertical (the third row of R(q)).  Margins as for
+        ``contact_reach``.
+        """
+        z = y[2]
+        if z > self.contact_reach:
+            return False
+        qw, qx, qy, qz = y[6], y[7], y[8], y[9]
+        up_x = 2.0 * (qx * qz - qw * qy)
+        up_y = 2.0 * (qy * qz + qw * qx)
+        sin_tilt = math.sqrt(up_x * up_x + up_y * up_y)
+        reach = sin_tilt * self.center_reach + self.wheel_radius
+        return z - reach <= 1e-9 * (abs(z) + reach)
+
+    def set_command(self, tau_1: float, tau_2: float, tau_delta: float) -> None:
+        """Hold the flight-symmetric command (tau_1, tau_2, -tau_1, -tau_2)
+        with steering torque ``tau_delta`` for the following steps;
+        required before ``step``."""
+        self.torque = (self.full @ np.array([tau_1, tau_2, tau_delta])).tolist()
+        j = self.j_wyy
+        self.tau_over_j = [tau_1 / j, tau_2 / j, -tau_1 / j, -tau_2 / j]
+
+    def _base_rates(self, y) -> list[float]:
+        """Time derivative of the 13 base components of ``y`` (r_ob, v_ob,
+        quat, omega); omega_dot is last.  Wheel speeds are not read."""
+        vx, vy, vz = y[3], y[4], y[5]
+        qw, qx, qy, qz = y[6], y[7], y[8], y[9]
+        ox, oy, oz = y[10], y[11], y[12]
+        ix, iy, iz = self.inertia
+        tx, ty, tz = self.torque
+        hx, hy, hz = ix * ox, iy * oy, iz * oz
+        return [
+            vx, vy, vz, *self.accel,
+            0.5 * (qw * 0.0 - qx * ox - qy * oy - qz * oz),
+            0.5 * (qw * ox + qx * 0.0 + qy * oz - qz * oy),
+            0.5 * (qw * oy - qx * oz + qy * 0.0 + qz * ox),
+            0.5 * (qw * oz + qx * oy - qy * ox + qz * 0.0),
+            (tx - (oy * hz - oz * hy)) / ix,
+            (ty - (oz * hx - ox * hz)) / iy,
+            (tz - (ox * hy - oy * hx)) / iz,
+        ]
 
     def derivative(self, y) -> list[float]:
         """Time derivative of a flat state under the held command.
@@ -301,50 +361,50 @@ class FlightKernel:
         axis; the spin state exists to let the simulator enforce wheel
         speed limits and does not feed back into the base dynamics.
         """
-        vx, vy, vz = y[3], y[4], y[5]
-        qw, qx, qy, qz = y[6], y[7], y[8], y[9]
-        ox, oy, oz = y[10], y[11], y[12]
-        ix, iy, iz = self.inertia
-        tx, ty, tz = self.torque
-        hx, hy, hz = ix * ox, iy * oy, iz * oz
-        odx = (tx - (oy * hz - oz * hy)) / ix
-        ody = (ty - (oz * hx - ox * hz)) / iy
-        odz = (tz - (ox * hy - oy * hx)) / iz
-        wheel = self.tau_over_j - self.spin_axes @ np.array([odx, ody, odz])
-        return [
-            vx, vy, vz, *self.accel,
-            0.5 * (qw * 0.0 - qx * ox - qy * oy - qz * oz),
-            0.5 * (qw * ox + qx * 0.0 + qy * oz - qz * oy),
-            0.5 * (qw * oy - qx * oz + qy * 0.0 + qz * ox),
-            0.5 * (qw * oz + qx * oy - qy * ox + qz * 0.0),
-            odx, ody, odz, *wheel.tolist(),
-        ]
+        rates = self._base_rates(y)
+        wheel = np.subtract(self.tau_over_j, self.spin_axes @ np.array(rates[10:13]))
+        return rates + wheel.tolist()
 
     def step(self, y, dt: float) -> list[float]:
         """One RK4 step of length ``dt``; renormalizes the quaternion.
 
+        Wheel speeds never feed back, so the four stages integrate only
+        the 13 base components (``zip`` stops at the 13 rates); the wheel
+        rates of all four stages then come from one stacked product and
+        the ``derivative`` arithmetic.
+
         Raises NonFiniteState (carrying ``dt``) if any component leaves
         the finite range or the quaternion degenerates.
         """
+        rates = self._base_rates
         half = 0.5 * dt
-        k1 = self.derivative(y)
-        k2 = self.derivative([a + half * b for a, b in zip(y, k1)])
-        k3 = self.derivative([a + half * b for a, b in zip(y, k2)])
-        k4 = self.derivative([a + dt * b for a, b in zip(y, k3)])
+        k1 = rates(y)
+        k2 = rates([a + half * b for a, b in zip(y, k1)])
+        k3 = rates([a + half * b for a, b in zip(y, k2)])
+        k4 = rates([a + dt * b for a, b in zip(y, k3)])
+        omega_dots = np.array([k1[10:], k2[10:], k3[10:], k4[10:]])
+        # spin_axes @ omega_dot of each stage, stage after stage.
+        spin = np.matmul(self._spin_stack, omega_dots[:, :, None]).ravel().tolist()
         sixth = dt / 6.0
         y1 = [
             a + sixth * (p + 2.0 * q + 2.0 * r + w)
             for a, p, q, r, w in zip(y, k1, k2, k3, k4)
         ]
+        # Each stage's wheel rate is tau / j_wyy minus its product.
+        y1 += [
+            a + sixth * ((j - p) + 2.0 * (j - q) + 2.0 * (j - r) + (j - w))
+            for a, j, p, q, r, w in zip(
+                y[13:], self.tau_over_j, spin[0:4], spin[4:8], spin[8:12], spin[12:16]
+            )
+        ]
         if not all(map(math.isfinite, y1)):
             raise NonFiniteState("non-finite state after RK4 step", t=dt)
         quat = np.array(y1[6:10])
-        quat_norm = float(np.linalg.norm(quat))
+        quat_norm = math.sqrt(quat.dot(quat))
         if not math.isfinite(quat_norm) or quat_norm < 1e-12:
             # Divergence can zero the quaternion by cancellation or push
             # its norm past the float range while every component stays
             # finite.
             raise NonFiniteState("quaternion degenerated during RK4 step", t=dt)
-        y1[6:10] = (quat / quat_norm).tolist()
+        y1[6:10] = [c / quat_norm for c in y1[6:10]]
         return y1
-

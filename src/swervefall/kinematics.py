@@ -179,42 +179,39 @@ def map_wheel_to_body_torque(
 
 
 def allocate_body_torque(
-    desired: BodyTorque, jac: TorqueJacobian, limits: RobotParams
-) -> TorqueCommand:
+    demand, jac: TorqueJacobian, limits: RobotParams
+) -> tuple[float, float, float, float, float, int]:
     """Invert the torque map and clamp each channel to its limit.
 
-    ``jac`` is the Jacobian of the commanded steering configuration,
-    built once per configuration with ``torque_jacobian``.  Saturation is
-    independent per channel (no direction-preserving scaling); flags mark
-    clamped channels.  Raises SingularConfiguration when |det N| < 1e-6,
-    where the inverse would amplify without bound, and ValueError for a
-    non-finite demand, which clamping would turn into full saturation.
+    ``demand`` is the body-torque demand (tau_x, tau_y, tau_z), such as a
+    ``BodyTorque``; ``jac`` is the Jacobian of the commanded steering
+    configuration, built once per configuration with ``torque_jacobian``.
+    Returns the flight-symmetric command as plain numbers,
+    (tau_1, tau_2, -tau_1, -tau_2, tau_delta, sat_mask), in the order of
+    the telemetry columns.  Saturation is independent per channel (no
+    direction-preserving scaling); ``sat_mask`` marks clamped channels,
+    bits 0-3 the wheels and bit 4 steering.  Raises SingularConfiguration
+    when |det N| < 1e-6, where the inverse would amplify without bound,
+    and ValueError for a non-finite demand, which clamping would turn
+    into full saturation.
     """
-    demand = desired.as_array()
-    if not np.isfinite(demand).all():
-        raise ValueError(f"non-finite body-torque demand: {demand.tolist()}")
+    tau_x, tau_y, tau_z = demand
+    if not (math.isfinite(tau_x) and math.isfinite(tau_y) and math.isfinite(tau_z)):
+        raise ValueError(f"non-finite body-torque demand: {[tau_x, tau_y, tau_z]}")
     if abs(jac.det) < SINGULARITY_TOL:
         raise SingularConfiguration(
             f"|det| = {abs(jac.det):.3e} at alpha = {jac.alpha:.6f}"
         )
-    pair = np.linalg.solve(jac.full, demand)
-    tau_1, tau_2 = float(pair[0]), float(pair[1])
-    tau_delta = float(pair[2])
+    tau_1, tau_2, tau_delta = np.linalg.solve(jac.full, [tau_x, tau_y, tau_z]).tolist()
 
     limit_w = limits.tau_wheel_max
     limit_s = limits.tau_steer_max
     clamped_1 = max(-limit_w, min(limit_w, tau_1))
     clamped_2 = max(-limit_w, min(limit_w, tau_2))
     clamped_d = max(-limit_s, min(limit_s, tau_delta))
-    flags = np.array([
-        clamped_1 != tau_1,
-        clamped_2 != tau_2,
-        clamped_1 != tau_1,
-        clamped_2 != tau_2,
-        clamped_d != tau_delta,
-    ])
-    return TorqueCommand(
-        tau=[clamped_1, clamped_2, -clamped_1, -clamped_2],
-        tau_delta=clamped_d,
-        saturated=flags,
+    sat_mask = (
+        (0b00101 if clamped_1 != tau_1 else 0)
+        | (0b01010 if clamped_2 != tau_2 else 0)
+        | (0b10000 if clamped_d != tau_delta else 0)
     )
+    return clamped_1, clamped_2, -clamped_1, -clamped_2, clamped_d, sat_mask

@@ -5,7 +5,7 @@ controller gains, and initial conditions together (see the bundled
 ``drop_controlled``, ``drop_uncontrolled``, and ``ledge`` files).  Every
 run writes one telemetry CSV and returns a RunSummary.  The CSV holds
 the simulator's per-tick rows as they are, under its ``CSV_HEADER``,
-with every float printed to 12 significant digits.
+with every value printed to 12 significant digits.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .params import (
     take_int,
 )
 from .simulation import (
+    CSV_COLUMNS,
     CSV_HEADER,
     NoiseModel,
     ScenarioConfig,
@@ -38,6 +39,12 @@ from .simulation import (
 from .state import SubmovementParams, euler_from_quaternion
 
 TAU_COLUMNS = tuple(CSV_HEADER.split(",").index(f"tau_{i}") for i in range(1, 5))
+# One CSV line: every value to 12 significant digits, the same text as
+# format(v, ".12g") but made in one call; the integer-valued mode and
+# sat_mask print without a decimal point.  Rows are formatted and written
+# a chunk at a time, so the CSV never sits in memory whole.
+CSV_ROW_FORMAT = ",".join(["%.12g"] * CSV_COLUMNS) + "\n"
+CSV_CHUNK_ROWS = 32
 
 BUNDLED_SCENARIOS = ("drop_controlled", "drop_uncontrolled", "ledge")
 
@@ -205,10 +212,11 @@ def summarize(name: str, trajectory: Trajectory) -> RunSummary:
         euler_td = tuple(math.degrees(v) for v in (angles.phi, angles.theta, angles.psi))
         omega_td = tuple(float(w) for w in trajectory.touchdown_state.omega)
 
-    rows = trajectory.rows
-    n = max(1, len(rows))
-    peak = [max((abs(row[col]) for row in rows), default=0.0) for col in TAU_COLUMNS]
-    sat_counts = [sum(row[-1] >> bit & 1 for row in rows) for bit in range(5)]
+    values = trajectory.values
+    n = max(1, len(values) // CSV_COLUMNS)
+    peak = [max(map(abs, values[col::CSV_COLUMNS]), default=0.0) for col in TAU_COLUMNS]
+    masks = [int(m) for m in values[CSV_COLUMNS - 1::CSV_COLUMNS]]
+    sat_counts = [sum(m >> bit & 1 for m in masks) for bit in range(5)]
 
     return RunSummary(
         name=name,
@@ -225,12 +233,13 @@ def summarize(name: str, trajectory: Trajectory) -> RunSummary:
 
 
 def write_trajectory_csv(trajectory: Trajectory, path: Path) -> None:
-    lines = [CSV_HEADER]
-    for *values, mode, sat_mask in trajectory.rows:
-        # + 0.0 folds IEEE negative zero into plain zero.
-        cells = [f"{v + 0.0:.12g}" for v in values]
-        lines.append(",".join([*cells, str(mode), str(sat_mask)]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = trajectory.rows
+    with path.open("w", encoding="utf-8") as out:
+        out.write(CSV_HEADER + "\n")
+        for start in range(0, len(rows), CSV_CHUNK_ROWS):
+            # + 0.0 folds IEEE negative zero into plain zero.
+            chunk = (rows[start:start + CSV_CHUNK_ROWS] + 0.0).tolist()
+            out.writelines(CSV_ROW_FORMAT % tuple(row) for row in chunk)
 
 
 def run_scenario(config: str | Path, output_dir: str | Path) -> RunSummary:

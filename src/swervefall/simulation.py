@@ -7,11 +7,14 @@ first instant the lowest wheel contact point (wheel-center height minus
 wheel radius) reaches the ground plane z = 0, refined by bisection to
 1e-6 s.  No contact response is modeled; the run ends there.
 
-Each control tick produces one flat telemetry row: the 25 CSV values in
-``CSV_HEADER`` order, angles in degrees, ending with the integer ``mode``
-and ``sat_mask``.  Pose columns are ground truth from the simulated state
-(IMU noise, when enabled, affects only what the controller saw).  ``mode``
-is the integer controller mode (0 ground, 1 freefall stabilize) and
+One control tick carries plain floats from the simulated IMU through
+the freefall debounce, the PD law, the allocation and the wheel-speed
+limit, and appends one flat telemetry row: the 25 CSV values in
+``CSV_HEADER`` order, angles in degrees, ending with the integer-valued
+``mode`` and ``sat_mask``.  Rows go into one growing float64 buffer,
+200 bytes per tick.  Pose columns are ground truth from the simulated
+state (IMU noise, when enabled, affects only what the controller saw).
+``mode`` is the controller mode (0 ground, 1 freefall stabilize) and
 ``sat_mask`` packs the saturation flags (bits 0-3 wheels, bit 4
 steering).
 
@@ -23,24 +26,29 @@ dedicated seeded generator in a fixed per-tick order.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import FlightKernel, NonFiniteState, wheel_centers
+from .controller import ZERO_COMMAND, AttitudeControlLoop, ControllerMode
+from .dynamics import FlightKernel, NonFiniteState, kernel_holding, wheel_centers
+from .kinematics import steering_from_submovements
 from .params import RobotParams
 from .state import (
     BodyState,
     SteeringState,
+    SubmovementParams,
     TorqueCommand,
-    euler_from_quaternion,
+    euler_angles,
     quat_from_euler,
     quat_to_matrix,
 )
 
 BISECTION_TOL = 1e-6
-# Largest t_max / dt_physics a scenario may ask for: about 45 s of wall
-# time at ten physics steps per control tick, 135 s at one (2-vCPU Xeon).
+# Largest t_max / dt_physics a scenario may ask for: about 25-35 s of
+# wall time at ten physics steps per control tick, 65 s at one (2-vCPU
+# Xeon).
 MAX_PHYSICS_STEPS = 10**6
 
 CSV_HEADER = (
@@ -50,6 +58,7 @@ CSV_HEADER = (
     "pos_x,pos_y,pos_z,"
     "wheel_w1,wheel_w2,wheel_w3,wheel_w4,mode,sat_mask"
 )
+CSV_COLUMNS = CSV_HEADER.count(",") + 1
 
 
 @dataclass(frozen=True)
@@ -68,42 +77,36 @@ class NoiseModel:
         return self.sigma_euler > 0 or self.sigma_omega > 0 or self.sigma_accel > 0
 
 
-@dataclass(frozen=True)
-class ImuReading:
-    """Simulated inertial sensor output in body axes.
-
-    specific_accel is the accelerometer signal (true acceleration minus
-    gravity), zero in ballistic flight before noise.
-    """
-
-    euler: np.ndarray
-    omega: np.ndarray
-    specific_accel: np.ndarray
-    timestamp: float
-
-
 def imu_sample(
-    state: BodyState,
+    euler,
+    omega,
     noise: NoiseModel,
-    t: float,
     rng: np.random.Generator | None = None,
-) -> ImuReading:
-    """Sample exact kinematic quantities plus optional seeded noise.
+) -> tuple[list[float], list[float], float]:
+    """What the IMU reports for the true Z-Y-X angles ``euler`` [rad] and
+    body rates ``omega`` [rad/s], given as float triples.
 
-    The body is in ballistic flight, so its specific force is exactly
-    zero; only noise moves the accelerometer.
+    Returns (euler, omega, accel): the angles and rates plus optional
+    seeded noise, and the accelerometer magnitude [m/s^2].  The body is
+    in ballistic flight, so its specific force is exactly zero; only
+    noise moves the accelerometer.  Noise is drawn in a fixed order:
+    angles, rates, accelerometer.
     """
-    specific = np.zeros(3)
-    euler = euler_from_quaternion(state.quat).as_array()
-    omega = state.omega.copy()
+    accel = 0.0
     if noise.enabled():
         if rng is None:
             raise ValueError("noise enabled but no generator supplied")
-        euler = euler + rng.normal(0.0, noise.sigma_euler, 3) if noise.sigma_euler > 0 else euler
-        omega = omega + rng.normal(0.0, noise.sigma_omega, 3) if noise.sigma_omega > 0 else omega
+        if noise.sigma_euler > 0:
+            a, b, c = rng.normal(0.0, noise.sigma_euler, 3).tolist()
+            euler = [euler[0] + a, euler[1] + b, euler[2] + c]
+        if noise.sigma_omega > 0:
+            a, b, c = rng.normal(0.0, noise.sigma_omega, 3).tolist()
+            omega = [omega[0] + a, omega[1] + b, omega[2] + c]
         if noise.sigma_accel > 0:
-            specific = specific + rng.normal(0.0, noise.sigma_accel, 3)
-    return ImuReading(euler=euler, omega=omega, specific_accel=specific, timestamp=t)
+            specific = rng.normal(0.0, noise.sigma_accel, 3)
+            # np.linalg.norm's own arithmetic: numpy's dot, then sqrt.
+            accel = math.sqrt(specific.dot(specific))
+    return euler, omega, accel
 
 
 def step_rk4(
@@ -119,8 +122,7 @@ def step_rk4(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    kernel = FlightKernel(s, params)
-    kernel.set_command(cmd)
+    kernel = kernel_holding(cmd, s, params)
     return BodyState.from_flat(kernel.step(state.flat(), dt))
 
 
@@ -140,21 +142,28 @@ def _lowest_contact(
 
 @dataclass
 class Trajectory:
-    """Control-tick telemetry rows plus run events.
+    """Control-tick telemetry plus run events.
 
-    rows: one tuple of the 25 ``CSV_HEADER`` values per control tick,
-    strictly increasing in time.
+    values: the telemetry rows back to back, 25 ``CSV_HEADER`` values per
+    control tick, strictly increasing in time; ``rows`` views them as a
+    (ticks, 25) float64 array.
     events: (time, kind) with kind in {freefall_start, settled, touchdown}.
     max_specific_accel: largest accelerometer magnitude the IMU reported.
     touchdown_time/touchdown_state: bisection-refined terminal condition,
     present when the run ended by ground contact rather than t_max.
     """
 
-    rows: list[tuple] = field(default_factory=list)
+    values: array = field(default_factory=lambda: array("d"))
     events: list[tuple[float, str]] = field(default_factory=list)
     max_specific_accel: float = 0.0
     touchdown_time: float | None = None
     touchdown_state: BodyState | None = None
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The telemetry as a (ticks, 25) float64 array, sharing memory
+        with ``values``; ``mode`` and ``sat_mask`` hold small integers."""
+        return np.frombuffer(self.values, dtype=np.float64).reshape(-1, CSV_COLUMNS)
 
 
 def refine_touchdown(
@@ -198,6 +207,11 @@ class SimClock:
         if dt_physics <= 0 or dt_control <= 0:
             raise ValueError("time steps must be positive")
         ratio = dt_control / dt_physics
+        if not math.isfinite(ratio):
+            raise ValueError(
+                f"dt_control / dt_physics ({dt_control} / {dt_physics}) "
+                f"overflows the float range"
+            )
         steps = round(ratio)
         if steps < 1 or abs(ratio - steps) > 1e-9 * steps:
             raise ValueError(
@@ -207,29 +221,30 @@ class SimClock:
         return SimClock(dt_physics, dt_control, steps)
 
 
-def apply_wheel_speed_limit(
-    cmd: TorqueCommand, state: BodyState, params: RobotParams
-) -> TorqueCommand:
+def apply_wheel_speed_limit(command, wheel_speed, params: RobotParams):
     """Zero drive torque that would push a wheel past its speed limit.
 
-    Checked pairwise so the flight torque symmetry survives clamping:
-    a diagonal pair loses drive in the offending direction when either
-    member has reached the limit.
+    ``command`` is (tau_1, tau_2, tau_3, tau_4, tau_delta, sat_mask) as
+    ``allocate_body_torque`` returns it and ``wheel_speed`` the four
+    wheel spin rates; returns the command in the same form.  Checked
+    pairwise so the flight torque symmetry survives clamping: a diagonal
+    pair loses drive in the offending direction when either member has
+    reached the limit.  The saturation flags are left as they are.
     """
-    tau = cmd.tau.copy()
+    tau_1, tau_2, tau_3, tau_4, tau_delta, sat_mask = command
+    w1, w2, w3, w4 = wheel_speed
     limit = params.wheel_speed_max
-    changed = False
-    for lead, trail in ((0, 2), (1, 3)):
-        for idx in (lead, trail):
-            w, t = state.wheel_speed[idx], tau[idx]
-            if (w >= limit and t > 0.0) or (w <= -limit and t < 0.0):
-                tau[lead] = 0.0
-                tau[trail] = 0.0
-                changed = True
-                break
-    if not changed:
-        return cmd
-    return TorqueCommand(tau=tau, tau_delta=cmd.tau_delta, saturated=cmd.saturated)
+    if (
+        (w1 >= limit and tau_1 > 0.0) or (w1 <= -limit and tau_1 < 0.0)
+        or (w3 >= limit and tau_3 > 0.0) or (w3 <= -limit and tau_3 < 0.0)
+    ):
+        tau_1 = tau_3 = 0.0
+    if (
+        (w2 >= limit and tau_2 > 0.0) or (w2 <= -limit and tau_2 < 0.0)
+        or (w4 >= limit and tau_4 > 0.0) or (w4 <= -limit and tau_4 < 0.0)
+    ):
+        tau_2 = tau_4 = 0.0
+    return tau_1, tau_2, tau_3, tau_4, tau_delta, sat_mask
 
 
 @dataclass(frozen=True)
@@ -267,7 +282,7 @@ class ScenarioConfig:
         if self.t_max > MAX_PHYSICS_STEPS * self.dt_physics:
             raise ValueError(
                 f"t_max / dt_physics exceeds the work budget of "
-                f"{MAX_PHYSICS_STEPS} physics steps (one to two minutes)"
+                f"{MAX_PHYSICS_STEPS} physics steps (up to about a minute)"
             )
 
 
@@ -293,12 +308,8 @@ def simulate(scenario, controller, params: RobotParams) -> Trajectory:
     ``controller`` is a ControllerConfig; physics advances at
     scenario.dt_physics with the control command held between ticks.
     Raises NonFiniteState (with the absolute time) if integration
-    diverges.
+    diverges or the controller's torque demand leaves the finite range.
     """
-    from .controller import AttitudeControlLoop, ControllerMode
-    from .kinematics import steering_from_submovements
-    from .state import SubmovementParams
-
     scenario.validate()
     clock = SimClock.create(scenario.dt_physics, controller.dt_control)
     sub = SubmovementParams(alpha=scenario.alpha0, beta=scenario.beta0)
@@ -306,51 +317,54 @@ def simulate(scenario, controller, params: RobotParams) -> Trajectory:
     kernel = FlightKernel(steering, params)
     y = initial_body_state(scenario, steering, params).flat()
     loop = AttitudeControlLoop(controller, params, sub)
-    rng = np.random.default_rng(scenario.seed) if scenario.noise.enabled() else None
+    noise = scenario.noise
+    rng = np.random.default_rng(scenario.seed) if noise.enabled() else None
 
     trajectory = Trajectory()
+    append_row = trajectory.values.fromlist
     delta_deg = [math.degrees(d) for d in steering.delta]
     settled_seen = False
     tick = 0
     t = 0.0
     while True:
-        state = BodyState.from_flat(y)
-        imu = imu_sample(state, scenario.noise, t, rng=rng)
-        trajectory.max_specific_accel = max(
-            trajectory.max_specific_accel, float(np.linalg.norm(imu.specific_accel))
+        phi, theta, psi = euler_angles(y[6:10])
+        omega = y[10:13]
+        euler_read, omega_read, accel = imu_sample(
+            (phi, theta, psi), omega, noise, rng=rng
         )
+        if accel > trajectory.max_specific_accel:
+            trajectory.max_specific_accel = accel
         if controller.enabled:
             previous_mode = loop.mode
-            cmd = loop.update(imu)
+            try:
+                command = loop.update(t, euler_read, omega_read, accel)
+            except ValueError as exc:
+                # The allocator refuses a NaN or infinite PD demand.
+                raise NonFiniteState("non-finite controller demand", t=t) from exc
             mode = loop.mode
-            if (
-                previous_mode == ControllerMode.GROUND_TELEOP
-                and mode == ControllerMode.FREEFALL_STABILIZE
-            ):
+            if mode != previous_mode:
                 trajectory.events.append((t, "freefall_start"))
                 steering = steering_from_submovements(loop.sub)
                 kernel = FlightKernel(steering, params)
                 delta_deg = [math.degrees(d) for d in steering.delta]
-            cmd = apply_wheel_speed_limit(cmd, state, params)
+            command = apply_wheel_speed_limit(command, y[13:17], params)
         else:
-            cmd = TorqueCommand.zero()
+            command = ZERO_COMMAND
             mode = ControllerMode.GROUND_TELEOP
 
-        angles = euler_from_quaternion(state.quat)
-        sat_mask = sum(1 << bit for bit, flag in enumerate(cmd.saturated) if flag)
-        trajectory.rows.append((
-            t, math.degrees(angles.phi), math.degrees(angles.theta),
-            math.degrees(angles.psi), *y[10:13], *cmd.tau.tolist(),
-            cmd.tau_delta, *delta_deg, *y[0:3], *y[13:17], int(mode), sat_mask,
-        ))
+        tau_1, tau_2, tau_3, tau_4, tau_delta, sat_mask = command
+        append_row([
+            t, math.degrees(phi), math.degrees(theta), math.degrees(psi), *omega,
+            tau_1, tau_2, tau_3, tau_4, tau_delta, *delta_deg, *y[0:3],
+            *y[13:17], mode, sat_mask,
+        ])
 
         if (
-            controller.enabled
-            and not settled_seen
+            not settled_seen
             and mode == ControllerMode.FREEFALL_STABILIZE
-            and abs(angles.phi) < SETTLED_ANGLE_LIMIT
-            and abs(angles.theta) < SETTLED_ANGLE_LIMIT
-            and float(np.linalg.norm(state.omega)) < SETTLED_RATE_LIMIT
+            and abs(phi) < SETTLED_ANGLE_LIMIT
+            and abs(theta) < SETTLED_ANGLE_LIMIT
+            and float(np.linalg.norm(omega)) < SETTLED_RATE_LIMIT
         ):
             trajectory.events.append((t, "settled"))
             settled_seen = True
@@ -359,15 +373,14 @@ def simulate(scenario, controller, params: RobotParams) -> Trajectory:
         if next_tick_t > scenario.t_max + 1e-12:
             break
 
-        kernel.set_command(cmd)
+        kernel.set_command(tau_1, tau_2, tau_delta)
         for sub_step in range(clock.steps_per_tick):
             t_step = t + sub_step * clock.dt_physics
             try:
                 stepped = kernel.step(y, clock.dt_physics)
             except NonFiniteState as exc:
                 raise NonFiniteState("simulation diverged", t=t_step) from exc
-            near_ground = stepped[2] <= kernel.contact_reach
-            if near_ground and _lowest_contact(
+            if kernel.may_touch_ground(stepped) and _lowest_contact(
                 stepped[2], stepped[6:10], kernel.centers, params.wheel_radius
             ) <= 0.0:
                 td_t, td_state = refine_touchdown(

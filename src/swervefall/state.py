@@ -13,13 +13,15 @@ Conventions:
       direction; the brackets of wheels 2 and 3 are mounted pi-rotated, so
       their frame angle is delta_i + pi.
 
-All types are frozen value objects backed by read-only numpy arrays.
+All types are frozen value objects; the array-valued ones hold
+read-only numpy arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,12 +50,18 @@ def _frozen(values, shape) -> np.ndarray:
 
 # --- quaternions ------------------------------------------------------------
 
-def quat_normalize(q: np.ndarray) -> np.ndarray:
+def _unit_components(q) -> list[float]:
     q = np.asarray(q, dtype=float)
-    norm = float(np.linalg.norm(q))
+    # np.linalg.norm's own arithmetic: numpy's dot, then sqrt.  A sum of
+    # squares in Python can differ from the dot in the last bit.
+    norm = math.sqrt(q.dot(q))
     if norm < 1e-12:
         raise ValueError("cannot normalize near-zero quaternion")
-    return q / norm
+    return [c / norm for c in q.tolist()]
+
+
+def quat_normalize(q: np.ndarray) -> np.ndarray:
+    return np.array(_unit_components(q))
 
 
 def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
@@ -69,7 +77,7 @@ def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrix R such that v_world = R @ v_body."""
-    w, x, y, z = quat_normalize(q)
+    w, x, y, z = _unit_components(q)
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
@@ -97,21 +105,25 @@ class EulerAngles:
     psi: float
     gimbal_proximity: bool = False
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.phi, self.theta, self.psi])
 
-
-def euler_from_quaternion(q: np.ndarray) -> EulerAngles:
-    """Extract Z-Y-X angles; theta is clamped to [-pi/2, pi/2].
-
-    Sets ``gimbal_proximity`` when |theta| exceeds 89 deg, where phi and
-    psi become ill-conditioned.
-    """
-    w, x, y, z = quat_normalize(q)
+def euler_angles(q) -> tuple[float, float, float]:
+    """Z-Y-X angles (phi, theta, psi) as floats; theta is clamped to
+    [-pi/2, pi/2]."""
+    w, x, y, z = _unit_components(q)
     sin_theta = max(-1.0, min(1.0, 2.0 * (w * y - z * x)))
     theta = math.asin(sin_theta)
     phi = math.atan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
     psi = math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
+    return phi, theta, psi
+
+
+def euler_from_quaternion(q: np.ndarray) -> EulerAngles:
+    """Extract Z-Y-X angles (see ``euler_angles``).
+
+    Sets ``gimbal_proximity`` when |theta| exceeds 89 deg, where phi and
+    psi become ill-conditioned.
+    """
+    phi, theta, psi = euler_angles(q)
     near_gimbal = abs(theta) > math.radians(GIMBAL_PROXIMITY_DEG)
     return EulerAngles(phi, theta, psi, gimbal_proximity=near_gimbal)
 
@@ -189,8 +201,7 @@ class TorqueCommand:
         return bool(self.saturated.any())
 
 
-@dataclass(frozen=True)
-class BodyTorque:
+class BodyTorque(NamedTuple):
     """Net torque on the base in body axes [N·m]."""
 
     tau_x: float

@@ -11,7 +11,6 @@ from swervefall import (
     ControllerConfig,
     ControllerGains,
     ControllerMode,
-    ImuReading,
     NoiseModel,
     RobotParams,
     SubmovementParams,
@@ -31,12 +30,18 @@ ISO = SubmovementParams(math.pi / 4, 0.0)
 
 
 def reading(euler=(0, 0, 0), omega=(0, 0, 0), accel=(0, 0, 0), t=0.0):
-    return ImuReading(
-        euler=np.array(euler, dtype=float),
-        omega=np.array(omega, dtype=float),
-        specific_accel=np.array(accel, dtype=float),
-        timestamp=t,
+    """``AttitudeControlLoop.update`` arguments for one IMU reading."""
+    return (
+        t,
+        [float(v) for v in euler],
+        [float(v) for v in omega],
+        float(np.linalg.norm(accel)),
     )
+
+
+def saturated(cmd):
+    """The five saturation flags of a command's ``sat_mask``."""
+    return [bool(cmd[5] >> bit & 1) for bit in range(5)]
 
 
 # --- freefall detection ------------------------------------------------------
@@ -73,7 +78,7 @@ def loop_first_detection(params, magnitudes, dt, threshold=2.0, debounce=0.02):
                               freefall_debounce=debounce, dt_control=dt)
     loop = AttitudeControlLoop(config, params, ISO)
     for tick, magnitude in enumerate(magnitudes):
-        loop.update(reading(accel=(0, 0, magnitude), t=tick * dt))
+        loop.update(*reading(accel=(0, 0, magnitude), t=tick * dt))
         if loop.mode == ControllerMode.FREEFALL_STABILIZE:
             return tick
     return None
@@ -130,28 +135,29 @@ def test_loop_debounce_matches_windowed_rule(runs, dt, debounce, threshold):
 
 def test_proportional_term():
     gains = ControllerGains(kp=[75, 75, 0], kd=[12, 12, 0])
-    torque = pd_attitude(
-        q=np.array([-0.1, 0.0, 0.0]), q_dot=np.zeros(3),
-        q_desired=np.zeros(3), gains=gains,
+    tau_x, tau_y, tau_z = pd_attitude(
+        q=(-0.1, 0.0, 0.0), q_dot=(0.0, 0.0, 0.0),
+        q_desired=(0.0, 0.0, 0.0), gains=gains,
     )
-    assert math.isclose(torque.tau_x, 7.5, rel_tol=1e-12)
-    assert torque.tau_y == 0.0 and torque.tau_z == 0.0
+    assert math.isclose(tau_x, 7.5, rel_tol=1e-12)
+    assert tau_y == 0.0 and tau_z == 0.0
 
 
 def test_equilibrium_gives_zero_torque():
     gains = ControllerGains.default()
-    torque = pd_attitude(np.zeros(3), np.zeros(3), np.zeros(3), gains)
-    assert torque.tau_x == torque.tau_y == torque.tau_z == 0.0
+    zero = (0.0, 0.0, 0.0)
+    tau_x, tau_y, tau_z = pd_attitude(zero, zero, zero, gains)
+    assert tau_x == tau_y == tau_z == 0.0
 
 
 def test_derivative_term():
     gains = ControllerGains(kp=[75, 75, 0], kd=[12, 12, 0])
-    torque = pd_attitude(
-        q=np.zeros(3), q_dot=np.array([0.0, 1.0, 0.0]),
-        q_desired=np.zeros(3), gains=gains,
+    tau_x, tau_y, _ = pd_attitude(
+        q=(0.0, 0.0, 0.0), q_dot=(0.0, 1.0, 0.0),
+        q_desired=(0.0, 0.0, 0.0), gains=gains,
     )
-    assert math.isclose(torque.tau_y, -12.0, rel_tol=1e-12)
-    assert torque.tau_x == 0.0
+    assert math.isclose(tau_y, -12.0, rel_tol=1e-12)
+    assert tau_x == 0.0
 
 
 def test_error_wraps_across_seam():
@@ -165,14 +171,14 @@ def test_error_wraps_across_seam():
     desired = np.linspace(math.pi - 0.2, math.pi + 0.2, 81)
     torques = []
     for psi_d in desired:
-        torque = pd_attitude(
-            q=np.array([0.0, 0.0, psi]),
-            q_dot=np.zeros(3),
-            q_desired=np.array([0.0, 0.0, wrap_angle(psi_d)]),
+        _, _, tau_z = pd_attitude(
+            q=(0.0, 0.0, psi),
+            q_dot=(0.0, 0.0, 0.0),
+            q_desired=(0.0, 0.0, wrap_angle(psi_d)),
             gains=gains,
         )
-        torques.append(torque.tau_z)
-        assert abs(torque.tau_z) <= 10.0 * (abs(psi_d - psi) + 1e-12)
+        torques.append(tau_z)
+        assert abs(tau_z) <= 10.0 * (abs(psi_d - psi) + 1e-12)
     step = desired[1] - desired[0]
     jumps = np.abs(np.diff(torques))
     assert jumps.max() <= 10.0 * step + 1e-9
@@ -186,52 +192,53 @@ def test_gains_must_be_nonnegative():
 # --- control step ------------------------------------------------------------
 
 def test_zero_error_zero_command(params):
-    cmd = control_step(reading(), ControllerMode.FREEFALL_STABILIZE,
+    _, euler, omega, _ = reading()
+    cmd = control_step(euler, omega, ControllerMode.FREEFALL_STABILIZE,
                        ControllerGains.default(), torque_jacobian(ISO), params)
-    np.testing.assert_allclose(cmd.tau, np.zeros(4), atol=1e-15)
+    np.testing.assert_allclose(cmd[:4], np.zeros(4), atol=1e-15)
 
 
 def test_ground_mode_emits_nothing(params):
-    imu = reading(euler=(0.5, -0.4, 0.2), omega=(1, 1, 1))
-    cmd = control_step(imu, ControllerMode.GROUND_TELEOP,
+    _, euler, omega, _ = reading(euler=(0.5, -0.4, 0.2), omega=(1, 1, 1))
+    cmd = control_step(euler, omega, ControllerMode.GROUND_TELEOP,
                        ControllerGains.default(), torque_jacobian(ISO), params)
-    np.testing.assert_array_equal(cmd.tau, np.zeros(4))
-    assert cmd.tau_delta == 0.0
+    np.testing.assert_array_equal(cmd[:4], np.zeros(4))
+    assert cmd[4] == 0.0
 
 
 def test_drop_attitude_saturates_wheels_two_and_four(params):
     # Release disturbance (roll 16 deg, pitch 23 deg nose-down): the
     # demand concentrates on the 2-4 diagonal, which clips at the limit.
-    imu = reading(euler=(math.radians(16), math.radians(23), 0.0))
-    cmd = control_step(imu, ControllerMode.FREEFALL_STABILIZE,
+    _, euler, omega, _ = reading(euler=(math.radians(16), math.radians(23), 0.0))
+    cmd = control_step(euler, omega, ControllerMode.FREEFALL_STABILIZE,
                        ControllerGains.default(), torque_jacobian(ISO), params)
-    assert abs(cmd.tau[1]) == params.tau_wheel_max
-    assert abs(cmd.tau[3]) == params.tau_wheel_max
-    assert cmd.saturated[1] and cmd.saturated[3]
-    assert abs(cmd.tau[0]) < params.tau_wheel_max
+    assert abs(cmd[1]) == params.tau_wheel_max
+    assert abs(cmd[3]) == params.tau_wheel_max
+    assert saturated(cmd)[1] and saturated(cmd)[3]
+    assert abs(cmd[0]) < params.tau_wheel_max
 
 
 def test_singular_configuration_zeroes_command(params):
-    imu = reading(euler=(0.3, 0.1, 0.0))
-    cmd = control_step(imu, ControllerMode.FREEFALL_STABILIZE,
+    _, euler, omega, _ = reading(euler=(0.3, 0.1, 0.0))
+    cmd = control_step(euler, omega, ControllerMode.FREEFALL_STABILIZE,
                        ControllerGains.default(),
                        torque_jacobian(SubmovementParams(0.0, 0.0)), params)
-    np.testing.assert_array_equal(cmd.tau, np.zeros(4))
-    assert cmd.saturated[4]
+    np.testing.assert_array_equal(cmd[:4], np.zeros(4))
+    assert saturated(cmd)[4]
 
 
 def test_achievable_command_reproduces_demand(params):
     from swervefall.kinematics import map_wheel_to_body_torque
 
     gains = ControllerGains(kp=[5.0, 5.0, 1.0], kd=[1.0, 1.0, 0.1])
-    imu = reading(euler=(0.2, -0.1, 0.05), omega=(0.1, 0.0, -0.2))
-    demand = pd_attitude(imu.euler, imu.omega, np.zeros(3), gains)
-    cmd = control_step(imu, ControllerMode.FREEFALL_STABILIZE, gains,
+    _, euler, omega, _ = reading(euler=(0.2, -0.1, 0.05), omega=(0.1, 0.0, -0.2))
+    demand = pd_attitude(euler, omega, (0.0, 0.0, 0.0), gains)
+    cmd = control_step(euler, omega, ControllerMode.FREEFALL_STABILIZE, gains,
                        torque_jacobian(ISO), params)
-    assert not cmd.any_saturated()
-    body = map_wheel_to_body_torque(cmd, ISO)
+    assert not any(saturated(cmd))
+    body = map_wheel_to_body_torque(TorqueCommand(cmd[:4], cmd[4]), ISO)
     np.testing.assert_allclose(
-        body.as_array(), demand.as_array(), atol=1e-9
+        body.as_array(), np.array(demand), atol=1e-9
     )
 
 
@@ -283,10 +290,10 @@ def make_loop(params, sub=SubmovementParams(0.0, 0.0)):
 
 
 def feed_freefall(loop, ticks, yaw=0.25, t0=0.0):
-    cmd = TorqueCommand.zero()
+    cmd = None
     for i in range(ticks):
         imu = reading(euler=(0.1, -0.2, yaw), accel=(0, 0, 0), t=t0 + i * 1e-3)
-        cmd = loop.update(imu)
+        cmd = loop.update(*imu)
     return cmd
 
 
@@ -316,9 +323,9 @@ def test_loop_stays_in_freefall_stabilize_at_one_g(params):
     assert loop.mode == ControllerMode.FREEFALL_STABILIZE
     for i in range(50):
         imu = reading(euler=(0.2, 0.1, 0), accel=(0, 0, 9.81), t=0.025 + i * 1e-3)
-        cmd = loop.update(imu)
+        cmd = loop.update(*imu)
         assert loop.mode == ControllerMode.FREEFALL_STABILIZE
-        assert np.abs(cmd.tau).max() > 0.0
+        assert np.abs(cmd[:4]).max() > 0.0
 
 
 def test_controller_config_from_entries_roundtrip():

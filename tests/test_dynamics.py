@@ -195,7 +195,7 @@ def test_torque_free_conservation(params):
 def kernel_derivative(state, steering, cmd, params):
     """Flat derivative (v_ob, a_ob, quat_dot, omega_dot, wheel_accel)."""
     kernel = FlightKernel(steering, params)
-    kernel.set_command(cmd)
+    kernel.set_command(cmd.tau[0], cmd.tau[1], cmd.tau_delta)
     return np.array(kernel.derivative(state.flat()))
 
 

@@ -6,7 +6,13 @@ import hashlib
 
 import pytest
 
-from swervefall import run_scenario
+from swervefall import run_scenario, simulation
+from swervefall.params import read_config_file
+from swervefall.scenario import (
+    loaded_from_entries,
+    resolve_config_path,
+    write_trajectory_csv,
+)
 
 GOLDEN_SHA256 = {
     "drop_controlled":
@@ -17,9 +23,44 @@ GOLDEN_SHA256 = {
         "ea05de7c5da5ee7669cc878241caf578ab7dd98747e84895b844cc4eadae03ac",
 }
 
+# drop_controlled at one physics step per control tick, with IMU noise on
+# and a wheel-speed limit low enough that the clamp fires on 214 of the
+# 449 ticks: the branches the bundled configs never reach.
+NOISY_CLAMPED = {
+    "dt_physics": "0.001",
+    "noise_sigma_euler_deg": "0.5",
+    "noise_sigma_omega": "0.01",
+    "noise_sigma_accel": "0.05",
+    "seed": "7",
+    "wheel_speed_max": "15",
+}
+NOISY_CLAMPED_SHA256 = (
+    "037cc8c864f41c688419a07b4e1daa06bc98a3f36b9068e1eb0da0de303d881b"
+)
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_bundled_csv_matches_golden_hash(name, tmp_path):
     run_scenario(name, tmp_path)
     data = (tmp_path / f"{name}.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256[name]
+
+
+def test_noisy_clamped_csv_matches_golden_hash(tmp_path, monkeypatch):
+    limit = simulation.apply_wheel_speed_limit
+    clamped = []
+
+    def counting_limit(command, *args):
+        limited = limit(command, *args)
+        clamped.append(tuple(limited) != tuple(command))
+        return limited
+
+    monkeypatch.setattr(simulation, "apply_wheel_speed_limit", counting_limit)
+    entries = read_config_file(resolve_config_path("drop_controlled"))
+    entries.update(NOISY_CLAMPED)
+    loaded = loaded_from_entries(entries, name="noisy_clamped")
+    trajectory = simulation.simulate(loaded.scenario, loaded.controller, loaded.params)
+    assert (len(trajectory.rows), sum(clamped)) == (449, 214)
+    path = tmp_path / "noisy_clamped.csv"
+    write_trajectory_csv(trajectory, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == NOISY_CLAMPED_SHA256

@@ -209,9 +209,9 @@ def test_allocate_isotropic_pitch_demand(params):
     cmd = allocate_body_torque(
         BodyTorque(0.0, 2 * SQRT2, 0.0), torque_jacobian(ISO), params
     )
-    np.testing.assert_allclose(cmd.tau, [1.0, 1.0, -1.0, -1.0], atol=1e-12)
-    assert abs(cmd.tau_delta) < 1e-15
-    assert not cmd.any_saturated()
+    np.testing.assert_allclose(cmd[:4], [1.0, 1.0, -1.0, -1.0], atol=1e-12)
+    assert abs(cmd[4]) < 1e-15
+    assert cmd[5] == 0
 
 
 def test_allocate_refuses_singular_configuration(params):
@@ -226,9 +226,10 @@ def test_allocate_refuses_singular_configuration(params):
 def test_allocate_clamps_and_flags(params):
     huge = BodyTorque(0.0, 1e4, 1e4)
     cmd = allocate_body_torque(huge, torque_jacobian(ISO), params)
-    assert np.abs(cmd.tau).max() == params.tau_wheel_max
-    assert abs(cmd.tau_delta) == params.tau_steer_max
-    assert cmd.saturated[0] and cmd.saturated[1] and cmd.saturated[4]
+    assert np.abs(cmd[:4]).max() == params.tau_wheel_max
+    assert abs(cmd[4]) == params.tau_steer_max
+    sat_mask = cmd[5]
+    assert sat_mask & 1 and sat_mask & 2 and sat_mask & 16
 
 
 @pytest.mark.parametrize("demand", [
@@ -246,8 +247,8 @@ def test_allocate_expands_symmetric_pairs(params):
     cmd = allocate_body_torque(
         BodyTorque(1.0, 2.0, 0.4), torque_jacobian(ISO), params
     )
-    assert cmd.tau[2] == -cmd.tau[0]
-    assert cmd.tau[3] == -cmd.tau[1]
+    assert cmd[2] == -cmd[0]
+    assert cmd[3] == -cmd[1]
 
 
 def test_allocate_map_round_trip_grid(params):
@@ -263,6 +264,6 @@ def test_allocate_map_round_trip_grid(params):
             sub = SubmovementParams(float(alpha), float(beta))
             body = map_wheel_to_body_torque(base, sub)
             back = allocate_body_torque(body, torque_jacobian(sub), params)
-            assert abs(back.tau[0] - base.tau[0]) < 1e-9
-            assert abs(back.tau[1] - base.tau[1]) < 1e-9
-            assert abs(back.tau_delta - base.tau_delta) < 1e-9
+            assert abs(back[0] - base.tau[0]) < 1e-9
+            assert abs(back[1] - base.tau[1]) < 1e-9
+            assert abs(back[4] - base.tau_delta) < 1e-9

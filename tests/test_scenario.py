@@ -260,6 +260,7 @@ def test_cli_broken_pipe_exits_cleanly(tmp_path, monkeypatch, capsys):
     ("wheel_radius", "1e308"),
     ("wheel_radius", "1e20"),
     ("dt_physics", "1e-12"),
+    ("dt_control", "1e308"),
 ])
 def test_cli_out_of_range_value_exit_2(tmp_path, capsys, key, value):
     base = QUICK.replace("seed = 5\n", "") + "noise_sigma_accel = 0.05\n"
@@ -299,6 +300,18 @@ wheel_speed_max = 1e12
     config = write_config(tmp_path, unstable, "unstable.cfg")
     code = cli_main(["run", str(config), "-o", str(tmp_path / "u")])
     assert code == 3
+
+
+@pytest.mark.parametrize("extra", [
+    "kd_roll = 1e308\nomega_x = 2\n",
+    "noise_sigma_omega = 1e308\n",
+], ids=["kd_roll", "noise_sigma_omega"])
+def test_cli_nonfinite_controller_demand_exit_3(tmp_path, capsys, extra):
+    # The PD demand overflows once freefall is detected; the allocator
+    # refuses it and the run ends as diverged, not with a traceback.
+    config = write_config(tmp_path, QUICK + extra)
+    assert cli_main(["run", str(config), "-o", str(tmp_path / "o")]) == 3
+    assert "non-finite controller demand at t=" in capsys.readouterr().err
 
 
 def test_cli_env_var_output_dir(tmp_path, monkeypatch, capsys):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swervefall import (
     BodyState,
     ControllerConfig,
     NoiseModel,
+    RobotParams,
     ScenarioConfig,
     SubmovementParams,
     TorqueCommand,
@@ -22,6 +24,8 @@ from swervefall.simulation import (
     contact_height,
     initial_body_state,
 )
+from swervefall.dynamics import FlightKernel
+from swervefall.state import euler_angles
 
 ISO = steering_from_submovements(SubmovementParams(math.pi / 4, 0.0))
 
@@ -87,29 +91,31 @@ def test_quaternion_stays_normalized(params, rng):
 
 def test_imu_ballistic_reads_zero(params):
     state = BodyState([0, 0, 3], [1, 0, -2], quat_from_euler(0.4, 0.2, -1.0), [1, 2, 3])
-    reading = imu_sample(state, NoiseModel(), 0.0)
-    np.testing.assert_allclose(reading.specific_accel, np.zeros(3), atol=1e-12)
-    np.testing.assert_allclose(reading.omega, [1, 2, 3], atol=1e-15)
+    truth = euler_angles(state.quat)
+    euler, omega, accel = imu_sample(truth, state.omega.tolist(), NoiseModel())
+    assert abs(accel) <= 1e-12
+    np.testing.assert_allclose(omega, [1, 2, 3], atol=1e-15)
+    assert tuple(euler) == truth
 
 
 def test_imu_noise_is_seed_deterministic(params):
     noise = NoiseModel(sigma_euler=0.01, sigma_omega=0.02, sigma_accel=0.1)
-    state = BodyState.at_rest((0, 0, 1))
 
     def sample_run(seed):
         gen = np.random.default_rng(seed)
-        return [imu_sample(state, noise, 0.001 * i, rng=gen) for i in range(5)]
+        return [imu_sample((0.0, 0.0, 0.0), [0.0, 0.0, 0.0], noise, rng=gen)
+                for _ in range(5)]
 
     run_a, run_b = sample_run(7), sample_run(7)
-    for sample_a, sample_b in zip(run_a, run_b):
-        np.testing.assert_array_equal(sample_a.euler, sample_b.euler)
-        np.testing.assert_array_equal(sample_a.omega, sample_b.omega)
-        np.testing.assert_array_equal(sample_a.specific_accel, sample_b.specific_accel)
+    for (euler_a, omega_a, accel_a), (euler_b, omega_b, accel_b) in zip(run_a, run_b):
+        np.testing.assert_array_equal(euler_a, euler_b)
+        np.testing.assert_array_equal(omega_a, omega_b)
+        assert accel_a == accel_b
 
 
 def test_imu_noise_requires_generator(params):
     with pytest.raises(ValueError):
-        imu_sample(BodyState.at_rest(), NoiseModel(sigma_accel=0.1), 0.0)
+        imu_sample((0.0, 0.0, 0.0), [0.0, 0.0, 0.0], NoiseModel(sigma_accel=0.1))
 
 
 # --- clock and limits --------------------------------------------------------
@@ -122,19 +128,28 @@ def test_clock_requires_integer_ratio():
 
 
 def test_wheel_speed_limit_zeroes_pair(params):
-    state = BodyState(
-        [0, 0, 1], [0, 0, 0], [1, 0, 0, 0], [0, 0, 0],
-        wheel_speed=[params.wheel_speed_max, 0, -params.wheel_speed_max, 0],
-    )
-    cmd = TorqueCommand([1.0, 2.0, -1.0, -2.0], 0.0)
-    limited = apply_wheel_speed_limit(cmd, state, params)
-    np.testing.assert_allclose(limited.tau[[0, 2]], [0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(limited.tau[[1, 3]], [2.0, -2.0], atol=1e-15)
+    wheel_speed = [params.wheel_speed_max, 0.0, -params.wheel_speed_max, 0.0]
+    cmd = (1.0, 2.0, -1.0, -2.0, 0.0, 0)
+    limited = apply_wheel_speed_limit(cmd, wheel_speed, params)
+    np.testing.assert_allclose(limited[0:3:2], [0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(limited[1:4:2], [2.0, -2.0], atol=1e-15)
     # Opposing torque would spin the wheel back down: allowed.
-    reverse = TorqueCommand([-1.0, 2.0, 1.0, -2.0], 0.0)
+    reverse = (-1.0, 2.0, 1.0, -2.0, 0.0, 0)
     np.testing.assert_allclose(
-        apply_wheel_speed_limit(reverse, state, params).tau, reverse.tau, atol=1e-15
+        apply_wheel_speed_limit(reverse, wheel_speed, params), reverse, atol=1e-15
     )
+
+
+def test_wheel_speed_limit_checks_trailing_wheel(params):
+    # Only the trailing wheel of the 1-3 pair is at the limit, spinning
+    # the way its torque (tau_3 = -tau_1) would push it.
+    wheel_speed = [0.0, 0.0, params.wheel_speed_max, -params.wheel_speed_max]
+    assert apply_wheel_speed_limit(
+        (-1.0, 2.0, 1.0, -2.0, 0.5, 0), wheel_speed, params
+    ) == (0.0, 0.0, 0.0, 0.0, 0.5, 0)
+    assert apply_wheel_speed_limit(
+        (1.0, -2.0, -1.0, 2.0, 0.5, 0), wheel_speed, params
+    ) == (1.0, -2.0, -1.0, 2.0, 0.5, 0)
 
 
 # --- scenario machinery -------------------------------------------------------
@@ -143,6 +158,27 @@ def test_initial_state_sets_contact_clearance(params):
     scenario = ScenarioConfig(drop_height=0.85, euler0=(0.3, -0.4, 0.0))
     state = initial_body_state(scenario, ISO, params)
     assert abs(contact_height(state, ISO, params) - 0.85) < 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha=st.floats(-1.5, 1.5),
+    beta=st.floats(-1.5, 1.5),
+    quat=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda q: sum(c * c for c in q) > 0.01
+    ),
+    height=st.floats(0.0, 1.1),
+)
+def test_contact_bound_never_skips_a_touching_wheel(alpha, beta, quat, height):
+    # The flight loop forms the exact contact height only where the
+    # kernel's tilt bound says a wheel may touch; elsewhere every wheel
+    # must clear the ground.
+    params = RobotParams()
+    steering = steering_from_submovements(SubmovementParams(alpha, beta))
+    kernel = FlightKernel(steering, params)
+    state = BodyState([0, 0, height * kernel.contact_reach], [0, 0, 0], quat, [0, 0, 0])
+    if not kernel.may_touch_ground(state.flat()):
+        assert contact_height(state, steering, params) > 0.0
 
 
 def test_simulate_zero_t_max_single_sample(params):
@@ -162,7 +198,7 @@ def test_simulate_is_deterministic(params):
     )
     run_a = simulate(scenario, ControllerConfig(), params)
     run_b = simulate(scenario, ControllerConfig(), params)
-    assert run_a.rows == run_b.rows
+    assert run_a.rows.tobytes() == run_b.rows.tobytes()
     assert run_a.max_specific_accel == run_b.max_specific_accel
     assert run_a.touchdown_time == run_b.touchdown_time
 
