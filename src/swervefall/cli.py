@@ -10,16 +10,17 @@ SWERVEFALL_OUTPUT_DIR, falling back to ./out.
 
 Exit codes: 0 success, 2 config error, 3 simulation diverged.  Config
 errors include a run over the work budget of 10**6 physics steps
-(t_max / dt_physics; up to about a minute of wall time), a
-dt_control / dt_physics ratio beyond the float range (dt_control =
-1e308), geometry that cannot place the robot at drop_height, and sweep
-values that print alike to 12 significant digits.  A simulation
-diverges when the integration leaves the finite range or when the
-controller's torque demand does (kd_roll = 1e308 with a nonzero
-omega_x, or noise_sigma_omega = 1e308).  A reader that closes the
-output early (``| head``) ends the command with exit 0 and no
-traceback: summaries are printed only after every run and file is
-complete.
+(t_max / dt_physics; about 25 s of wall time at ten physics steps per
+control tick, 70 s at one), a dt_control / dt_physics ratio beyond the
+float range (dt_control = 1e308), geometry that cannot place the robot
+at drop_height, and sweep values that print alike to 12 significant
+digits.  A simulation diverges when the integration leaves the finite
+range or when the controller's torque demand does (kd_roll = 1e308
+with a nonzero omega_x, or noise_sigma_omega = 1e308) or the
+accelerometer magnitude does (noise_sigma_accel = 1e308); numpy prints
+no warning about it.  A reader that closes the output early (``| head``)
+ends the command with exit 0 and no traceback: summaries are printed
+only after every run and file is complete.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import RobotParams
-from .state import BodyState, SteeringState, TorqueCommand
+from .state import BodyState, SteeringState, TorqueCommand, quat_to_matrix
 
 GRAVITY_DIR = np.array([0.0, 0.0, -1.0])
 
@@ -264,22 +264,34 @@ class NonFiniteState(Exception):
         self.t = t
 
 
+def lowest_contact(
+    z: float, quat, centers: np.ndarray, wheel_radius: float
+) -> float:
+    """Height above the ground plane of the lowest wheel contact point of
+    a base at height ``z`` and attitude ``quat`` with body-frame wheel
+    ``centers``."""
+    centers_world_z = z + (quat_to_matrix(quat) @ centers.T)[2]
+    return float(centers_world_z.min() - wheel_radius)
+
+
 class FlightKernel:
     """Flight physics at one locked steering configuration.
 
     Built once per steering configuration, it holds the effective
     inertia, the full torque Jacobian, the wheel spin axes, gravity and
     the body-frame wheel centers.  ``set_command`` fixes the command held
-    over a control tick as plain floats; ``step`` then advances a flat
-    state of 17 floats (r_ob, v_ob, quat, omega, wheel_speed) by one
-    classical RK4 step.
+    over a control tick as plain floats; ``advance`` then integrates a
+    flat state of 17 floats (r_ob, v_ob, quat, omega, wheel_speed) over
+    all of the tick's classical RK4 steps in one call, and ``step`` is
+    ``advance`` for one step.
 
     The scalar arithmetic repeats the array formulation operation for
     operation (``np.cross`` order for the gyroscopic term, the
-    ``quat_multiply`` order including its zero products), and the wheel
-    term keeps numpy's matrix-vector product, formed for the four RK4
-    stages in one stacked product, so trajectories match the array
-    formulation bit for bit.
+    ``quat_multiply`` order including its zero products, numpy's dot for
+    the quaternion norm), and the wheel term keeps numpy's matrix-vector
+    product, formed for every stage of every step of a call in one
+    stacked product, so trajectories match the array formulation bit for
+    bit.
     """
 
     def __init__(self, s: SteeringState, params: RobotParams):
@@ -289,10 +301,10 @@ class FlightKernel:
         self.full = torque_jacobian(submovements_from_steering(s)).full
         # Spin axes are the negated drive-reaction directions.
         self.spin_axes = -_drive_torque_columns(s)
-        # The same axes as a stack of one: one matmul then forms the four
-        # RK4 stages' products, each bit for bit the per-stage
-        # ``spin_axes @ omega_dot`` (a flattened ``spin_axes @ od.T`` or
-        # an einsum would round differently).
+        # The same axes as a stack of one: one matmul then forms the
+        # products of any number of RK4 stages, each bit for bit the
+        # per-stage ``spin_axes @ omega_dot`` (a flattened
+        # ``spin_axes @ od.T`` or an einsum would round differently).
         self._spin_stack = self.spin_axes[None]
         self.accel = (params.g * GRAVITY_DIR).tolist()
         self.centers = wheel_centers(params, s)
@@ -324,25 +336,26 @@ class FlightKernel:
         reach = sin_tilt * self.center_reach + self.wheel_radius
         return z - reach <= 1e-9 * (abs(z) + reach)
 
+    def clearance(self, y) -> float:
+        """Height of the lowest wheel contact point of flat state ``y``
+        above the ground plane."""
+        return lowest_contact(y[2], y[6:10], self.centers, self.wheel_radius)
+
     def set_command(self, tau_1: float, tau_2: float, tau_delta: float) -> None:
         """Hold the flight-symmetric command (tau_1, tau_2, -tau_1, -tau_2)
         with steering torque ``tau_delta`` for the following steps;
-        required before ``step``."""
+        required before ``advance``."""
         self.torque = (self.full @ np.array([tau_1, tau_2, tau_delta])).tolist()
         j = self.j_wyy
         self.tau_over_j = [tau_1 / j, tau_2 / j, -tau_1 / j, -tau_2 / j]
 
-    def _base_rates(self, y) -> list[float]:
-        """Time derivative of the 13 base components of ``y`` (r_ob, v_ob,
-        quat, omega); omega_dot is last.  Wheel speeds are not read."""
-        vx, vy, vz = y[3], y[4], y[5]
-        qw, qx, qy, qz = y[6], y[7], y[8], y[9]
-        ox, oy, oz = y[10], y[11], y[12]
+    def _rotation_rates(self, qw, qx, qy, qz, ox, oy, oz):
+        """(quat_dot, omega_dot) as seven floats at attitude quaternion
+        (qw, qx, qy, qz) and body rates (ox, oy, oz)."""
         ix, iy, iz = self.inertia
         tx, ty, tz = self.torque
         hx, hy, hz = ix * ox, iy * oy, iz * oz
-        return [
-            vx, vy, vz, *self.accel,
+        return (
             0.5 * (qw * 0.0 - qx * ox - qy * oy - qz * oz),
             0.5 * (qw * ox + qx * 0.0 + qy * oz - qz * oy),
             0.5 * (qw * oy - qx * oz + qy * 0.0 + qz * ox),
@@ -350,7 +363,7 @@ class FlightKernel:
             (tx - (oy * hz - oz * hy)) / ix,
             (ty - (oz * hx - ox * hz)) / iy,
             (tz - (ox * hy - oy * hx)) / iz,
-        ]
+        )
 
     def derivative(self, y) -> list[float]:
         """Time derivative of a flat state under the held command.
@@ -361,50 +374,128 @@ class FlightKernel:
         axis; the spin state exists to let the simulator enforce wheel
         speed limits and does not feed back into the base dynamics.
         """
-        rates = self._base_rates(y)
-        wheel = np.subtract(self.tau_over_j, self.spin_axes @ np.array(rates[10:13]))
-        return rates + wheel.tolist()
+        rates = self._rotation_rates(*y[6:13])
+        wheel = np.subtract(self.tau_over_j, self.spin_axes @ np.array(rates[4:]))
+        return [*y[3:6], *self.accel, *rates, *wheel.tolist()]
 
     def step(self, y, dt: float) -> list[float]:
-        """One RK4 step of length ``dt``; renormalizes the quaternion.
+        """One RK4 step of length ``dt``: ``advance`` for a single step."""
+        return self.advance(y, dt, 1)[0]
 
-        Wheel speeds never feed back, so the four stages integrate only
-        the 13 base components (``zip`` stops at the 13 rates); the wheel
-        rates of all four stages then come from one stacked product and
-        the ``derivative`` arithmetic.
+    def advance(
+        self, y, dt: float, steps: int, stop_at_ground: bool = False
+    ) -> tuple[list[float], int]:
+        """Up to ``steps`` RK4 steps of length ``dt`` from flat state
+        ``y``, renormalizing the quaternion after each.
 
-        Raises NonFiniteState (carrying ``dt``) if any component leaves
-        the finite range or the quaternion degenerates.
+        Returns (state, taken), the flat state after ``taken`` steps.
+        ``taken`` is ``steps`` unless ``stop_at_ground`` is set and a
+        wheel is on or below the ground at the end of step ``taken`` + 1;
+        the state is then that step's pre-step state, from which a
+        bisection can start.
+
+        Wheel speeds never feed back, so the four stages (one stage body,
+        ``_rotation_rates``) integrate the base in scalar locals, and the
+        exact contact height is formed only where ``may_touch_ground``
+        allows contact.  The wheel rates of every stage of every step
+        then come from one stacked product, and the wheel speeds
+        accumulate step after step as in a step-by-step run.
+
+        Raises NonFiniteState at the earliest step after which a
+        component has left the finite range or the quaternion has
+        degenerated; its ``t`` is that step's start relative to ``y``.
         """
-        rates = self._base_rates
+        rates = self._rotation_rates
         half = 0.5 * dt
-        k1 = rates(y)
-        k2 = rates([a + half * b for a, b in zip(y, k1)])
-        k3 = rates([a + half * b for a, b in zip(y, k2)])
-        k4 = rates([a + dt * b for a, b in zip(y, k3)])
-        omega_dots = np.array([k1[10:], k2[10:], k3[10:], k4[10:]])
-        # spin_axes @ omega_dot of each stage, stage after stage.
-        spin = np.matmul(self._spin_stack, omega_dots[:, :, None]).ravel().tolist()
         sixth = dt / 6.0
-        y1 = [
-            a + sixth * (p + 2.0 * q + 2.0 * r + w)
-            for a, p, q, r, w in zip(y, k1, k2, k3, k4)
-        ]
-        # Each stage's wheel rate is tau / j_wyy minus its product.
-        y1 += [
-            a + sixth * ((j - p) + 2.0 * (j - q) + 2.0 * (j - r) + (j - w))
-            for a, j, p, q, r, w in zip(
-                y[13:], self.tau_over_j, spin[0:4], spin[4:8], spin[8:12], spin[12:16]
+        # Gravity is the velocity rate at every stage, so its stage
+        # increments and its RK4 sum are the same at every step.
+        ax, ay, az = self.accel
+        hx, hy, hz = half * ax, half * ay, half * az
+        fx, fy, fz = dt * ax, dt * ay, dt * az
+        dvx = sixth * (ax + 2.0 * ax + 2.0 * ax + ax)
+        dvy = sixth * (ay + 2.0 * ay + 2.0 * ay + ay)
+        dvz = sixth * (az + 2.0 * az + 2.0 * az + az)
+        px, py, pz, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz = y[:13]
+        omega_dots = []
+        taken = steps
+        failure = None
+        for i in range(steps):
+            a1, b1, c1, d1, e1, f1, g1 = rates(qw, qx, qy, qz, ox, oy, oz)
+            a2, b2, c2, d2, e2, f2, g2 = rates(
+                qw + half * a1, qx + half * b1, qy + half * c1, qz + half * d1,
+                ox + half * e1, oy + half * f1, oz + half * g1,
             )
-        ]
-        if not all(map(math.isfinite, y1)):
-            raise NonFiniteState("non-finite state after RK4 step", t=dt)
-        quat = np.array(y1[6:10])
-        quat_norm = math.sqrt(quat.dot(quat))
-        if not math.isfinite(quat_norm) or quat_norm < 1e-12:
-            # Divergence can zero the quaternion by cancellation or push
-            # its norm past the float range while every component stays
-            # finite.
-            raise NonFiniteState("quaternion degenerated during RK4 step", t=dt)
-        y1[6:10] = [c / quat_norm for c in y1[6:10]]
-        return y1
+            a3, b3, c3, d3, e3, f3, g3 = rates(
+                qw + half * a2, qx + half * b2, qy + half * c2, qz + half * d2,
+                ox + half * e2, oy + half * f2, oz + half * g2,
+            )
+            a4, b4, c4, d4, e4, f4, g4 = rates(
+                qw + dt * a3, qx + dt * b3, qy + dt * c3, qz + dt * d3,
+                ox + dt * e3, oy + dt * f3, oz + dt * g3,
+            )
+            # Stages 2 and 3 share their velocity.
+            vx2, vy2, vz2 = vx + hx, vy + hy, vz + hz
+            vx4, vy4, vz4 = vx + fx, vy + fy, vz + fz
+            px1 = px + sixth * (vx + 2.0 * vx2 + 2.0 * vx2 + vx4)
+            py1 = py + sixth * (vy + 2.0 * vy2 + 2.0 * vy2 + vy4)
+            pz1 = pz + sixth * (vz + 2.0 * vz2 + 2.0 * vz2 + vz4)
+            vx1, vy1, vz1 = vx + dvx, vy + dvy, vz + dvz
+            qw1 = qw + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            qx1 = qx + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            qy1 = qy + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+            qz1 = qz + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+            ox1 = ox + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+            oy1 = oy + sixth * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+            oz1 = oz + sixth * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+            # x * 0.0 is 0.0 exactly when x is finite; the quaternion
+            # norm covers the quaternion.
+            if (
+                px1 * 0.0 + py1 * 0.0 + pz1 * 0.0 + vx1 * 0.0 + vy1 * 0.0
+                + vz1 * 0.0 + ox1 * 0.0 + oy1 * 0.0 + oz1 * 0.0
+            ) != 0.0:
+                failure = (i, "non-finite state after RK4 step")
+                break
+            quat = np.array((qw1, qx1, qy1, qz1))
+            quat_norm = math.sqrt(quat.dot(quat))
+            if not 1e-12 <= quat_norm < math.inf:
+                # Divergence can zero the quaternion by cancellation or
+                # push its norm past the float range while every
+                # component stays finite.
+                failure = (i, "quaternion degenerated during RK4 step")
+                break
+            omega_dots += (e1, f1, g1, e2, f2, g2, e3, f3, g3, e4, f4, g4)
+            qw1, qx1, qy1, qz1 = (
+                qw1 / quat_norm, qx1 / quat_norm, qy1 / quat_norm, qz1 / quat_norm
+            )
+            if stop_at_ground and pz1 <= self.contact_reach:
+                base = (px1, py1, pz1, vx1, vy1, vz1, qw1, qx1, qy1, qz1, ox1, oy1, oz1)
+                if self.may_touch_ground(base) and self.clearance(base) <= 0.0:
+                    taken = i
+                    break
+            px, py, pz, vx, vy, vz = px1, py1, pz1, vx1, vy1, vz1
+            qw, qx, qy, qz, ox, oy, oz = qw1, qx1, qy1, qz1, ox1, oy1, oz1
+
+        # spin_axes @ omega_dot of each stage, stage after stage; each
+        # stage's wheel rate is tau / j_wyy minus its product.
+        spin = np.matmul(
+            self._spin_stack, np.array(omega_dots).reshape(-1, 3, 1)
+        ).ravel().tolist()
+        j1, j2, j3, j4 = self.tau_over_j
+        w1, w2, w3, w4 = y[13:17]
+        for i in range(len(spin) // 16):
+            # The four wheels' products at stages 1 (p) to 4 (s).
+            (p1, p2, p3, p4, q1, q2, q3, q4,
+             r1, r2, r3, r4, s1, s2, s3, s4) = spin[16 * i:16 * i + 16]
+            n1 = w1 + sixth * ((j1 - p1) + 2.0 * (j1 - q1) + 2.0 * (j1 - r1) + (j1 - s1))
+            n2 = w2 + sixth * ((j2 - p2) + 2.0 * (j2 - q2) + 2.0 * (j2 - r2) + (j2 - s2))
+            n3 = w3 + sixth * ((j3 - p3) + 2.0 * (j3 - q3) + 2.0 * (j3 - r3) + (j3 - s3))
+            n4 = w4 + sixth * ((j4 - p4) + 2.0 * (j4 - q4) + 2.0 * (j4 - r4) + (j4 - s4))
+            if (n1 * 0.0 + n2 * 0.0 + n3 * 0.0 + n4 * 0.0) != 0.0:
+                raise NonFiniteState("non-finite state after RK4 step", t=i * dt)
+            if i == taken:
+                break
+            w1, w2, w3, w4 = n1, n2, n3, n4
+        if failure is not None:
+            raise NonFiniteState(failure[1], t=failure[0] * dt)
+        return [px, py, pz, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz, w1, w2, w3, w4], taken

@@ -32,7 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controller import ZERO_COMMAND, AttitudeControlLoop, ControllerMode
-from .dynamics import FlightKernel, NonFiniteState, kernel_holding, wheel_centers
+from .dynamics import (
+    FlightKernel,
+    NonFiniteState,
+    kernel_holding,
+    lowest_contact,
+    wheel_centers,
+)
 from .kinematics import steering_from_submovements
 from .params import RobotParams
 from .state import (
@@ -42,13 +48,12 @@ from .state import (
     TorqueCommand,
     euler_angles,
     quat_from_euler,
-    quat_to_matrix,
 )
 
 BISECTION_TOL = 1e-6
-# Largest t_max / dt_physics a scenario may ask for: about 25-35 s of
-# wall time at ten physics steps per control tick, 65 s at one (2-vCPU
-# Xeon).
+# Largest t_max / dt_physics a scenario may ask for: about 25 s of wall
+# time for `swervefall run` at ten physics steps per control tick and
+# 70 s at one (one core of a 2-vCPU Xeon).
 MAX_PHYSICS_STEPS = 10**6
 
 CSV_HEADER = (
@@ -89,21 +94,27 @@ def imu_sample(
     Returns (euler, omega, accel): the angles and rates plus optional
     seeded noise, and the accelerometer magnitude [m/s^2].  The body is
     in ballistic flight, so its specific force is exactly zero; only
-    noise moves the accelerometer.  Noise is drawn in a fixed order:
-    angles, rates, accelerometer.
+    noise moves the accelerometer.  Noise takes one standard-normal draw
+    per call, three values per noisy channel in a fixed order: angles,
+    rates, accelerometer.
     """
     accel = 0.0
     if noise.enabled():
         if rng is None:
             raise ValueError("noise enabled but no generator supplied")
-        if noise.sigma_euler > 0:
-            a, b, c = rng.normal(0.0, noise.sigma_euler, 3).tolist()
-            euler = [euler[0] + a, euler[1] + b, euler[2] + c]
-        if noise.sigma_omega > 0:
-            a, b, c = rng.normal(0.0, noise.sigma_omega, 3).tolist()
-            omega = [omega[0] + a, omega[1] + b, omega[2] + c]
-        if noise.sigma_accel > 0:
-            specific = rng.normal(0.0, noise.sigma_accel, 3)
+        s_euler, s_omega, s_accel = noise.sigma_euler, noise.sigma_omega, noise.sigma_accel
+        draws = iter(rng.standard_normal(
+            3 * ((s_euler > 0) + (s_omega > 0) + (s_accel > 0))
+        ).tolist())
+        # 0.0 + sigma * z is numpy's own normal(0.0, sigma) from z, so the
+        # values are those of one normal(0.0, sigma, 3) per channel.
+        # zip takes three draws: it stops at the end of the triple.
+        if s_euler > 0:
+            euler = [e + (0.0 + s_euler * z) for e, z in zip(euler, draws)]
+        if s_omega > 0:
+            omega = [w + (0.0 + s_omega * z) for w, z in zip(omega, draws)]
+        if s_accel > 0:
+            specific = np.array([0.0 + s_accel * z for z in draws])
             # np.linalg.norm's own arithmetic: numpy's dot, then sqrt.
             accel = math.sqrt(specific.dot(specific))
     return euler, omega, accel
@@ -128,16 +139,9 @@ def step_rk4(
 
 def contact_height(state: BodyState, s: SteeringState, params: RobotParams) -> float:
     """Height of the lowest wheel contact point above the ground plane."""
-    return _lowest_contact(
+    return lowest_contact(
         state.r_ob[2], state.quat, wheel_centers(params, s), params.wheel_radius
     )
-
-
-def _lowest_contact(
-    z: float, quat, centers: np.ndarray, wheel_radius: float
-) -> float:
-    centers_world_z = z + (quat_to_matrix(quat) @ centers.T)[2]
-    return float(centers_world_z.min() - wheel_radius)
 
 
 @dataclass
@@ -167,8 +171,7 @@ class Trajectory:
 
 
 def refine_touchdown(
-    kernel: FlightKernel, y: list[float], wheel_radius: float,
-    dt: float, t0: float,
+    kernel: FlightKernel, y: list[float], dt: float, t0: float
 ) -> tuple[float, BodyState]:
     """Bisect the crossing time of the contact height within one step.
 
@@ -177,17 +180,14 @@ def refine_touchdown(
     clearance at t0 + dt is non-positive.  Returns (t_touchdown, state at
     touchdown) with the time bracketed to 1e-6 s.
     """
-    def clearance(state) -> float:
-        return _lowest_contact(state[2], state[6:10], kernel.centers, wheel_radius)
-
-    if clearance(y) <= 0.0:
+    if kernel.clearance(y) <= 0.0:
         return t0, BodyState.from_flat(y)
     lo, hi = 0.0, dt
     y_hi = kernel.step(y, dt)
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         y_mid = kernel.step(y, mid)
-        if clearance(y_mid) <= 0.0:
+        if kernel.clearance(y_mid) <= 0.0:
             hi, y_hi = mid, y_mid
         else:
             lo = mid
@@ -302,16 +302,22 @@ def initial_body_state(
     )
 
 
+# Overflow and invalid results end the run as NonFiniteState; numpy need
+# not warn about them as well.
+@np.errstate(over="ignore", invalid="ignore")
 def simulate(scenario, controller, params: RobotParams) -> Trajectory:
     """Run one scenario to touchdown or t_max.
 
     ``controller`` is a ControllerConfig; physics advances at
-    scenario.dt_physics with the control command held between ticks.
-    Raises NonFiniteState (with the absolute time) if integration
-    diverges or the controller's torque demand leaves the finite range.
+    scenario.dt_physics with the control command held between ticks, the
+    tick's RK4 steps in one ``FlightKernel.advance`` call.  Raises
+    NonFiniteState (with the absolute time) if integration diverges, the
+    accelerometer magnitude or the controller's torque demand leaves the
+    finite range.
     """
     scenario.validate()
     clock = SimClock.create(scenario.dt_physics, controller.dt_control)
+    dt, steps = clock.dt_physics, clock.steps_per_tick
     sub = SubmovementParams(alpha=scenario.alpha0, beta=scenario.beta0)
     steering = steering_from_submovements(sub)
     kernel = FlightKernel(steering, params)
@@ -332,6 +338,8 @@ def simulate(scenario, controller, params: RobotParams) -> Trajectory:
         euler_read, omega_read, accel = imu_sample(
             (phi, theta, psi), omega, noise, rng=rng
         )
+        if not math.isfinite(accel):
+            raise NonFiniteState("non-finite IMU reading", t=t)
         if accel > trajectory.max_specific_accel:
             trajectory.max_specific_accel = accel
         if controller.enabled:
@@ -374,23 +382,19 @@ def simulate(scenario, controller, params: RobotParams) -> Trajectory:
             break
 
         kernel.set_command(tau_1, tau_2, tau_delta)
-        for sub_step in range(clock.steps_per_tick):
-            t_step = t + sub_step * clock.dt_physics
-            try:
-                stepped = kernel.step(y, clock.dt_physics)
-            except NonFiniteState as exc:
-                raise NonFiniteState("simulation diverged", t=t_step) from exc
-            if kernel.may_touch_ground(stepped) and _lowest_contact(
-                stepped[2], stepped[6:10], kernel.centers, params.wheel_radius
-            ) <= 0.0:
-                td_t, td_state = refine_touchdown(
-                    kernel, y, params.wheel_radius, clock.dt_physics, t_step
-                )
-                trajectory.events.append((td_t, "touchdown"))
-                trajectory.touchdown_time = td_t
-                trajectory.touchdown_state = td_state
-                return trajectory
-            y = stepped
+        try:
+            y_next, taken = kernel.advance(y, dt, steps, stop_at_ground=True)
+        except NonFiniteState as exc:
+            raise NonFiniteState("simulation diverged", t=t + exc.t) from exc
+        if taken < steps:
+            # Step ``taken`` of this tick reaches the ground; bisect it
+            # from its pre-step state.
+            td_t, td_state = refine_touchdown(kernel, y_next, dt, t + taken * dt)
+            trajectory.events.append((td_t, "touchdown"))
+            trajectory.touchdown_time = td_t
+            trajectory.touchdown_state = td_state
+            return trajectory
+        y = y_next
         tick += 1
         t = tick * controller.dt_control
     return trajectory

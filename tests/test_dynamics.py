@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from swervefall import (
     BodyState,
@@ -20,8 +22,10 @@ from swervefall import (
 from swervefall.dynamics import (
     GRAVITY_DIR,
     FlightKernel,
+    NonFiniteState,
     _drive_torque_columns,
     effective_inertia,
+    lowest_contact,
     steer_points,
     wheel_centers,
 )
@@ -264,8 +268,29 @@ def reference_rk4(y0, steering, cmd, params, dt):
     k3 = deriv(y0 + 0.5 * dt * k2)
     k4 = deriv(y0 + dt * k3)
     y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    y1[6:10] = y1[6:10] / float(np.linalg.norm(y1[6:10]))
+    norm = float(np.linalg.norm(y1[6:10]))
+    if not (np.isfinite(y1).all() and 1e-12 <= norm < math.inf):
+        raise FloatingPointError("RK4 step left the finite range")
+    y1[6:10] = y1[6:10] / norm
     return y1
+
+
+def reference_tick(y, steering, cmd, params, dt, steps, stop_at_ground):
+    """``steps`` reference RK4 steps, as ``FlightKernel.advance`` must
+    take them: (state, taken), stopping before the first step that ends
+    with a wheel on the ground, or ("diverged", index of the step)."""
+    centers = wheel_centers(params, steering)
+    for i in range(steps):
+        try:
+            y1 = reference_rk4(y, steering, cmd, params, dt)
+        except FloatingPointError:
+            return "diverged", i
+        if stop_at_ground and lowest_contact(
+            y1[2], y1[6:10], centers, params.wheel_radius
+        ) <= 0.0:
+            return y, i
+        y = y1
+    return y, steps
 
 
 def test_derivative_matches_array_formulation_bitwise(params, rng):
@@ -287,3 +312,88 @@ def test_rk4_matches_array_formulation_bitwise(params, rng):
             state = step_rk4(state, cmd, steering, params, 1e-3)
             y = reference_rk4(y, steering, cmd, params, 1e-3)
             assert state.flat() == y.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha=st.floats(-1.5, 1.5),
+    beta=st.floats(-1.5, 1.5),
+    torques=st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0), st.floats(-2.0, 2.0)),
+    quat=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda q: sum(c * c for c in q) > 0.01
+    ),
+    rates=st.tuples(*[st.floats(-30.0, 30.0)] * 3),
+    height=st.floats(0.0, 1.0),
+    velocity=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-20.0, -0.5)),
+    wheels=st.tuples(*[st.floats(-150.0, 150.0)] * 4),
+    dt=st.floats(1e-5, 5e-3),
+    # sampled_from draws evenly; integers() favours the ends of its range.
+    steps=st.sampled_from(range(1, 11)),
+    stop_at_ground=st.booleans(),
+    event=st.sampled_from([None, "touchdown", "base", "wheels"]),
+    event_step=st.sampled_from(range(10)),
+)
+# Touches down in the fourth of ten steps.
+@example(alpha=0.7, beta=0.0, torques=(1.0, -2.0, 0.5), quat=(1.0, 0.1, 0.0, 0.0),
+         rates=(0.5, 0.0, 0.0), height=0.25, velocity=(0.0, 0.0, -10.0),
+         wheels=(1.0, 2.0, 3.0, 4.0), dt=1e-3, steps=10, stop_at_ground=True,
+         event="touchdown", event_step=3)
+# The base diverges in the second of ten steps.
+@example(alpha=0.3, beta=0.1, torques=(0.0, 0.0, 0.0), quat=(1.0, 0.0, 0.0, 0.0),
+         rates=(0.3, -0.7, 0.2), height=1.0, velocity=(0.0, 0.0, -1.0),
+         wheels=(0.0, 0.0, 0.0, 0.0), dt=1e-4, steps=10, stop_at_ground=True,
+         event="base", event_step=2)
+# Wheel 1 overflows in the sixth of ten steps while the base stays finite.
+@example(alpha=0.7, beta=0.0, torques=(8.0, 8.0, 0.0), quat=(1.0, 0.0, 0.0, 0.0),
+         rates=(0.0, 0.0, 0.0), height=1.0, velocity=(0.0, 0.0, -1.0),
+         wheels=(0.0, 0.0, 0.0, 0.0), dt=5e-4, steps=10, stop_at_ground=False,
+         event="wheels", event_step=5)
+def test_tick_matches_reference_steps_bitwise(
+    alpha, beta, torques, quat, rates, height, velocity, wheels, dt, steps,
+    stop_at_ground, event, event_step,
+):
+    # One advance over a control tick against the array-formulation RK4
+    # stepped one step at a time: the same bits at the end of the tick,
+    # the same touchdown step with the same pre-step state, and the same
+    # failing step when the base or the wheels diverge within the tick.
+    # ``event`` aims a touchdown or a divergence at about ``event_step``.
+    params = RobotParams()
+    steering = steering_from_submovements(SubmovementParams(alpha, beta))
+    omega = list(rates)
+    wheels = list(wheels)
+    t1, t2, t_delta = torques
+    k = event_step % steps
+    if event == "touchdown":
+        # Clearance of about k + 0.5 steps of fall.
+        stop_at_ground = True
+        centers = wheel_centers(params, steering)
+        start = lowest_contact(0.0, np.array(quat), centers, params.wheel_radius)
+        height = (k + 0.5) * -velocity[2] * dt - start
+    elif event == "base":
+        # Each of the first three stages squares the rates once they pass
+        # 1 / dt, so a step takes 10^L rad/s to about 10^(8 L), and the
+        # gyroscopic term overflows past 10^154.
+        floor = -math.log10(dt)
+        omega = [r * 10.0 ** (floor + (154.0 - floor) / 8.0**k) for r in omega]
+    elif event == "wheels":
+        # With j_wyy = 1e-300 each step adds about dt * tau_1 / j_wyy to
+        # wheel 1, which starts k + 0.5 such steps below the float limit.
+        params = dataclasses.replace(params, j_wyy=1e-300)
+        headroom = (k + 0.5) * dt * abs(t1) / params.j_wyy
+        wheels[0] = math.copysign(sys.float_info.max - headroom, t1)
+    cmd = TorqueCommand([t1, t2, -t1, -t2], t_delta)
+    kernel = FlightKernel(steering, params)
+    kernel.set_command(t1, t2, t_delta)
+    y = [0.0, 0.0, height, *velocity, *quat, *omega, *wheels]
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected, taken = reference_tick(
+            np.array(y), steering, cmd, params, dt, steps, stop_at_ground
+        )
+        if isinstance(expected, str):
+            with pytest.raises(NonFiniteState) as info:
+                kernel.advance(y, dt, steps, stop_at_ground)
+            assert info.value.t == taken * dt
+            return
+        state, kernel_taken = kernel.advance(y, dt, steps, stop_at_ground)
+    assert kernel_taken == taken
+    assert np.array(state).tobytes() == expected.tobytes()

@@ -42,6 +42,7 @@ def run_with(overrides: dict[str, str]) -> tuple[int, str]:
 @example({"dt_control": "1e308"})
 @example({"kd_roll": "1e308", "omega_x": "2"})
 @example({"noise_sigma_omega": "1e308"})
+@example({"noise_sigma_accel": "1e308"})
 @example({"dt_physics": "1e-12"})
 @example({"wheel_radius": "1e308"})
 def test_run_exit_code_is_documented(overrides):

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,6 +29,18 @@ def write_config(tmp_path: Path, text: str, name: str = "quick.cfg") -> Path:
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def run_cli_process(args: list[str]) -> subprocess.CompletedProcess:
+    """``swervefall`` in a fresh interpreter, so that stderr holds what a
+    user sees, numpy's warnings included."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "swervefall.cli", *args],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 def test_bundled_names_resolve():
@@ -298,8 +311,12 @@ tau_steer_max = 1e9
 wheel_speed_max = 1e12
 """
     config = write_config(tmp_path, unstable, "unstable.cfg")
-    code = cli_main(["run", str(config), "-o", str(tmp_path / "u")])
-    assert code == 3
+    result = run_cli_process(["run", str(config), "-o", str(tmp_path / "u")])
+    assert result.returncode == 3
+    assert "simulation diverged at t=" in result.stderr
+    # The overflow is reported once, as the divergence, not also as a
+    # numpy warning.
+    assert "RuntimeWarning" not in result.stderr
 
 
 @pytest.mark.parametrize("extra", [
@@ -312,6 +329,17 @@ def test_cli_nonfinite_controller_demand_exit_3(tmp_path, capsys, extra):
     config = write_config(tmp_path, QUICK + extra)
     assert cli_main(["run", str(config), "-o", str(tmp_path / "o")]) == 3
     assert "non-finite controller demand at t=" in capsys.readouterr().err
+
+
+def test_cli_nonfinite_imu_reading_exit_3(tmp_path):
+    # A noise sigma near the float limit overflows the accelerometer
+    # magnitude; the run ends as diverged instead of reporting an
+    # infinite peak acceleration.
+    config = write_config(tmp_path, QUICK + "noise_sigma_accel = 1e308\n")
+    result = run_cli_process(["run", str(config), "-o", str(tmp_path / "o")])
+    assert result.returncode == 3
+    assert "non-finite IMU reading at t=0.000000 s" in result.stderr
+    assert "RuntimeWarning" not in result.stderr
 
 
 def test_cli_env_var_output_dir(tmp_path, monkeypatch, capsys):
