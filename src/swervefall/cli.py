@@ -21,6 +21,17 @@ accelerometer magnitude does (noise_sigma_accel = 1e308); numpy prints
 no warning about it.  A reader that closes the output early (``| head``)
 ends the command with exit 0 and no traceback: summaries are printed
 only after every run and file is complete.
+
+sweep and compare validate every config before the first run, then run
+their scenarios in parallel: one forked worker process per CPU this
+process may use, no more than there are runs.  The workers only
+simulate.  This process writes each telemetry CSV in input order as its
+result arrives, then the summaries and the sweep aggregate or compare
+delta file, so the output is byte-identical to a serial run's;
+``taskset -c 0 swervefall sweep ...`` runs serially.  A run that
+diverges ends the command with exit 3 and the message a serial run
+prints, leaving the CSVs of the runs before it and no aggregate or
+delta file.
 """
 
 from __future__ import annotations

@@ -261,7 +261,13 @@ class NonFiniteState(Exception):
 
     def __init__(self, message: str, t: float):
         super().__init__(f"{message} at t={t:.6f} s")
+        self.message = message
         self.t = t
+
+    def __reduce__(self):
+        # Rebuild from the constructor's arguments, so the exception
+        # survives the trip back from a worker process.
+        return type(self), (self.message, self.t)
 
 
 def lowest_contact(

@@ -11,6 +11,9 @@ with every value printed to 12 significant digits.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -252,18 +255,73 @@ def run_scenario(config: str | Path, output_dir: str | Path) -> RunSummary:
     return summarize(loaded.name, trajectory)
 
 
+def _worker_count(runs: int) -> int:
+    """Worker processes for ``runs`` independent runs: one per CPU this
+    process may use, and no more than there are runs."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(runs, cpus)
+
+
+def _simulate_loaded(loaded: LoadedScenario) -> Trajectory:
+    return simulate(loaded.scenario, loaded.controller, loaded.params)
+
+
+def _simulate_in_order(runs: list[LoadedScenario]) -> Iterator[Trajectory]:
+    """Yield the trajectory of each validated run, in input order.
+
+    With more than one worker the runs execute in a pool of forked
+    processes, which inherit the imported package; each trajectory is
+    yielded once it and every run before it are done, and a run's
+    NonFiniteState is raised at that run's turn.  With one worker, in a
+    process that runs other threads (forking it could copy a lock that
+    one of them holds), or where ``fork`` is unavailable, the runs
+    execute here one after another.
+    """
+    workers = _worker_count(len(runs))
+    if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
+        yield from map(_simulate_loaded, runs)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        yield from pool.map(_simulate_loaded, runs)
+
+
+def _run_and_write(runs: list[LoadedScenario], out: Path) -> list[RunSummary]:
+    """Simulate the runs and write each one's telemetry CSV into ``out``
+    in input order, as its result arrives; return their summaries.  A
+    run that diverges leaves the CSVs of the runs before it."""
+    out.mkdir(parents=True, exist_ok=True)
+    summaries = []
+    for loaded, trajectory in zip(runs, _simulate_in_order(runs)):
+        write_trajectory_csv(trajectory, out / f"{loaded.name}.csv")
+        summaries.append(summarize(loaded.name, trajectory))
+    return summaries
+
+
 def compare(
     config_a: str | Path, config_b: str | Path, output_dir: str | Path
 ) -> tuple[RunSummary, RunSummary, list[str]]:
     """Run two scenarios and emit a side-by-side delta report.
+
+    Both configs are loaded and validated before either runs, so a bad
+    one leaves no output behind.  The two runs execute in parallel worker
+    processes; their telemetry CSVs, then the report
+    ``delta_<a>_vs_<b>.txt``, are written as a serial run writes them.
 
     The report covers touchdown attitude and settle time.  Impact-phase
     accelerations are intentionally absent: the simulation ends at
     touchdown and carries no contact model, so impact loads are out of
     scope here.
     """
-    summary_a = run_scenario(config_a, output_dir)
-    summary_b = run_scenario(config_b, output_dir)
+    out = Path(output_dir)
+    runs = [load_scenario_file(config_a), load_scenario_file(config_b)]
+    summary_a, summary_b = _run_and_write(runs, out)
 
     def angles_or_nan(summary):
         if summary.euler_touchdown_deg is None:
@@ -287,8 +345,6 @@ def compare(
         "  note: impact-phase accelerations are out of scope "
         "(no contact model; runs end at touchdown)",
     ]
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     delta_path = out / f"delta_{summary_a.name}_vs_{summary_b.name}.txt"
     delta_path.write_text("\n".join(report) + "\n", encoding="utf-8")
     return summary_a, summary_b, report
@@ -324,7 +380,10 @@ def sweep(
     base config is read once, and every value's scenario is validated
     before the first run, so a bad value leaves no output behind.  Writes
     one telemetry CSV per run plus an aggregated summary CSV.  Unknown
-    parameter names are config errors.
+    parameter names are config errors.  The runs execute in parallel
+    worker processes and their files match a serial run's byte for byte;
+    a run that diverges leaves the CSVs of the runs before it and no
+    aggregate.
     """
     if parameter not in sweepable_parameters():
         raise ConfigError(f"unknown sweep parameter '{parameter}'")
@@ -343,15 +402,10 @@ def sweep(
     ]
 
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    summaries: list[RunSummary] = []
+    summaries = _run_and_write(runs, out)
     aggregate = ["parameter,value,touchdown_time,settle_time,"
                  "peak_tau_1,peak_tau_2,peak_tau_3,peak_tau_4"]
-    for text, loaded in zip(texts, runs):
-        trajectory = simulate(loaded.scenario, loaded.controller, loaded.params)
-        write_trajectory_csv(trajectory, out / f"{loaded.name}.csv")
-        summary = summarize(loaded.name, trajectory)
-        summaries.append(summary)
+    for text, summary in zip(texts, summaries):
         settle = "" if summary.settle_time is None else f"{summary.settle_time:.12g}"
         touchdown = (
             "" if summary.touchdown_time is None else f"{summary.touchdown_time:.12g}"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -397,3 +398,11 @@ def test_tick_matches_reference_steps_bitwise(
         state, kernel_taken = kernel.advance(y, dt, steps, stop_at_ground)
     assert kernel_taken == taken
     assert np.array(state).tobytes() == expected.tobytes()
+
+
+def test_nonfinite_state_survives_pickling():
+    # A divergence in a worker process comes back to the parent pickled.
+    error = pickle.loads(pickle.dumps(NonFiniteState("simulation diverged", 0.25)))
+    assert isinstance(error, NonFiniteState)
+    assert str(error) == "simulation diverged at t=0.250000 s"
+    assert error.t == 0.25

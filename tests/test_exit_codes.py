@@ -1,6 +1,7 @@
-"""Exit-code contract of ``swervefall run``: every config either runs
-(0) or is refused with a documented code, 2 for a config error and 3
-for a diverged simulation.  No input may raise out of ``cli.main``."""
+"""Exit-code contract of the ``swervefall`` commands: every config and
+argument list either runs (0) or is refused with a documented code, 2
+for a config error and 3 for a diverged simulation.  No input may raise
+out of ``cli.main``."""
 
 import contextlib
 import io
@@ -19,21 +20,40 @@ from swervefall.scenario import resolve_config_path, sweepable_parameters
 BASE = dict(read_config_file(resolve_config_path("drop_controlled")),
             dt_physics="0.001")
 KEYS = sorted(sweepable_parameters() | {"seed", "controller_enabled"})
-EXTREMES = st.sampled_from([
+EXTREME_VALUES = [
     "0", "1e-300", "-1e-300", "1e308", "-1e308", "-1", "-0.5",
     str(10**30), str(-10**30), str(10**400),
-])
+]
+EXTREMES = st.sampled_from(EXTREME_VALUES)
+OVERRIDES = st.dictionaries(st.sampled_from(KEYS), EXTREMES, max_size=1)
+# A config is BASE with at most one key set to an extreme, or None for a
+# path that does not exist.
+CONFIGS = st.one_of(OVERRIDES, st.none())
+SWEEP_VALUES = st.lists(
+    st.sampled_from(["0.25", "0.5", "2", "0", "-1", "1e-300", "1e308", "nan"]),
+    min_size=1, max_size=3,
+).map(",".join)
 
 
-def run_with(overrides: dict[str, str]) -> tuple[int, str]:
-    entries = dict(BASE, **overrides)
-    text = "".join(f"{key} = {value}\n" for key, value in entries.items())
+def run_cli(command: str, configs: list[dict[str, str] | None],
+            *options: str) -> tuple[int, str]:
+    """``cli.main`` on ``command``, one config path per entry of
+    ``configs`` and ``options``; returns the exit code and stderr."""
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "fuzz.cfg"
-        config.write_text(text, encoding="utf-8")
+        paths = []
+        for i, overrides in enumerate(configs):
+            path = Path(tmp) / f"fuzz_{i}.cfg"
+            if overrides is not None:
+                entries = dict(BASE, **overrides)
+                path.write_text(
+                    "".join(f"{key} = {value}\n" for key, value in entries.items()),
+                    encoding="utf-8",
+                )
+            paths.append(str(path))
+        argv = [command, *paths, *options, "-o", str(Path(tmp) / "out")]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli_main(["run", str(config), "-o", str(Path(tmp) / "out")])
+            code = cli_main(argv)
     return code, err.getvalue()
 
 
@@ -46,6 +66,30 @@ def run_with(overrides: dict[str, str]) -> tuple[int, str]:
 @example({"dt_physics": "1e-12"})
 @example({"wheel_radius": "1e308"})
 def test_run_exit_code_is_documented(overrides):
-    code, err = run_with(overrides)
+    code, err = run_cli("run", [overrides])
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+
+
+@settings(max_examples=30, deadline=None)
+@given(OVERRIDES, st.sampled_from(KEYS + ["flux_capacitance"]), SWEEP_VALUES)
+@example({}, "drop_height", "0.5,0.5")
+@example({"omega_x": "2"}, "kd_roll", "1,1e308,2")
+@example({}, "drop_height", "0.5,apple")
+@example({}, "drop_height", " ")
+def test_sweep_exit_code_is_documented(overrides, param, values):
+    # "--values=..." keeps argparse from taking a value such as -1e-300
+    # for an option.
+    code, err = run_cli("sweep", [overrides], "--param", param, f"--values={values}")
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+
+
+@settings(max_examples=30, deadline=None)
+@given(CONFIGS, CONFIGS)
+@example({}, {"kd_roll": "1e308", "omega_x": "2"})
+@example({}, {"bogus": "1"})
+def test_compare_exit_code_is_documented(config_a, config_b):
+    code, err = run_cli("compare", [config_a, config_b])
     assert code in (0, 2, 3), err
     assert "Traceback" not in err

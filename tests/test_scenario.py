@@ -3,11 +3,13 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swervefall.scenario as scenario
 from swervefall import ConfigError, compare, run_scenario, simulate, sweep
 from swervefall.cli import main as cli_main
 from swervefall.scenario import load_scenario_file, resolve_config_path
@@ -172,6 +174,115 @@ def test_gain_sweep_all_stable(tmp_path):
     for summary in summaries:
         assert summary.touchdown_time is not None
         assert all(np.isfinite(v) for v in summary.peak_tau)
+
+
+# --- parallel sweep and compare -----------------------------------------------
+
+def use_workers(monkeypatch, count: int) -> None:
+    """Run sweep and compare with up to ``count`` worker processes."""
+    monkeypatch.setattr(scenario, "_worker_count", lambda runs: min(runs, count))
+
+
+def output_files(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+@pytest.fixture
+def simulating_pids(tmp_path, monkeypatch):
+    """Make every run log the id of the process that simulates it, and
+    return a function that takes the ids logged so far."""
+    log = tmp_path / "pids"
+    real_simulate = scenario.simulate
+
+    def logged_simulate(*args):
+        with log.open("a", encoding="utf-8") as out:
+            out.write(f"{os.getpid()}\n")
+        return real_simulate(*args)
+
+    def take() -> set[int]:
+        pids = {int(pid) for pid in log.read_text(encoding="utf-8").split()}
+        log.unlink()
+        return pids
+
+    # Forked workers inherit the patched module.
+    monkeypatch.setattr(scenario, "simulate", logged_simulate)
+    return take
+
+
+def test_parallel_sweep_and_compare_match_serial(tmp_path, monkeypatch, simulating_pids):
+    config = write_config(tmp_path, QUICK)
+    other = write_config(
+        tmp_path,
+        QUICK.replace("controller_enabled = true", "controller_enabled = false"),
+        "other.cfg",
+    )
+    results = []
+    for count in (1, 2):
+        use_workers(monkeypatch, count)
+        out = tmp_path / f"workers_{count}"
+        swept = sweep(config, "drop_height", [0.3, 0.2, 0.25, 0.35], out)
+        compared = compare(config, other, out)
+        results.append((swept, compared, output_files(out)))
+        pids = simulating_pids()
+        if count == 1:
+            assert pids == {os.getpid()}
+        else:
+            assert os.getpid() not in pids
+    assert results[0] == results[1]
+    names = list(results[0][2])
+    assert names == sorted(
+        ["delta_quick_vs_other.txt", "other.csv", "quick.csv",
+         "sweep_drop_height.csv"]
+        + [f"quick_drop_height_{v}.csv" for v in ("0.2", "0.25", "0.3", "0.35")]
+    )
+    aggregate = results[0][2]["sweep_drop_height.csv"].decode().splitlines()
+    assert [row.split(",")[1] for row in aggregate[1:]] == ["0.3", "0.2", "0.25", "0.35"]
+
+
+def test_sweep_in_a_threaded_process_runs_serially(tmp_path, monkeypatch, simulating_pids):
+    # Forking a process that runs other threads could copy a held lock.
+    use_workers(monkeypatch, 2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30,))
+    waiter.start()
+    try:
+        sweep(write_config(tmp_path, QUICK), "drop_height", [0.2, 0.3], tmp_path / "s")
+    finally:
+        release.set()
+        waiter.join(timeout=30)
+    assert not waiter.is_alive()
+    assert simulating_pids() == {os.getpid()}
+
+
+def test_cli_sweep_divergence_midway_matches_serial(tmp_path, monkeypatch, capfd):
+    # The middle value's PD demand overflows; the runs before it keep
+    # their CSVs, nothing after it is written, and no aggregate either.
+    config = write_config(tmp_path, QUICK + "omega_x = 2\n")
+    seen = []
+    for count in (1, 2):
+        use_workers(monkeypatch, count)
+        out = tmp_path / f"workers_{count}"
+        code = cli_main(["sweep", str(config), "--param", "kd_roll",
+                         "--values", "1,1e308,2", "-o", str(out)])
+        captured = capfd.readouterr()
+        seen.append((code, captured.out, captured.err, output_files(out)))
+    assert seen[0] == seen[1]
+    code, out, err, files = seen[0]
+    assert code == 3
+    assert out == ""
+    assert re.fullmatch(
+        r"simulation error: non-finite controller demand at t=\S+ s\n", err
+    )
+    assert list(files) == ["quick_kd_roll_1.csv"]
+
+
+def test_cli_compare_bad_second_config_writes_nothing(tmp_path, capsys):
+    config = write_config(tmp_path, QUICK)
+    bad = write_config(tmp_path, QUICK + "bogus = 1\n", "bad.cfg")
+    out = tmp_path / "cmp"
+    assert cli_main(["compare", str(config), str(bad), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: unknown config keys: bogus\n"
+    assert not out.exists()
 
 
 # --- CLI ----------------------------------------------------------------------

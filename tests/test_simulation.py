@@ -24,7 +24,7 @@ from swervefall.simulation import (
     contact_height,
     initial_body_state,
 )
-from swervefall.dynamics import FlightKernel
+from swervefall.dynamics import FlightKernel, kernel_holding
 from swervefall.state import euler_angles
 
 ISO = steering_from_submovements(SubmovementParams(math.pi / 4, 0.0))
@@ -54,12 +54,12 @@ def test_rk4_fourth_order_convergence(params):
     # the error ~16x.
     omega0 = np.array([6.0, -5.0, 4.0])
     cmd = TorqueCommand(np.zeros(4), 0.5)
+    kernel = kernel_holding(cmd, ISO, params)
 
     def integrate(dt, t_end=0.2):
         state = BodyState([0, 0, 10], [0, 0, 0], [1, 0, 0, 0], omega0)
-        for _ in range(int(round(t_end / dt))):
-            state = step_rk4(state, cmd, ISO, params, dt)
-        return state.omega
+        y, _ = kernel.advance(state.flat(), dt, int(round(t_end / dt)))
+        return np.array(y[10:13])
 
     # Reference step is 200x finer than the probes, so its own error is
     # ~(1/200)^4 of theirs and does not disturb the ratio.
