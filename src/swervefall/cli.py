@@ -12,26 +12,29 @@ Exit codes: 0 success, 2 config error, 3 simulation diverged.  Config
 errors include a run over the work budget of 10**6 physics steps
 (t_max / dt_physics; about 25 s of wall time at ten physics steps per
 control tick, 70 s at one), a dt_control / dt_physics ratio beyond the
-float range (dt_control = 1e308), geometry that cannot place the robot
-at drop_height, and sweep values that print alike to 12 significant
-digits.  A simulation diverges when the integration leaves the finite
+float range (dt_control = 1e308), an IMU noise sigma above 180 deg,
+100 rad/s or 1000 m/s^2, geometry that cannot place the robot at
+drop_height, and sweep values that print alike to 12 significant
+digits.  A --values list may start with a minus sign (--values
+-10,-20).  A simulation diverges when the integration leaves the finite
 range or when the controller's torque demand does (kd_roll = 1e308
-with a nonzero omega_x, or noise_sigma_omega = 1e308) or the
-accelerometer magnitude does (noise_sigma_accel = 1e308); numpy prints
-no warning about it.  A reader that closes the output early (``| head``)
-ends the command with exit 0 and no traceback: summaries are printed
-only after every run and file is complete.
+with a nonzero omega_x); numpy prints no warning about it.  A reader
+that closes the output early (``| head``) ends the command with exit 0
+and no traceback: summaries are printed only after every run and file
+is complete.
 
-sweep and compare validate every config before the first run, then run
-their scenarios in parallel: one forked worker process per CPU this
-process may use, no more than there are runs.  The workers only
-simulate.  This process writes each telemetry CSV in input order as its
-result arrives, then the summaries and the sweep aggregate or compare
-delta file, so the output is byte-identical to a serial run's;
-``taskset -c 0 swervefall sweep ...`` runs serially.  A run that
-diverges ends the command with exit 3 and the message a serial run
-prints, leaving the CSVs of the runs before it and no aggregate or
-delta file.
+sweep and compare validate every config before the first run and group
+the runs that differ only in drop_height, velocity_x/y/z and t_max:
+each group integrates one attitude history for all of its runs.  The
+groups run in parallel: one forked worker process per CPU this process
+may use, no more than there are groups, so a one-group sweep runs in
+process.  The workers only simulate.  This process writes each
+telemetry CSV in input order as its result arrives, then the summaries
+and the sweep aggregate or compare delta file, so the output is
+byte-identical to one-value runs'; ``taskset -c 0 swervefall sweep
+...`` runs serially.  A run that diverges ends the command with exit 3
+and the message its one-value run prints, leaving the CSVs of the runs
+before it and no aggregate or delta file.
 """
 
 from __future__ import annotations
@@ -81,6 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--values" in argv[:-1]:
+        # argparse takes a following argument that starts with "-" and is
+        # not a plain number (-10,-20 or -1e-300) for an option; attached
+        # with "=" it is always the value.
+        i = argv.index("--values")
+        argv[i:i + 2] = [f"--values={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     out_dir = args.output_dir or _default_output_dir()
     try:

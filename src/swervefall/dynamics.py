@@ -256,6 +256,10 @@ def kernel_holding(
     return kernel
 
 
+NONFINITE_STEP = "non-finite state after RK4 step"
+DEGENERATE_STEP = "quaternion degenerated during RK4 step"
+
+
 class NonFiniteState(Exception):
     """Integration produced NaN or Inf; carries the offending time."""
 
@@ -286,10 +290,12 @@ class FlightKernel:
     Built once per steering configuration, it holds the effective
     inertia, the full torque Jacobian, the wheel spin axes, gravity and
     the body-frame wheel centers.  ``set_command`` fixes the command held
-    over a control tick as plain floats; ``advance`` then integrates a
-    flat state of 17 floats (r_ob, v_ob, quat, omega, wheel_speed) over
-    all of the tick's classical RK4 steps in one call, and ``step`` is
-    ``advance`` for one step.
+    over a control tick as plain floats; ``advance_lanes`` then
+    integrates flat states of 17 floats (r_ob, v_ob, quat, omega,
+    wheel_speed) that differ only in r_ob and v_ob over all of the
+    tick's classical RK4 steps in one call, ``advance`` is
+    ``advance_lanes`` for one state and ``step`` is ``advance`` for one
+    step.
 
     The scalar arithmetic repeats the array formulation operation for
     operation (``np.cross`` order for the gyroscopic term, the
@@ -392,7 +398,7 @@ class FlightKernel:
         self, y, dt: float, steps: int, stop_at_ground: bool = False
     ) -> tuple[list[float], int]:
         """Up to ``steps`` RK4 steps of length ``dt`` from flat state
-        ``y``, renormalizing the quaternion after each.
+        ``y``: ``advance_lanes`` for one lane.
 
         Returns (state, taken), the flat state after ``taken`` steps.
         ``taken`` is ``steps`` unless ``stop_at_ground`` is set and a
@@ -400,18 +406,49 @@ class FlightKernel:
         the state is then that step's pre-step state, from which a
         bisection can start.
 
-        Wheel speeds never feed back, so the four stages (one stage body,
-        ``_rotation_rates``) integrate the base in scalar locals, and the
-        exact contact height is formed only where ``may_touch_ground``
-        allows contact.  The wheel rates of every stage of every step
-        then come from one stacked product, and the wheel speeds
-        accumulate step after step as in a step-by-step run.
-
         Raises NonFiniteState at the earliest step after which a
         component has left the finite range or the quaternion has
         degenerated; its ``t`` is that step's start relative to ``y``.
         """
+        [(state, taken, failure)] = self.advance_lanes([y], dt, steps, stop_at_ground)
+        if failure is not None:
+            raise NonFiniteState(failure, t=taken * dt)
+        return state, taken
+
+    def advance_lanes(
+        self, ys, dt: float, steps: int, stop_at_ground: bool = False
+    ) -> list[tuple[list[float] | None, int, str | None]]:
+        """Up to ``steps`` RK4 steps of length ``dt`` for each flat state
+        of ``ys``, renormalizing the quaternion after each.
+
+        The states are lanes: they share their attitude, body rates and
+        wheel speeds (``y[6:17]``) and differ at most in position and
+        velocity.  Translation is ballistic and feeds back into nothing,
+        so one attitude history serves every lane, and each lane only
+        adds its own position and velocity, finiteness check and contact
+        check.  Returns one (state, taken, failure) per lane, in order,
+        each what the lane alone would give:
+
+        - (state after ``steps`` steps, ``steps``, None);
+        - with ``stop_at_ground``, (state, ``taken``, None) when a wheel
+          is on or below the ground at the end of step ``taken`` + 1,
+          the state being that step's pre-step state;
+        - (None, ``taken``, message) when the lane's state leaves the
+          finite range or the quaternion degenerates in step ``taken`` +
+          1, the earliest such step.
+
+        The four stages (one stage body, ``_rotation_rates``) integrate
+        the base in scalar locals, and so does the first lane's position
+        and velocity, so a lone lane pays for no loop over lanes; the
+        other lanes step in a loop, and when the first lane stops, the
+        next live one takes its place in the locals.  The exact contact
+        height is formed only where ``may_touch_ground`` allows contact.
+        The wheel rates of every stage of every step then come from one
+        stacked product, and the wheel speeds accumulate step after step
+        as in a step-by-step run.
+        """
         rates = self._rotation_rates
+        reach = self.contact_reach
         half = 0.5 * dt
         sixth = dt / 6.0
         # Gravity is the velocity rate at every stage, so its stage
@@ -422,9 +459,35 @@ class FlightKernel:
         dvx = sixth * (ax + 2.0 * ax + 2.0 * ax + ax)
         dvy = sixth * (ay + 2.0 * ay + 2.0 * ay + ay)
         dvz = sixth * (az + 2.0 * az + 2.0 * az + az)
-        px, py, pz, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz = y[:13]
+        px, py, pz, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz = ys[0][:13]
+        # The lane in the locals, and [lane, px, py, pz, vx, vy, vz] of
+        # each other live lane.
+        carrier = 0
+        others = []
+        if len(ys) > 1:
+            others = [[lane, *ys[lane][:6]] for lane in range(1, len(ys))]
+
+            # The constants come in as defaults: a closure over them would
+            # turn every read of them in this method into a cell read.
+            def moved(px, py, pz, vx, vy, vz, hx=hx, hy=hy, hz=hz, fx=fx,
+                      fy=fy, fz=fz, sixth=sixth, dvx=dvx, dvy=dvy, dvz=dvz):
+                # One step of position and velocity, as the first lane's
+                # below.
+                vx2, vy2, vz2 = vx + hx, vy + hy, vz + hz
+                vx4, vy4, vz4 = vx + fx, vy + fy, vz + fz
+                return (
+                    px + sixth * (vx + 2.0 * vx2 + 2.0 * vx2 + vx4),
+                    py + sixth * (vy + 2.0 * vy2 + 2.0 * vy2 + vy4),
+                    pz + sixth * (vz + 2.0 * vz2 + 2.0 * vz2 + vz4),
+                    vx + dvx, vy + dvy, vz + dvz,
+                )
+
+        # Per lane, (state, taken, failure) once it has stopped.  A state
+        # stopped at the ground is filed under its step in ``grounded`` too,
+        # until it has its wheel speeds.
+        results = [None] * len(ys)
+        grounded = {}
         omega_dots = []
-        taken = steps
         failure = None
         for i in range(steps):
             a1, b1, c1, d1, e1, f1, g1 = rates(qw, qx, qy, qz, ox, oy, oz)
@@ -456,29 +519,65 @@ class FlightKernel:
             oz1 = oz + sixth * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
             # x * 0.0 is 0.0 exactly when x is finite; the quaternion
             # norm covers the quaternion.
-            if (
-                px1 * 0.0 + py1 * 0.0 + pz1 * 0.0 + vx1 * 0.0 + vy1 * 0.0
-                + vz1 * 0.0 + ox1 * 0.0 + oy1 * 0.0 + oz1 * 0.0
-            ) != 0.0:
-                failure = (i, "non-finite state after RK4 step")
+            if (ox1 * 0.0 + oy1 * 0.0 + oz1 * 0.0) != 0.0:
+                failure = (i, NONFINITE_STEP)
                 break
+            stopped = (
+                px1 * 0.0 + py1 * 0.0 + pz1 * 0.0 + vx1 * 0.0 + vy1 * 0.0
+                + vz1 * 0.0
+            ) != 0.0
             quat = np.array((qw1, qx1, qy1, qz1))
             quat_norm = math.sqrt(quat.dot(quat))
             if not 1e-12 <= quat_norm < math.inf:
                 # Divergence can zero the quaternion by cancellation or
                 # push its norm past the float range while every
-                # component stays finite.
-                failure = (i, "quaternion degenerated during RK4 step")
+                # component stays finite.  A lane whose own state left
+                # the finite range in this step reports that first.
+                failure = (i, DEGENERATE_STEP)
+                if stopped:
+                    results[carrier] = (None, i, NONFINITE_STEP)
+                for lane, *motion in others:
+                    if sum(v * 0.0 for v in moved(*motion)) != 0.0:
+                        results[lane] = (None, i, NONFINITE_STEP)
                 break
             omega_dots += (e1, f1, g1, e2, f2, g2, e3, f3, g3, e4, f4, g4)
             qw1, qx1, qy1, qz1 = (
                 qw1 / quat_norm, qx1 / quat_norm, qy1 / quat_norm, qz1 / quat_norm
             )
-            if stop_at_ground and pz1 <= self.contact_reach:
+            if stopped:
+                results[carrier] = (None, i, NONFINITE_STEP)
+            elif stop_at_ground and pz1 <= reach:
                 base = (px1, py1, pz1, vx1, vy1, vz1, qw1, qx1, qy1, qz1, ox1, oy1, oz1)
                 if self.may_touch_ground(base) and self.clearance(base) <= 0.0:
-                    taken = i
+                    state = [px, py, pz, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz]
+                    results[carrier] = (state, i, None)
+                    grounded.setdefault(i, []).append(state)
+                    stopped = True
+            if others:
+                live = []
+                for entry in others:
+                    lane, *motion = entry
+                    lpx, lpy, lpz, lvx, lvy, lvz = motion1 = moved(*motion)
+                    if (
+                        lpx * 0.0 + lpy * 0.0 + lpz * 0.0 + lvx * 0.0 + lvy * 0.0
+                        + lvz * 0.0
+                    ) != 0.0:
+                        results[lane] = (None, i, NONFINITE_STEP)
+                        continue
+                    if stop_at_ground and lpz <= reach:
+                        base = (*motion1, qw1, qx1, qy1, qz1, ox1, oy1, oz1)
+                        if self.may_touch_ground(base) and self.clearance(base) <= 0.0:
+                            state = [*motion, qw, qx, qy, qz, ox, oy, oz]
+                            results[lane] = (state, i, None)
+                            grounded.setdefault(i, []).append(state)
+                            continue
+                    entry[1:] = motion1
+                    live.append(entry)
+                others = live
+            if stopped:
+                if not others:
                     break
+                carrier, px1, py1, pz1, vx1, vy1, vz1 = others.pop(0)
             px, py, pz, vx, vy, vz = px1, py1, pz1, vx1, vy1, vz1
             qw, qx, qy, qz, ox, oy, oz = qw1, qx1, qy1, qz1, ox1, oy1, oz1
 
@@ -488,7 +587,7 @@ class FlightKernel:
             self._spin_stack, np.array(omega_dots).reshape(-1, 3, 1)
         ).ravel().tolist()
         j1, j2, j3, j4 = self.tau_over_j
-        w1, w2, w3, w4 = y[13:17]
+        w1, w2, w3, w4 = ys[0][13:17]
         for i in range(len(spin) // 16):
             # The four wheels' products at stages 1 (p) to 4 (s).
             (p1, p2, p3, p4, q1, q2, q3, q4,
@@ -498,10 +597,30 @@ class FlightKernel:
             n3 = w3 + sixth * ((j3 - p3) + 2.0 * (j3 - q3) + 2.0 * (j3 - r3) + (j3 - s3))
             n4 = w4 + sixth * ((j4 - p4) + 2.0 * (j4 - q4) + 2.0 * (j4 - r4) + (j4 - s4))
             if (n1 * 0.0 + n2 * 0.0 + n3 * 0.0 + n4 * 0.0) != 0.0:
-                raise NonFiniteState("non-finite state after RK4 step", t=i * dt)
-            if i == taken:
-                break
+                # Every lane that took step i fails there.
+                for lane, result in enumerate(results):
+                    if result is None or result[1] >= i:
+                        results[lane] = (None, i, NONFINITE_STEP)
+                return results
+            if i in grounded:
+                # The states stopped at the ground in step i take the
+                # wheel speeds at its start.
+                for state in grounded[i]:
+                    state += (w1, w2, w3, w4)
             w1, w2, w3, w4 = n1, n2, n3, n4
+
+        # The lanes still live took every step, or met the failure of the
+        # attitude.
         if failure is not None:
-            raise NonFiniteState(failure[1], t=failure[0] * dt)
-        return [px, py, pz, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz, w1, w2, w3, w4], taken
+            step, message = failure
+            return [(None, step, message) if r is None else r for r in results]
+        if results[carrier] is None:
+            results[carrier] = (
+                [px, py, pz, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz, w1, w2, w3, w4],
+                steps, None,
+            )
+        if others:
+            tail = [qw, qx, qy, qz, ox, oy, oz, w1, w2, w3, w4]
+            for lane, *motion in others:
+                results[lane] = (motion + tail, steps, None)
+        return results

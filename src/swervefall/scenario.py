@@ -32,12 +32,15 @@ from .simulation import (
     CSV_COLUMNS,
     CSV_HEADER,
     NoiseModel,
+    NonFiniteState,
     ScenarioConfig,
     SimClock,
     Trajectory,
+    attitude_key,
     contact_height,
     initial_body_state,
     simulate,
+    simulate_lanes,
 )
 from .state import SubmovementParams, euler_from_quaternion
 
@@ -255,41 +258,68 @@ def run_scenario(config: str | Path, output_dir: str | Path) -> RunSummary:
     return summarize(loaded.name, trajectory)
 
 
-def _worker_count(runs: int) -> int:
-    """Worker processes for ``runs`` independent runs: one per CPU this
-    process may use, and no more than there are runs."""
+def _worker_count(groups: int) -> int:
+    """Worker processes for ``groups`` independent groups of runs: one
+    per CPU this process may use, and no more than there are groups."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return min(runs, cpus)
+    return min(groups, cpus)
 
 
-def _simulate_loaded(loaded: LoadedScenario) -> Trajectory:
-    return simulate(loaded.scenario, loaded.controller, loaded.params)
+def _simulate_group(group: list[LoadedScenario]) -> list[Trajectory | NonFiniteState]:
+    first = group[0]
+    return simulate_lanes([run.scenario for run in group], first.controller, first.params)
 
 
 def _simulate_in_order(runs: list[LoadedScenario]) -> Iterator[Trajectory]:
     """Yield the trajectory of each validated run, in input order.
 
-    With more than one worker the runs execute in a pool of forked
-    processes, which inherit the imported package; each trajectory is
-    yielded once it and every run before it are done, and a run's
-    NonFiniteState is raised at that run's turn.  With one worker, in a
-    process that runs other threads (forking it could copy a lock that
-    one of them holds), or where ``fork`` is unavailable, the runs
-    execute here one after another.
+    Runs that differ only in drop height, release velocity and t_max
+    form one group, simulated as lanes of one attitude integration
+    (``simulate_lanes``).  With more than one group and more than one
+    worker the groups execute in a pool of forked processes, which
+    inherit the imported package; each trajectory is yielded once its
+    group and the groups of every run before it are done, and a run's
+    NonFiniteState is raised at that run's turn.  With one group or one
+    worker, in a process that runs other threads (forking it could copy
+    a lock that one of them holds), or where ``fork`` is unavailable,
+    the groups execute here one after another.
     """
-    workers = _worker_count(len(runs))
+    members: dict[str, list[int]] = {}
+    for index, loaded in enumerate(runs):
+        key = attitude_key(loaded.scenario, loaded.controller, loaded.params)
+        members.setdefault(key, []).append(index)
+    indices = list(members.values())
+    groups = [[runs[i] for i in group] for group in indices]
+    workers = _worker_count(len(groups))
     if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
-        yield from map(_simulate_loaded, runs)
+        yield from _in_order(indices, map(_simulate_group, groups))
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        yield from pool.map(_simulate_loaded, runs)
+        yield from _in_order(indices, pool.map(_simulate_group, groups))
+
+
+def _in_order(indices: list[list[int]], results) -> Iterator[Trajectory]:
+    """Yield the run results of the groups, taken from ``results`` as
+    needed, in run order, raising a run's NonFiniteState at its turn.
+    ``indices`` holds each group's run indices; groups are ordered by
+    their first run."""
+    pending = zip(indices, results)
+    done = {}
+    for index in range(sum(map(len, indices))):
+        while index not in done:
+            group, outcomes = next(pending)
+            done.update(zip(group, outcomes))
+        result = done.pop(index)
+        if isinstance(result, NonFiniteState):
+            raise result
+        yield result
 
 
 def _run_and_write(runs: list[LoadedScenario], out: Path) -> list[RunSummary]:

@@ -19,15 +19,19 @@ state (IMU noise, when enabled, affects only what the controller saw).
 steering).
 
 Determinism: given identical configs and seed, every run produces
-bit-identical trajectories.  IMU noise, when enabled, draws from a
-dedicated seeded generator in a fixed per-tick order.
+bit-identical trajectories on a given numpy/OpenBLAS build and CPU (the
+quaternion norm's dot and the stacked wheel product round as the
+build's kernels do).  IMU noise, when enabled, draws from a dedicated
+seeded generator in a fixed per-tick order.  Runs that differ only in
+``LANE_FIELDS`` can share one attitude integration as lanes
+(``simulate_lanes``) and still get their separate runs' bits.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -247,6 +251,18 @@ def apply_wheel_speed_limit(command, wheel_speed, params: RobotParams):
     return tau_1, tau_2, tau_3, tau_4, tau_delta, sat_mask
 
 
+# Largest IMU noise sigmas: a half turn for the angles, 100 rad/s for the
+# rates and 1000 m/s^2 (about 100 g) for the accelerometer, each past the
+# full scale of any IMU a robot carries.  Under them every reading, and
+# the accelerometer magnitude, stays finite.
+NOISE_SIGMA_MAX = NoiseModel(sigma_euler=math.pi, sigma_omega=100.0, sigma_accel=1000.0)
+
+# The ScenarioConfig fields in which runs sharing one attitude
+# integration may differ: translation is ballistic and feeds back into
+# nothing, and t_max only ends a run.
+LANE_FIELDS = ("drop_height", "velocity", "t_max")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One flight scenario: initial conditions and run controls.
@@ -277,6 +293,16 @@ class ScenarioConfig:
         noise = self.noise
         if min(noise.sigma_euler, noise.sigma_omega, noise.sigma_accel) < 0.0:
             raise ValueError("IMU noise sigmas must be non-negative")
+        top = NOISE_SIGMA_MAX
+        if (
+            noise.sigma_euler > top.sigma_euler
+            or noise.sigma_omega > top.sigma_omega
+            or noise.sigma_accel > top.sigma_accel
+        ):
+            raise ValueError(
+                "IMU noise sigmas may not exceed 180 deg (noise_sigma_euler_deg), "
+                "100 rad/s (noise_sigma_omega) and 1000 m/s^2 (noise_sigma_accel)"
+            )
         if self.dt_physics <= 0.0:
             raise ValueError("dt_physics must be positive")
         if self.t_max > MAX_PHYSICS_STEPS * self.dt_physics:
@@ -302,56 +328,95 @@ def initial_body_state(
     )
 
 
-# Overflow and invalid results end the run as NonFiniteState; numpy need
+def attitude_key(scenario: ScenarioConfig, controller, params: RobotParams) -> str:
+    """Equal for runs that share one attitude history: everything but
+    ``LANE_FIELDS`` agrees, every float to the bit (``repr`` tells -0.0
+    from 0.0)."""
+    shared = replace(scenario, **dict.fromkeys(LANE_FIELDS))
+    return repr((shared, controller, params))
+
+
+def simulate(scenario, controller, params: RobotParams) -> Trajectory:
+    """Run one scenario to touchdown or t_max: ``simulate_lanes`` for
+    one lane.  Raises NonFiniteState (with the absolute time) if the
+    integration diverges or the controller's torque demand leaves the
+    finite range."""
+    [result] = simulate_lanes([scenario], controller, params)
+    if isinstance(result, NonFiniteState):
+        raise result
+    return result
+
+
+# Overflow and invalid results end a run as NonFiniteState; numpy need
 # not warn about them as well.
 @np.errstate(over="ignore", invalid="ignore")
-def simulate(scenario, controller, params: RobotParams) -> Trajectory:
-    """Run one scenario to touchdown or t_max.
+def simulate_lanes(
+    scenarios, controller, params: RobotParams
+) -> list[Trajectory | NonFiniteState]:
+    """Run scenarios that differ only in ``LANE_FIELDS`` (drop height,
+    release velocity and t_max), each to its touchdown or t_max, on one
+    attitude integration.
 
     ``controller`` is a ControllerConfig; physics advances at
     scenario.dt_physics with the control command held between ticks, the
-    tick's RK4 steps in one ``FlightKernel.advance`` call.  Raises
-    NonFiniteState (with the absolute time) if integration diverges, the
-    accelerometer magnitude or the controller's torque demand leaves the
-    finite range.
+    tick's RK4 steps in one ``FlightKernel.advance_lanes`` call.
+    Translation is ballistic and nothing reads it back: the IMU, the
+    freefall debounce, the controller, the wheel speeds and the events
+    are the same for every lane until the lane ends.  So the runs are
+    lanes of one integration, each with its own position and velocity,
+    contact check, touchdown bisection, t_max end and divergence.
+    Returns, per scenario in order, its Trajectory or the NonFiniteState
+    (with the absolute time) that ends it, each bit for bit what the
+    scenario alone gives.
     """
-    scenario.validate()
-    clock = SimClock.create(scenario.dt_physics, controller.dt_control)
+    if len({attitude_key(s, controller, params) for s in scenarios}) != 1:
+        raise ValueError(f"lanes may differ only in {', '.join(LANE_FIELDS)}")
+    for scenario in scenarios:
+        scenario.validate()
+    first = scenarios[0]
+    clock = SimClock.create(first.dt_physics, controller.dt_control)
     dt, steps = clock.dt_physics, clock.steps_per_tick
-    sub = SubmovementParams(alpha=scenario.alpha0, beta=scenario.beta0)
+    sub = SubmovementParams(alpha=first.alpha0, beta=first.beta0)
     steering = steering_from_submovements(sub)
     kernel = FlightKernel(steering, params)
-    y = initial_body_state(scenario, steering, params).flat()
     loop = AttitudeControlLoop(controller, params, sub)
-    noise = scenario.noise
-    rng = np.random.default_rng(scenario.seed) if noise.enabled() else None
+    noise = first.noise
+    rng = np.random.default_rng(first.seed) if noise.enabled() else None
 
-    trajectory = Trajectory()
-    append_row = trajectory.values.fromlist
+    results: list[Trajectory | NonFiniteState] = [Trajectory() for _ in scenarios]
+    # The running lanes and their flat states, which agree in y[6:17]:
+    # attitude, body rates and wheel speeds.
+    live = list(range(len(scenarios)))
+    states = [initial_body_state(s, steering, params).flat() for s in scenarios]
+    t_ends = [s.t_max + 1e-12 for s in scenarios]
+    soonest_end = min(t_ends)
+    max_accel = 0.0
     delta_deg = [math.degrees(d) for d in steering.delta]
     settled_seen = False
     tick = 0
     t = 0.0
     while True:
+        y = states[0]
         phi, theta, psi = euler_angles(y[6:10])
         omega = y[10:13]
         euler_read, omega_read, accel = imu_sample(
             (phi, theta, psi), omega, noise, rng=rng
         )
-        if not math.isfinite(accel):
-            raise NonFiniteState("non-finite IMU reading", t=t)
-        if accel > trajectory.max_specific_accel:
-            trajectory.max_specific_accel = accel
+        if accel > max_accel:
+            max_accel = accel
         if controller.enabled:
             previous_mode = loop.mode
             try:
                 command = loop.update(t, euler_read, omega_read, accel)
-            except ValueError as exc:
+            except ValueError:
                 # The allocator refuses a NaN or infinite PD demand.
-                raise NonFiniteState("non-finite controller demand", t=t) from exc
+                for k in live:
+                    results[k] = NonFiniteState("non-finite controller demand", t=t)
+                break
             mode = loop.mode
             if mode != previous_mode:
-                trajectory.events.append((t, "freefall_start"))
+                for k in live:
+                    results[k].events.append((t, "freefall_start"))
                 steering = steering_from_submovements(loop.sub)
                 kernel = FlightKernel(steering, params)
                 delta_deg = [math.degrees(d) for d in steering.delta]
@@ -361,11 +426,15 @@ def simulate(scenario, controller, params: RobotParams) -> Trajectory:
             mode = ControllerMode.GROUND_TELEOP
 
         tau_1, tau_2, tau_3, tau_4, tau_delta, sat_mask = command
-        append_row([
-            t, math.degrees(phi), math.degrees(theta), math.degrees(psi), *omega,
-            tau_1, tau_2, tau_3, tau_4, tau_delta, *delta_deg, *y[0:3],
-            *y[13:17], mode, sat_mask,
-        ])
+        phi_deg, theta_deg, psi_deg = (
+            math.degrees(phi), math.degrees(theta), math.degrees(psi)
+        )
+        for k, state in zip(live, states):
+            results[k].values.fromlist([
+                t, phi_deg, theta_deg, psi_deg, *omega,
+                tau_1, tau_2, tau_3, tau_4, tau_delta, *delta_deg, *state[0:3],
+                *y[13:17], mode, sat_mask,
+            ])
 
         if (
             not settled_seen
@@ -374,27 +443,48 @@ def simulate(scenario, controller, params: RobotParams) -> Trajectory:
             and abs(theta) < SETTLED_ANGLE_LIMIT
             and float(np.linalg.norm(omega)) < SETTLED_RATE_LIMIT
         ):
-            trajectory.events.append((t, "settled"))
+            for k in live:
+                results[k].events.append((t, "settled"))
             settled_seen = True
 
         next_tick_t = (tick + 1) * controller.dt_control
-        if next_tick_t > scenario.t_max + 1e-12:
-            break
+        if next_tick_t > soonest_end:
+            # A lane whose next tick lies past its t_max ends here.
+            for k in live:
+                if next_tick_t > t_ends[k]:
+                    results[k].max_specific_accel = max_accel
+            states = [s for k, s in zip(live, states) if next_tick_t <= t_ends[k]]
+            live = [k for k in live if next_tick_t <= t_ends[k]]
+            if not live:
+                break
+            soonest_end = min(t_ends[k] for k in live)
 
         kernel.set_command(tau_1, tau_2, tau_delta)
-        try:
-            y_next, taken = kernel.advance(y, dt, steps, stop_at_ground=True)
-        except NonFiniteState as exc:
-            raise NonFiniteState("simulation diverged", t=t + exc.t) from exc
-        if taken < steps:
-            # Step ``taken`` of this tick reaches the ground; bisect it
-            # from its pre-step state.
-            td_t, td_state = refine_touchdown(kernel, y_next, dt, t + taken * dt)
-            trajectory.events.append((td_t, "touchdown"))
-            trajectory.touchdown_time = td_t
-            trajectory.touchdown_state = td_state
-            return trajectory
-        y = y_next
+        lanes = zip(live, kernel.advance_lanes(states, dt, steps, stop_at_ground=True))
+        live, states = [], []
+        for k, (y_next, taken, failure) in lanes:
+            if failure is None and taken == steps:
+                live.append(k)
+                states.append(y_next)
+            elif failure is not None:
+                results[k] = NonFiniteState("simulation diverged", t=t + taken * dt)
+            else:
+                # Step ``taken`` of this tick reaches the ground; bisect it
+                # from the lane's pre-step state.
+                trajectory = results[k]
+                trajectory.max_specific_accel = max_accel
+                try:
+                    td_t, td_state = refine_touchdown(
+                        kernel, y_next, dt, t + taken * dt
+                    )
+                except NonFiniteState as exc:
+                    results[k] = exc
+                    continue
+                trajectory.events.append((td_t, "touchdown"))
+                trajectory.touchdown_time = td_t
+                trajectory.touchdown_state = td_state
+        if not live:
+            break
         tick += 1
         t = tick * controller.dt_control
-    return trajectory
+    return results

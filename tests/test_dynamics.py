@@ -400,6 +400,104 @@ def test_tick_matches_reference_steps_bitwise(
     assert np.array(state).tobytes() == expected.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(-1.5, 1.5),
+    torques=st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0), st.floats(-2.0, 2.0)),
+    quat=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda q: sum(c * c for c in q) > 0.01
+    ),
+    rates=st.tuples(*[st.floats(-30.0, 30.0)] * 3),
+    lanes=st.lists(
+        st.tuples(
+            st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-20.0, -0.5)),
+            # The step in which the lane touches down; 10 and up: none.
+            st.sampled_from(range(14)),
+            # The step in which the lane's position overflows, if any.
+            st.sampled_from([None, *range(10)]),
+        ),
+        min_size=1, max_size=4,
+    ),
+    dt=st.floats(1e-5, 5e-3),
+    steps=st.sampled_from(range(1, 11)),
+    stop_at_ground=st.booleans(),
+    event=st.sampled_from([None, "base", "wheels"]),
+    event_step=st.sampled_from(range(10)),
+)
+# Lanes that touch down in steps 2 and 6 around one that overflows in
+# step 4 and one that lives through the tick.
+@example(alpha=0.7, torques=(1.0, -2.0, 0.5), quat=(1.0, 0.1, 0.0, 0.0),
+         rates=(0.5, 0.0, 0.0),
+         lanes=[((0.0, 0.0, -10.0), 6, None), ((1.0, 0.0, -5.0), 12, 4),
+                ((0.0, 0.0, -10.0), 2, None), ((0.0, 1.0, -3.0), 12, None)],
+         dt=1e-3, steps=10, stop_at_ground=True, event=None, event_step=0)
+# The wheels overflow in step 5, after one lane touched down in step 3
+# and before another would in step 7.
+@example(alpha=0.7, torques=(8.0, 8.0, 0.0), quat=(1.0, 0.0, 0.0, 0.0),
+         rates=(0.0, 0.0, 0.0),
+         lanes=[((0.0, 0.0, -10.0), 7, None), ((0.0, 0.0, -10.0), 3, None)],
+         dt=5e-4, steps=10, stop_at_ground=True, event="wheels", event_step=5)
+# The wheels overflow in step 5, the step in which one lane touches down.
+@example(alpha=0.7, torques=(8.0, 8.0, 0.0), quat=(1.0, 0.0, 0.0, 0.0),
+         rates=(0.0, 0.0, 0.0),
+         lanes=[((0.0, 0.0, -10.0), 5, None), ((0.0, 0.0, -10.0), 12, None)],
+         dt=5e-4, steps=10, stop_at_ground=True, event="wheels", event_step=5)
+def test_lanes_match_lone_runs_bitwise(
+    alpha, torques, quat, rates, lanes, dt, steps, stop_at_ground, event, event_step,
+):
+    # States that share attitude, rates and wheel speeds, advanced as
+    # lanes, give each lane what the array-formulation RK4 gives it alone:
+    # the same bits, the same touchdown step and the same failing step,
+    # with the message that advancing the lane alone gives.
+    params = RobotParams()
+    steering = steering_from_submovements(SubmovementParams(alpha, 0.0))
+    omega = list(rates)
+    wheels = [1.0, 2.0, 3.0, 4.0]
+    t1, t2, t_delta = torques
+    k = event_step % steps
+    if event == "base":
+        # As in test_tick_matches_reference_steps_bitwise.
+        floor = -math.log10(dt)
+        omega = [r * 10.0 ** (floor + (154.0 - floor) / 8.0**k) for r in omega]
+    elif event == "wheels":
+        params = dataclasses.replace(params, j_wyy=1e-300)
+        headroom = (k + 0.5) * dt * abs(t1) / params.j_wyy
+        wheels[0] = math.copysign(sys.float_info.max - headroom, t1)
+    centers = wheel_centers(params, steering)
+    start = lowest_contact(0.0, np.array(quat), centers, params.wheel_radius)
+    ys = []
+    for velocity, touch, overflow in lanes:
+        # Clearance of about touch + 0.5 steps of fall.
+        height = (touch + 0.5) * -velocity[2] * dt - start
+        px = 0.0
+        if overflow is not None:
+            # 1e300 m/s from about overflow + 0.5 steps below the float
+            # limit.
+            velocity = (1e300, *velocity[1:])
+            px = sys.float_info.max - (overflow + 0.5) * dt * 1e300
+        ys.append([px, 0.0, height, *velocity, *quat, *omega, *wheels])
+    cmd = TorqueCommand([t1, t2, -t1, -t2], t_delta)
+    kernel = FlightKernel(steering, params)
+    kernel.set_command(t1, t2, t_delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = []
+        for y in ys:
+            state, taken = reference_tick(
+                np.array(y), steering, cmd, params, dt, steps, stop_at_ground
+            )
+            if isinstance(state, str):
+                with pytest.raises(NonFiniteState) as info:
+                    kernel.advance(y, dt, steps, stop_at_ground)
+                expected.append((None, taken, info.value.message))
+            else:
+                expected.append((state.tobytes(), taken, None))
+        got = [
+            (None if state is None else np.array(state).tobytes(), taken, failure)
+            for state, taken, failure in kernel.advance_lanes(ys, dt, steps, stop_at_ground)
+        ]
+    assert got == expected
+
+
 def test_nonfinite_state_survives_pickling():
     # A divergence in a worker process comes back to the parent pickled.
     error = pickle.loads(pickle.dumps(NonFiniteState("simulation diverged", 0.25)))

@@ -77,10 +77,10 @@ def test_run_exit_code_is_documented(overrides):
 @example({"omega_x": "2"}, "kd_roll", "1,1e308,2")
 @example({}, "drop_height", "0.5,apple")
 @example({}, "drop_height", " ")
+@example({}, "roll_deg", "-1,-1e-300")
 def test_sweep_exit_code_is_documented(overrides, param, values):
-    # "--values=..." keeps argparse from taking a value such as -1e-300
-    # for an option.
-    code, err = run_cli("sweep", [overrides], "--param", param, f"--values={values}")
+    # Values such as -1e-300 or -1,2 follow --values as its argument.
+    code, err = run_cli("sweep", [overrides], "--param", param, "--values", values)
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
 
