@@ -14,11 +14,15 @@ errors include a run over the work budget of 10**6 physics steps
 control tick, 70 s at one), a dt_control / dt_physics ratio beyond the
 float range (dt_control = 1e308), an IMU noise sigma above 180 deg,
 100 rad/s or 1000 m/s^2, geometry that cannot place the robot at
-drop_height, and sweep values that print alike to 12 significant
-digits.  A --values list may start with a minus sign (--values
--10,-20).  A simulation diverges when the integration leaves the finite
-range or when the controller's torque demand does (kd_roll = 1e308
-with a nonzero omega_x); numpy prints no warning about it.  A reader
+drop_height, a config file that is not UTF-8, compare of two different
+config files with the same name (their outputs would overwrite each
+other), sweep values that print alike to 12 significant digits, and an
+output directory or file that cannot be created or written (-o naming
+an existing regular file; reported as "output error").  A --values
+list may start with a minus sign (--values -10,-20).  A simulation
+diverges when the integration leaves the finite range or when the
+controller's torque demand does (kd_roll = 1e308 with a nonzero
+omega_x); numpy prints no warning about it.  A reader
 that closes the output early (``| head``) ends the command with exit 0
 and no traceback: summaries are printed only after every run and file
 is complete.
@@ -127,6 +131,11 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+    except OSError as exc:
+        # Config files are read as ConfigError, so this is an output
+        # directory or file that cannot be created or written.
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -290,12 +290,13 @@ class FlightKernel:
     Built once per steering configuration, it holds the effective
     inertia, the full torque Jacobian, the wheel spin axes, gravity and
     the body-frame wheel centers.  ``set_command`` fixes the command held
-    over a control tick as plain floats; ``advance_lanes`` then
-    integrates flat states of 17 floats (r_ob, v_ob, quat, omega,
-    wheel_speed) that differ only in r_ob and v_ob over all of the
-    tick's classical RK4 steps in one call, ``advance`` is
-    ``advance_lanes`` for one state and ``step`` is ``advance`` for one
-    step.
+    over a control tick as plain floats; ``advance_lanes`` then takes
+    flat states of 17 floats (r_ob, v_ob, quat, omega, wheel_speed) that
+    differ only in r_ob and v_ob through all of the tick's classical RK4
+    steps in one call: the attitude once, then the wheel speeds, then
+    each state's position and velocity along that history.  ``advance``
+    is ``advance_lanes`` for one state and ``step`` is ``advance`` for
+    one step.
 
     The scalar arithmetic repeats the array formulation operation for
     operation (``np.cross`` order for the gyroscopic term, the
@@ -424,10 +425,9 @@ class FlightKernel:
         The states are lanes: they share their attitude, body rates and
         wheel speeds (``y[6:17]``) and differ at most in position and
         velocity.  Translation is ballistic and feeds back into nothing,
-        so one attitude history serves every lane, and each lane only
-        adds its own position and velocity, finiteness check and contact
-        check.  Returns one (state, taken, failure) per lane, in order,
-        each what the lane alone would give:
+        so one attitude history serves every lane.  Returns one (state,
+        taken, failure) per lane, in order, each what the lane alone
+        would give:
 
         - (state after ``steps`` steps, ``steps``, None);
         - with ``stop_at_ground``, (state, ``taken``, None) when a wheel
@@ -437,59 +437,33 @@ class FlightKernel:
           finite range or the quaternion degenerates in step ``taken`` +
           1, the earliest such step.
 
-        The four stages (one stage body, ``_rotation_rates``) integrate
-        the base in scalar locals, and so does the first lane's position
-        and velocity, so a lone lane pays for no loop over lanes; the
-        other lanes step in a loop, and when the first lane stops, the
-        next live one takes its place in the locals.  The exact contact
-        height is formed only where ``may_touch_ground`` allows contact.
-        The wheel rates of every stage of every step then come from one
-        stacked product, and the wheel speeds accumulate step after step
-        as in a step-by-step run.
+        Three passes make the tick.  The attitude pass integrates the
+        seven rotation states in scalar locals (one stage body,
+        ``_rotation_rates``) through every step of the tick and records
+        them after each, up to the first step whose rates leave the
+        finite range or whose quaternion degenerates.  The wheel pass
+        forms the wheel rates of every stage of every recorded step in
+        one stacked product, accumulates the wheel speeds step after step
+        as in a step-by-step run, and cuts the history at the first step
+        whose wheel speeds leave the finite range.  The lane pass then
+        steps each lane's position and velocity along the history, up to
+        its own first non-finite step, its first step that ends with a
+        wheel on the ground (the exact contact height is formed only
+        where ``may_touch_ground`` allows contact) or the end of the
+        history.  A lane that reaches a failing step reports its own
+        non-finite translation in it first.
         """
         rates = self._rotation_rates
-        reach = self.contact_reach
         half = 0.5 * dt
         sixth = dt / 6.0
-        # Gravity is the velocity rate at every stage, so its stage
-        # increments and its RK4 sum are the same at every step.
-        ax, ay, az = self.accel
-        hx, hy, hz = half * ax, half * ay, half * az
-        fx, fy, fz = dt * ax, dt * ay, dt * az
-        dvx = sixth * (ax + 2.0 * ax + 2.0 * ax + ax)
-        dvy = sixth * (ay + 2.0 * ay + 2.0 * ay + ay)
-        dvz = sixth * (az + 2.0 * az + 2.0 * az + az)
-        px, py, pz, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz = ys[0][:13]
-        # The lane in the locals, and [lane, px, py, pz, vx, vy, vz] of
-        # each other live lane.
-        carrier = 0
-        others = []
-        if len(ys) > 1:
-            others = [[lane, *ys[lane][:6]] for lane in range(1, len(ys))]
-
-            # The constants come in as defaults: a closure over them would
-            # turn every read of them in this method into a cell read.
-            def moved(px, py, pz, vx, vy, vz, hx=hx, hy=hy, hz=hz, fx=fx,
-                      fy=fy, fz=fz, sixth=sixth, dvx=dvx, dvy=dvy, dvz=dvz):
-                # One step of position and velocity, as the first lane's
-                # below.
-                vx2, vy2, vz2 = vx + hx, vy + hy, vz + hz
-                vx4, vy4, vz4 = vx + fx, vy + fy, vz + fz
-                return (
-                    px + sixth * (vx + 2.0 * vx2 + 2.0 * vx2 + vx4),
-                    py + sixth * (vy + 2.0 * vy2 + 2.0 * vy2 + vy4),
-                    pz + sixth * (vz + 2.0 * vz2 + 2.0 * vz2 + vz4),
-                    vx + dvx, vy + dvy, vz + dvz,
-                )
-
-        # Per lane, (state, taken, failure) once it has stopped.  A state
-        # stopped at the ground is filed under its step in ``grounded`` too,
-        # until it has its wheel speeds.
-        results = [None] * len(ys)
-        grounded = {}
+        # (qw, qx, qy, qz, ox, oy, oz) at the start of each step and after
+        # the last; ``failure`` is the message of the step after them, if
+        # that step failed.
+        attitudes = [ys[0][6:13]]
+        qw, qx, qy, qz, ox, oy, oz = attitudes[0]
         omega_dots = []
         failure = None
-        for i in range(steps):
+        for _ in range(steps):
             a1, b1, c1, d1, e1, f1, g1 = rates(qw, qx, qy, qz, ox, oy, oz)
             a2, b2, c2, d2, e2, f2, g2 = rates(
                 qw + half * a1, qx + half * b1, qy + half * c1, qz + half * d1,
@@ -503,124 +477,98 @@ class FlightKernel:
                 qw + dt * a3, qx + dt * b3, qy + dt * c3, qz + dt * d3,
                 ox + dt * e3, oy + dt * f3, oz + dt * g3,
             )
-            # Stages 2 and 3 share their velocity.
-            vx2, vy2, vz2 = vx + hx, vy + hy, vz + hz
-            vx4, vy4, vz4 = vx + fx, vy + fy, vz + fz
-            px1 = px + sixth * (vx + 2.0 * vx2 + 2.0 * vx2 + vx4)
-            py1 = py + sixth * (vy + 2.0 * vy2 + 2.0 * vy2 + vy4)
-            pz1 = pz + sixth * (vz + 2.0 * vz2 + 2.0 * vz2 + vz4)
-            vx1, vy1, vz1 = vx + dvx, vy + dvy, vz + dvz
             qw1 = qw + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
             qx1 = qx + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             qy1 = qy + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
             qz1 = qz + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-            ox1 = ox + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
-            oy1 = oy + sixth * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-            oz1 = oz + sixth * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+            ox = ox + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+            oy = oy + sixth * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+            oz = oz + sixth * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
             # x * 0.0 is 0.0 exactly when x is finite; the quaternion
             # norm covers the quaternion.
-            if (ox1 * 0.0 + oy1 * 0.0 + oz1 * 0.0) != 0.0:
-                failure = (i, NONFINITE_STEP)
+            if (ox * 0.0 + oy * 0.0 + oz * 0.0) != 0.0:
+                failure = NONFINITE_STEP
                 break
-            stopped = (
-                px1 * 0.0 + py1 * 0.0 + pz1 * 0.0 + vx1 * 0.0 + vy1 * 0.0
-                + vz1 * 0.0
-            ) != 0.0
             quat = np.array((qw1, qx1, qy1, qz1))
             quat_norm = math.sqrt(quat.dot(quat))
             if not 1e-12 <= quat_norm < math.inf:
                 # Divergence can zero the quaternion by cancellation or
                 # push its norm past the float range while every
-                # component stays finite.  A lane whose own state left
-                # the finite range in this step reports that first.
-                failure = (i, DEGENERATE_STEP)
-                if stopped:
-                    results[carrier] = (None, i, NONFINITE_STEP)
-                for lane, *motion in others:
-                    if sum(v * 0.0 for v in moved(*motion)) != 0.0:
-                        results[lane] = (None, i, NONFINITE_STEP)
+                # component stays finite.
+                failure = DEGENERATE_STEP
                 break
             omega_dots += (e1, f1, g1, e2, f2, g2, e3, f3, g3, e4, f4, g4)
-            qw1, qx1, qy1, qz1 = (
+            qw, qx, qy, qz = (
                 qw1 / quat_norm, qx1 / quat_norm, qy1 / quat_norm, qz1 / quat_norm
             )
-            if stopped:
-                results[carrier] = (None, i, NONFINITE_STEP)
-            elif stop_at_ground and pz1 <= reach:
-                base = (px1, py1, pz1, vx1, vy1, vz1, qw1, qx1, qy1, qz1, ox1, oy1, oz1)
-                if self.may_touch_ground(base) and self.clearance(base) <= 0.0:
-                    state = [px, py, pz, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz]
-                    results[carrier] = (state, i, None)
-                    grounded.setdefault(i, []).append(state)
-                    stopped = True
-            if others:
-                live = []
-                for entry in others:
-                    lane, *motion = entry
-                    lpx, lpy, lpz, lvx, lvy, lvz = motion1 = moved(*motion)
-                    if (
-                        lpx * 0.0 + lpy * 0.0 + lpz * 0.0 + lvx * 0.0 + lvy * 0.0
-                        + lvz * 0.0
-                    ) != 0.0:
-                        results[lane] = (None, i, NONFINITE_STEP)
-                        continue
-                    if stop_at_ground and lpz <= reach:
-                        base = (*motion1, qw1, qx1, qy1, qz1, ox1, oy1, oz1)
-                        if self.may_touch_ground(base) and self.clearance(base) <= 0.0:
-                            state = [*motion, qw, qx, qy, qz, ox, oy, oz]
-                            results[lane] = (state, i, None)
-                            grounded.setdefault(i, []).append(state)
-                            continue
-                    entry[1:] = motion1
-                    live.append(entry)
-                others = live
-            if stopped:
-                if not others:
-                    break
-                carrier, px1, py1, pz1, vx1, vy1, vz1 = others.pop(0)
-            px, py, pz, vx, vy, vz = px1, py1, pz1, vx1, vy1, vz1
-            qw, qx, qy, qz, ox, oy, oz = qw1, qx1, qy1, qz1, ox1, oy1, oz1
+            attitudes.append((qw, qx, qy, qz, ox, oy, oz))
 
         # spin_axes @ omega_dot of each stage, stage after stage; each
-        # stage's wheel rate is tau / j_wyy minus its product.
+        # stage's wheel rate is tau / j_wyy minus its product.  ``wheels``
+        # holds the wheel speeds at the start of each step and after the
+        # last.
         spin = np.matmul(
             self._spin_stack, np.array(omega_dots).reshape(-1, 3, 1)
         ).ravel().tolist()
         j1, j2, j3, j4 = self.tau_over_j
-        w1, w2, w3, w4 = ys[0][13:17]
+        wheels = [ys[0][13:17]]
+        w1, w2, w3, w4 = wheels[0]
         for i in range(len(spin) // 16):
             # The four wheels' products at stages 1 (p) to 4 (s).
             (p1, p2, p3, p4, q1, q2, q3, q4,
              r1, r2, r3, r4, s1, s2, s3, s4) = spin[16 * i:16 * i + 16]
-            n1 = w1 + sixth * ((j1 - p1) + 2.0 * (j1 - q1) + 2.0 * (j1 - r1) + (j1 - s1))
-            n2 = w2 + sixth * ((j2 - p2) + 2.0 * (j2 - q2) + 2.0 * (j2 - r2) + (j2 - s2))
-            n3 = w3 + sixth * ((j3 - p3) + 2.0 * (j3 - q3) + 2.0 * (j3 - r3) + (j3 - s3))
-            n4 = w4 + sixth * ((j4 - p4) + 2.0 * (j4 - q4) + 2.0 * (j4 - r4) + (j4 - s4))
-            if (n1 * 0.0 + n2 * 0.0 + n3 * 0.0 + n4 * 0.0) != 0.0:
-                # Every lane that took step i fails there.
-                for lane, result in enumerate(results):
-                    if result is None or result[1] >= i:
-                        results[lane] = (None, i, NONFINITE_STEP)
-                return results
-            if i in grounded:
-                # The states stopped at the ground in step i take the
-                # wheel speeds at its start.
-                for state in grounded[i]:
-                    state += (w1, w2, w3, w4)
-            w1, w2, w3, w4 = n1, n2, n3, n4
+            w1 = w1 + sixth * ((j1 - p1) + 2.0 * (j1 - q1) + 2.0 * (j1 - r1) + (j1 - s1))
+            w2 = w2 + sixth * ((j2 - p2) + 2.0 * (j2 - q2) + 2.0 * (j2 - r2) + (j2 - s2))
+            w3 = w3 + sixth * ((j3 - p3) + 2.0 * (j3 - q3) + 2.0 * (j3 - r3) + (j3 - s3))
+            w4 = w4 + sixth * ((j4 - p4) + 2.0 * (j4 - q4) + 2.0 * (j4 - r4) + (j4 - s4))
+            if (w1 * 0.0 + w2 * 0.0 + w3 * 0.0 + w4 * 0.0) != 0.0:
+                # The history ends before step i, which fails.
+                del attitudes[i + 1:]
+                failure = NONFINITE_STEP
+                break
+            wheels.append((w1, w2, w3, w4))
 
-        # The lanes still live took every step, or met the failure of the
-        # attitude.
-        if failure is not None:
-            step, message = failure
-            return [(None, step, message) if r is None else r for r in results]
-        if results[carrier] is None:
-            results[carrier] = (
-                [px, py, pz, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz, w1, w2, w3, w4],
-                steps, None,
-            )
-        if others:
-            tail = [qw, qx, qy, qz, ox, oy, oz, w1, w2, w3, w4]
-            for lane, *motion in others:
-                results[lane] = (motion + tail, steps, None)
+        # Gravity is the velocity rate at every stage, so its stage
+        # increments and its RK4 sum are the same at every step.
+        ax, ay, az = self.accel
+        hx, hy, hz = half * ax, half * ay, half * az
+        fx, fy, fz = dt * ax, dt * ay, dt * az
+        dvx = sixth * (ax + 2.0 * ax + 2.0 * ax + ax)
+        dvy = sixth * (ay + 2.0 * ay + 2.0 * ay + ay)
+        dvz = sixth * (az + 2.0 * az + 2.0 * az + az)
+        reach = self.contact_reach
+        # The steps in the history; with a failure, the lanes that get
+        # past them take the failing step too, for their own finiteness.
+        recorded = len(attitudes) - 1
+        results = []
+        for y in ys:
+            px, py, pz, vx, vy, vz = y[:6]
+            for i in range(recorded if failure is None else recorded + 1):
+                # Stages 2 and 3 share their velocity.
+                vx2, vy2, vz2 = vx + hx, vy + hy, vz + hz
+                vx4, vy4, vz4 = vx + fx, vy + fy, vz + fz
+                px1 = px + sixth * (vx + 2.0 * vx2 + 2.0 * vx2 + vx4)
+                py1 = py + sixth * (vy + 2.0 * vy2 + 2.0 * vy2 + vy4)
+                pz1 = pz + sixth * (vz + 2.0 * vz2 + 2.0 * vz2 + vz4)
+                vx1, vy1, vz1 = vx + dvx, vy + dvy, vz + dvz
+                if (
+                    px1 * 0.0 + py1 * 0.0 + pz1 * 0.0 + vx1 * 0.0 + vy1 * 0.0
+                    + vz1 * 0.0
+                ) != 0.0:
+                    results.append((None, i, NONFINITE_STEP))
+                    break
+                if i == recorded:
+                    results.append((None, i, failure))
+                    break
+                if stop_at_ground and pz1 <= reach:
+                    base = (px1, py1, pz1, vx1, vy1, vz1, *attitudes[i + 1])
+                    if self.may_touch_ground(base) and self.clearance(base) <= 0.0:
+                        state = [px, py, pz, vx, vy, vz, *attitudes[i], *wheels[i]]
+                        results.append((state, i, None))
+                        break
+                px, py, pz, vx, vy, vz = px1, py1, pz1, vx1, vy1, vz1
+            else:
+                results.append((
+                    [px, py, pz, vx, vy, vz, *attitudes[-1], *wheels[-1]], steps, None
+                ))
         return results

@@ -140,7 +140,7 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config '{path}': {exc}") from exc
     return parse_flat_config(text, source=str(path))
 

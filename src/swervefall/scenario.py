@@ -340,17 +340,24 @@ def compare(
     """Run two scenarios and emit a side-by-side delta report.
 
     Both configs are loaded and validated before either runs, so a bad
-    one leaves no output behind.  The two runs execute in parallel worker
-    processes; their telemetry CSVs, then the report
-    ``delta_<a>_vs_<b>.txt``, are written as a serial run writes them.
+    one leaves no output behind; two different files with the same name,
+    whose CSVs would overwrite each other, are a config error too.  The
+    two runs execute in parallel worker processes; their telemetry CSVs,
+    then the report ``delta_<a>_vs_<b>.txt``, are written as a serial
+    run writes them.
 
     The report covers touchdown attitude and settle time.  Impact-phase
     accelerations are intentionally absent: the simulation ends at
     touchdown and carries no contact model, so impact loads are out of
     scope here.
     """
+    path_a, path_b = resolve_config_path(config_a), resolve_config_path(config_b)
+    if path_a.stem == path_b.stem and not path_a.samefile(path_b):
+        raise ConfigError(
+            f"configs '{config_a}' and '{config_b}' share the name '{path_a.stem}'"
+        )
     out = Path(output_dir)
-    runs = [load_scenario_file(config_a), load_scenario_file(config_b)]
+    runs = [load_scenario_file(path_a), load_scenario_file(path_b)]
     summary_a, summary_b = _run_and_write(runs, out)
 
     def angles_or_nan(summary):

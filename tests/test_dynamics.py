@@ -442,6 +442,16 @@ def test_tick_matches_reference_steps_bitwise(
          rates=(0.0, 0.0, 0.0),
          lanes=[((0.0, 0.0, -10.0), 5, None), ((0.0, 0.0, -10.0), 12, None)],
          dt=5e-4, steps=10, stop_at_ground=True, event="wheels", event_step=5)
+# The tumbling base brings the one lane's wheel down in step 2 and
+# diverges in step 6, which the attitude is integrated through.
+@example(alpha=0.7, torques=(0.0, 0.0, 0.0), quat=(1.0, 0.0, 0.0, 0.0),
+         rates=(2.08, 1.04, -3.12), lanes=[((0.0, 0.0, -20.0), 8, None)],
+         dt=2e-3, steps=10, stop_at_ground=True, event="base", event_step=9)
+# One lane's position and the wheels overflow in the same step, 5.
+@example(alpha=0.7, torques=(8.0, 8.0, 0.0), quat=(1.0, 0.0, 0.0, 0.0),
+         rates=(0.0, 0.0, 0.0),
+         lanes=[((0.0, 0.0, -10.0), 12, 5), ((0.0, 0.0, -10.0), 12, None)],
+         dt=5e-4, steps=10, stop_at_ground=True, event="wheels", event_step=5)
 def test_lanes_match_lone_runs_bitwise(
     alpha, torques, quat, rates, lanes, dt, steps, stop_at_ground, event, event_step,
 ):

@@ -5,6 +5,7 @@ out of ``cli.main``."""
 
 import contextlib
 import io
+import signal
 import tempfile
 from pathlib import Path
 
@@ -35,10 +36,36 @@ SWEEP_VALUES = st.lists(
 ).map(",".join)
 
 
+# A case runs about 2000 physics steps, about 0.1 s; one that runs this
+# long hangs, and fails alone instead of holding the suite until the CI
+# job's time limit.
+CASE_SECONDS = 30
+
+
+class CaseTimeout(Exception):
+    """A case outlived CASE_SECONDS.  Not an OSError, which ``cli.main``
+    would report as an output error."""
+
+
+@contextlib.contextmanager
+def wall_time_limit(seconds: int):
+    def expire(signum, frame):
+        raise CaseTimeout(f"the case ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def run_cli(command: str, configs: list[dict[str, str] | None],
             *options: str) -> tuple[int, str]:
     """``cli.main`` on ``command``, one config path per entry of
-    ``configs`` and ``options``; returns the exit code and stderr."""
+    ``configs`` and ``options``, within CASE_SECONDS of wall time;
+    returns the exit code and stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for i, overrides in enumerate(configs):
@@ -52,7 +79,11 @@ def run_cli(command: str, configs: list[dict[str, str] | None],
             paths.append(str(path))
         argv = [command, *paths, *options, "-o", str(Path(tmp) / "out")]
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with (
+            contextlib.redirect_stdout(io.StringIO()),
+            contextlib.redirect_stderr(err),
+            wall_time_limit(CASE_SECONDS),
+        ):
             code = cli_main(argv)
     return code, err.getvalue()
 

@@ -409,6 +409,21 @@ def test_cli_compare_bad_second_config_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_compare_same_name_different_files_exit_2(tmp_path, capsys):
+    # Both runs would write same.csv, so the second would replace the
+    # first's telemetry.
+    (tmp_path / "x").mkdir()
+    (tmp_path / "y").mkdir()
+    config_a = write_config(tmp_path / "x", QUICK, "same.cfg")
+    config_b = write_config(tmp_path / "y", QUICK + "velocity_x = 1\n", "same.cfg")
+    out = tmp_path / "cmp"
+    assert cli_main(["compare", str(config_a), str(config_b), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: configs '{config_a}' and '{config_b}' share the name 'same'\n"
+    )
+    assert not out.exists()
+
+
 # --- CLI ----------------------------------------------------------------------
 
 def test_cli_run_ok(tmp_path, capsys):
@@ -426,6 +441,37 @@ def test_cli_missing_config_exit_2(tmp_path):
 def test_cli_bad_key_exit_2(tmp_path):
     config = write_config(tmp_path, QUICK + "bogus = 1\n")
     assert cli_main(["run", str(config), "-o", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["sweep", "--param", "drop_height", "--values", "0.5"],
+])
+def test_cli_non_utf8_config_exit_2(tmp_path, capsys, command):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"drop_height = 0.5\xff\n")
+    out = tmp_path / "out"
+    argv = [command[0], str(config), *command[1:], "-o", str(out)]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config '{config}': ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "drop_uncontrolled"],
+    ["compare", "drop_uncontrolled", "drop_controlled"],
+    ["sweep", "ledge", "--param", "drop_height", "--values", "0.5"],
+])
+def test_cli_unusable_output_dir_exit_2(tmp_path, capsys, command):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n", encoding="utf-8")
+    assert cli_main([*command, "-o", str(afile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ")
+    assert str(afile) in err
+    assert err.count("\n") == 1
+    assert afile.read_text(encoding="utf-8") == "not a directory\n"
 
 
 def test_cli_bad_sweep_values_exit_2(tmp_path):
