@@ -6,7 +6,9 @@
 
 <config> is a path or a bundled scenario name (drop_controlled,
 drop_uncontrolled, ledge).  The default output directory comes from
-SWERVEFALL_OUTPUT_DIR, falling back to ./out.
+SWERVEFALL_OUTPUT_DIR, falling back to ./out; an empty -o or
+SWERVEFALL_OUTPUT_DIR counts as not given.  Every command makes its
+output directory before it simulates.
 
 Exit codes: 0 success, 2 config error, 3 simulation diverged.  Config
 errors include a run over the work budget of 10**6 physics steps
@@ -57,7 +59,8 @@ EXIT_NONFINITE = 3
 
 
 def _default_output_dir() -> str:
-    return os.environ.get("SWERVEFALL_OUTPUT_DIR", "out")
+    # An empty SWERVEFALL_OUTPUT_DIR counts as unset, as an empty -o does.
+    return os.environ.get("SWERVEFALL_OUTPUT_DIR") or "out"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -228,17 +228,25 @@ class AttitudeControlLoop:
         self, t: float, euler, omega, accel: float
     ) -> tuple[float, float, float, float, float, int]:
         """One tick on the IMU reading at time ``t``: Euler angles and body
-        rates as float triples, and the accelerometer magnitude."""
-        if self.mode == ControllerMode.GROUND_TELEOP and self._detect(t, accel):
+        rates as float triples, and the accelerometer magnitude.
+
+        In GroundTeleop the reading only feeds the freefall debounce and
+        the command is ``ZERO_COMMAND``; from the tick that detects
+        freefall on, it is ``control_step``'s FreefallStabilize command:
+        the PD demand, allocated and clamped, or ``SINGULAR_COMMAND``.
+        """
+        if self.mode == ControllerMode.GROUND_TELEOP:
+            if not self._detect(t, accel):
+                return ZERO_COMMAND
             self.mode = ControllerMode.FREEFALL_STABILIZE
             self.sub = SubmovementParams(alpha=FLIGHT_ALPHA, beta=self.sub.beta)
             self.jacobian = torque_jacobian(self.sub)
             self.q_desired = (0.0, 0.0, euler[2])
-
-        return control_step(
-            euler, omega, self.mode, self.config.gains, self.jacobian,
-            self.params, q_desired=self.q_desired,
-        )
+        demand = pd_attitude(euler, omega, self.q_desired, self.config.gains)
+        try:
+            return allocate_body_torque(demand, self.jacobian, self.params)
+        except SingularConfiguration:
+            return SINGULAR_COMMAND
 
     def _detect(self, t: float, magnitude: float) -> bool:
         """Track the under-threshold run and test it against the window."""

@@ -320,6 +320,8 @@ class FlightKernel:
         # ``spin_axes @ od.T`` or an einsum would round differently).
         self._spin_stack = self.spin_axes[None]
         self.accel = (params.g * GRAVITY_DIR).tolist()
+        # (dt, _gravity_stages(dt)) of the last step length asked for.
+        self._gravity = (None, None)
         self.centers = wheel_centers(params, s)
         self.j_wyy = params.j_wyy
         self.wheel_radius = params.wheel_radius
@@ -361,6 +363,25 @@ class FlightKernel:
         self.torque = (self.full @ np.array([tau_1, tau_2, tau_delta])).tolist()
         j = self.j_wyy
         self.tau_over_j = [tau_1 / j, tau_2 / j, -tau_1 / j, -tau_2 / j]
+
+    def _gravity_stages(self, dt: float) -> tuple[float, ...]:
+        """The translation constants of an RK4 step of length ``dt``:
+        gravity's velocity increments at the midpoint stages and the last
+        stage, three each, then its RK4 velocity sum, three floats.
+        Gravity is the velocity rate at every stage, so they are the same
+        at every step; they are formed once per step length."""
+        cached_dt, stages = self._gravity
+        if dt != cached_dt:
+            ax, ay, az = self.accel
+            half, sixth = 0.5 * dt, dt / 6.0
+            stages = (
+                half * ax, half * ay, half * az, dt * ax, dt * ay, dt * az,
+                sixth * (ax + 2.0 * ax + 2.0 * ax + ax),
+                sixth * (ay + 2.0 * ay + 2.0 * ay + ay),
+                sixth * (az + 2.0 * az + 2.0 * az + az),
+            )
+            self._gravity = (dt, stages)
+        return stages
 
     def _rotation_rates(self, qw, qx, qy, qz, ox, oy, oz):
         """(quat_dot, omega_dot) as seven floats at attitude quaternion
@@ -528,14 +549,7 @@ class FlightKernel:
                 break
             wheels.append((w1, w2, w3, w4))
 
-        # Gravity is the velocity rate at every stage, so its stage
-        # increments and its RK4 sum are the same at every step.
-        ax, ay, az = self.accel
-        hx, hy, hz = half * ax, half * ay, half * az
-        fx, fy, fz = dt * ax, dt * ay, dt * az
-        dvx = sixth * (ax + 2.0 * ax + 2.0 * ax + ax)
-        dvy = sixth * (ay + 2.0 * ay + 2.0 * ay + ay)
-        dvz = sixth * (az + 2.0 * az + 2.0 * az + az)
+        hx, hy, hz, fx, fy, fz, dvx, dvy, dvz = self._gravity_stages(dt)
         reach = self.contact_reach
         # The steps in the history; with a failure, the lanes that get
         # past them take the failing step too, for their own finiteness.

@@ -206,9 +206,14 @@ def allocate_body_torque(
 
     limit_w = limits.tau_wheel_max
     limit_s = limits.tau_steer_max
-    clamped_1 = max(-limit_w, min(limit_w, tau_1))
-    clamped_2 = max(-limit_w, min(limit_w, tau_2))
-    clamped_d = max(-limit_s, min(limit_s, tau_delta))
+    # max(-limit, min(limit, tau)) test for test, as the builtins compare;
+    # on every control tick their calls cost more than the comparisons.
+    upper_1 = tau_1 if tau_1 < limit_w else limit_w
+    upper_2 = tau_2 if tau_2 < limit_w else limit_w
+    upper_d = tau_delta if tau_delta < limit_s else limit_s
+    clamped_1 = upper_1 if upper_1 > -limit_w else -limit_w
+    clamped_2 = upper_2 if upper_2 > -limit_w else -limit_w
+    clamped_d = upper_d if upper_d > -limit_s else -limit_s
     sat_mask = (
         (0b00101 if clamped_1 != tau_1 else 0)
         | (0b01010 if clamped_2 != tau_2 else 0)

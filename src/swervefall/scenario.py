@@ -249,11 +249,14 @@ def write_trajectory_csv(trajectory: Trajectory, path: Path) -> None:
 
 
 def run_scenario(config: str | Path, output_dir: str | Path) -> RunSummary:
-    """Execute one scenario config; write telemetry CSV; return summary."""
+    """Execute one scenario config; write telemetry CSV; return summary.
+
+    The output directory is made before the run, so an unusable one
+    fails before any simulation."""
     loaded = load_scenario_file(config)
-    trajectory = simulate(loaded.scenario, loaded.controller, loaded.params)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    trajectory = simulate(loaded.scenario, loaded.controller, loaded.params)
     write_trajectory_csv(trajectory, out / f"{loaded.name}.csv")
     return summarize(loaded.name, trajectory)
 

@@ -22,16 +22,19 @@ Determinism: given identical configs and seed, every run produces
 bit-identical trajectories on a given numpy/OpenBLAS build and CPU (the
 quaternion norm's dot and the stacked wheel product round as the
 build's kernels do).  IMU noise, when enabled, draws from a dedicated
-seeded generator in a fixed per-tick order.  Runs that differ only in
-``LANE_FIELDS`` can share one attitude integration as lanes
-(``simulate_lanes``) and still get their separate runs' bits.
+seeded generator in a fixed per-tick order, a block of ticks per call
+(``imu_stream``).  Runs that differ only in ``LANE_FIELDS`` can share
+one attitude integration as lanes (``simulate_lanes``) and still get
+their separate runs' bits.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -86,6 +89,73 @@ class NoiseModel:
         return self.sigma_euler > 0 or self.sigma_omega > 0 or self.sigma_accel > 0
 
 
+# IMU samples drawn per noise block: with all three channels noisy a
+# block holds 2304 floats, and a run of a few hundred ticks draws one to
+# three blocks.
+IMU_BLOCK_TICKS = 256
+
+
+def imu_noise(noise: NoiseModel, rng: np.random.Generator, ticks: int) -> list:
+    """The noise of ``ticks`` consecutive IMU samples from one draw.
+
+    Returns one (euler_noise, omega_noise, accel) per sample: the float
+    triples added to the true angles and rates, or None for a channel
+    without noise, and the accelerometer magnitude [m/s^2].  The body is
+    in ballistic flight, so its specific force is exactly zero; only
+    noise moves the accelerometer.
+
+    One ``rng.standard_normal(3 k ticks)`` call for the k noisy channels
+    gives the values of ``ticks`` successive ``standard_normal(3 k)``
+    draws, each sample's three values per channel in a fixed order:
+    angles, rates, accelerometer.  Each value is scaled as
+    ``0.0 + sigma * z``, numpy's own ``normal(0.0, sigma)`` arithmetic.
+    The magnitudes come from one stacked ``(ticks, 1, 3) @ (ticks, 3, 1)``
+    product, which numpy forms with the dot of each sample's own
+    ``specific.dot(specific)``, then a square root.
+    """
+    sigmas = [s for s in (noise.sigma_euler, noise.sigma_omega, noise.sigma_accel) if s > 0]
+    z = rng.standard_normal(3 * len(sigmas) * ticks).reshape(ticks, len(sigmas), 3)
+    scaled = 0.0 + np.array(sigmas)[:, None] * z
+    channels = iter(scaled.transpose(1, 0, 2))
+    euler = next(channels).tolist() if noise.sigma_euler > 0 else [None] * ticks
+    omega = next(channels).tolist() if noise.sigma_omega > 0 else [None] * ticks
+    if noise.sigma_accel > 0:
+        specific = next(channels)
+        accel = np.sqrt(specific[:, None, :] @ specific[:, :, None]).ravel().tolist()
+    else:
+        accel = [0.0] * ticks
+    return list(zip(euler, omega, accel))
+
+
+def imu_stream(noise: NoiseModel, seed: int) -> Iterator:
+    """The noise of a run's IMU samples, one per control tick, as
+    ``imu_noise`` gives it: drawn ``IMU_BLOCK_TICKS`` samples at a time
+    from a generator seeded with ``seed``, the values of one
+    ``imu_sample`` draw per tick.  Without noise every sample reads the
+    truth and a zero accelerometer, and nothing is drawn."""
+    if not noise.enabled():
+        return repeat((None, None, 0.0))
+    rng = np.random.default_rng(seed)
+    return chain.from_iterable(imu_noise(noise, rng, IMU_BLOCK_TICKS) for _ in count())
+
+
+def imu_reading(euler, omega, sample_noise) -> tuple:
+    """What the IMU reports for the true Z-Y-X angles ``euler`` [rad] and
+    body rates ``omega`` [rad/s], given as float triples, under one
+    sample's noise from ``imu_noise``: (euler, omega, accel), the angles
+    and rates plus their noise, and the accelerometer magnitude.  A
+    channel without noise reports the truth as given."""
+    euler_noise, omega_noise, accel = sample_noise
+    # Spelled out: a list comprehension costs more than the additions.
+    if euler_noise is not None:
+        (phi, theta, psi), (n1, n2, n3) = euler, euler_noise
+        euler = [phi + n1, theta + n2, psi + n3]
+    if omega_noise is not None:
+        (wx, wy, wz), (n1, n2, n3) = omega, omega_noise
+        omega = [wx + n1, wy + n2, wz + n3]
+    return euler, omega, accel
+
+
 def imu_sample(
     euler,
     omega,
@@ -93,35 +163,20 @@ def imu_sample(
     rng: np.random.Generator | None = None,
 ) -> tuple[list[float], list[float], float]:
     """What the IMU reports for the true Z-Y-X angles ``euler`` [rad] and
-    body rates ``omega`` [rad/s], given as float triples.
+    body rates ``omega`` [rad/s], given as float triples: one sample,
+    ``imu_reading`` under ``imu_noise`` for one tick.
 
     Returns (euler, omega, accel): the angles and rates plus optional
-    seeded noise, and the accelerometer magnitude [m/s^2].  The body is
-    in ballistic flight, so its specific force is exactly zero; only
-    noise moves the accelerometer.  Noise takes one standard-normal draw
-    per call, three values per noisy channel in a fixed order: angles,
-    rates, accelerometer.
+    seeded noise, and the accelerometer magnitude [m/s^2], which only
+    noise moves.  Noise takes one ``standard_normal(3 k)`` draw per call
+    for its k noisy channels; ``simulate`` reads the same values from
+    ``imu_stream`` a block of ticks at a time.
     """
-    accel = 0.0
-    if noise.enabled():
-        if rng is None:
-            raise ValueError("noise enabled but no generator supplied")
-        s_euler, s_omega, s_accel = noise.sigma_euler, noise.sigma_omega, noise.sigma_accel
-        draws = iter(rng.standard_normal(
-            3 * ((s_euler > 0) + (s_omega > 0) + (s_accel > 0))
-        ).tolist())
-        # 0.0 + sigma * z is numpy's own normal(0.0, sigma) from z, so the
-        # values are those of one normal(0.0, sigma, 3) per channel.
-        # zip takes three draws: it stops at the end of the triple.
-        if s_euler > 0:
-            euler = [e + (0.0 + s_euler * z) for e, z in zip(euler, draws)]
-        if s_omega > 0:
-            omega = [w + (0.0 + s_omega * z) for w, z in zip(omega, draws)]
-        if s_accel > 0:
-            specific = np.array([0.0 + s_accel * z for z in draws])
-            # np.linalg.norm's own arithmetic: numpy's dot, then sqrt.
-            accel = math.sqrt(specific.dot(specific))
-    return euler, omega, accel
+    if not noise.enabled():
+        return euler, omega, 0.0
+    if rng is None:
+        raise ValueError("noise enabled but no generator supplied")
+    return imu_reading(euler, omega, imu_noise(noise, rng, 1)[0])
 
 
 def step_rk4(
@@ -359,7 +414,11 @@ def simulate_lanes(
 
     ``controller`` is a ControllerConfig; physics advances at
     scenario.dt_physics with the control command held between ticks, the
-    tick's RK4 steps in one ``FlightKernel.advance_lanes`` call.
+    tick's RK4 steps in one ``FlightKernel.advance_lanes`` call.  Each
+    tick reads the IMU through ``imu_reading`` under the next sample of
+    ``imu_stream``, whose noise is drawn ``IMU_BLOCK_TICKS`` ticks at a
+    time, and carries the controller mode as the int the telemetry
+    records.
     Translation is ballistic and nothing reads it back: the IMU, the
     freefall debounce, the controller, the wheel speeds and the events
     are the same for every lane until the lane ends.  So the runs are
@@ -380,8 +439,7 @@ def simulate_lanes(
     steering = steering_from_submovements(sub)
     kernel = FlightKernel(steering, params)
     loop = AttitudeControlLoop(controller, params, sub)
-    noise = first.noise
-    rng = np.random.default_rng(first.seed) if noise.enabled() else None
+    imu = imu_stream(first.noise, first.seed)
 
     results: list[Trajectory | NonFiniteState] = [Trajectory() for _ in scenarios]
     # The running lanes and their flat states, which agree in y[6:17]:
@@ -393,19 +451,19 @@ def simulate_lanes(
     max_accel = 0.0
     delta_deg = [math.degrees(d) for d in steering.delta]
     settled_seen = False
+    # The controller mode as the int the telemetry records.
+    mode = int(ControllerMode.GROUND_TELEOP)
+    freefall = int(ControllerMode.FREEFALL_STABILIZE)
     tick = 0
     t = 0.0
     while True:
         y = states[0]
         phi, theta, psi = euler_angles(y[6:10])
         omega = y[10:13]
-        euler_read, omega_read, accel = imu_sample(
-            (phi, theta, psi), omega, noise, rng=rng
-        )
+        euler_read, omega_read, accel = imu_reading((phi, theta, psi), omega, next(imu))
         if accel > max_accel:
             max_accel = accel
         if controller.enabled:
-            previous_mode = loop.mode
             try:
                 command = loop.update(t, euler_read, omega_read, accel)
             except ValueError:
@@ -413,8 +471,8 @@ def simulate_lanes(
                 for k in live:
                     results[k] = NonFiniteState("non-finite controller demand", t=t)
                 break
-            mode = loop.mode
-            if mode != previous_mode:
+            if loop.mode != mode:
+                mode = int(loop.mode)
                 for k in live:
                     results[k].events.append((t, "freefall_start"))
                 steering = steering_from_submovements(loop.sub)
@@ -423,7 +481,6 @@ def simulate_lanes(
             command = apply_wheel_speed_limit(command, y[13:17], params)
         else:
             command = ZERO_COMMAND
-            mode = ControllerMode.GROUND_TELEOP
 
         tau_1, tau_2, tau_3, tau_4, tau_delta, sat_mask = command
         phi_deg, theta_deg, psi_deg = (
@@ -438,7 +495,7 @@ def simulate_lanes(
 
         if (
             not settled_seen
-            and mode == ControllerMode.FREEFALL_STABILIZE
+            and mode == freefall
             and abs(phi) < SETTLED_ANGLE_LIMIT
             and abs(theta) < SETTLED_ANGLE_LIMIT
             and float(np.linalg.norm(omega)) < SETTLED_RATE_LIMIT

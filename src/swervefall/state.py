@@ -57,7 +57,9 @@ def _unit_components(q) -> list[float]:
     norm = math.sqrt(q.dot(q))
     if norm < 1e-12:
         raise ValueError("cannot normalize near-zero quaternion")
-    return [c / norm for c in q.tolist()]
+    # Spelled out: a list comprehension costs more than four divisions.
+    w, x, y, z = q.tolist()
+    return [w / norm, x / norm, y / norm, z / norm]
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
@@ -110,7 +112,10 @@ def euler_angles(q) -> tuple[float, float, float]:
     """Z-Y-X angles (phi, theta, psi) as floats; theta is clamped to
     [-pi/2, pi/2]."""
     w, x, y, z = _unit_components(q)
-    sin_theta = max(-1.0, min(1.0, 2.0 * (w * y - z * x)))
+    # max(-1.0, min(1.0, s)) test for test; cheaper than the two calls.
+    sin_theta = 2.0 * (w * y - z * x)
+    sin_theta = sin_theta if sin_theta < 1.0 else 1.0
+    sin_theta = sin_theta if sin_theta > -1.0 else -1.0
     theta = math.asin(sin_theta)
     phi = math.atan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
     psi = math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))

@@ -474,6 +474,19 @@ def test_cli_unusable_output_dir_exit_2(tmp_path, capsys, command):
     assert afile.read_text(encoding="utf-8") == "not a directory\n"
 
 
+def test_cli_run_makes_output_dir_before_simulating(tmp_path, capsys, monkeypatch):
+    def simulate_too_early(*args):
+        raise AssertionError("simulated before making the output directory")
+
+    monkeypatch.setattr(scenario, "simulate", simulate_too_early)
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n", encoding="utf-8")
+    assert cli_main(["run", "ledge", "-o", str(afile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ")
+    assert err.count("\n") == 1
+
+
 def test_cli_bad_sweep_values_exit_2(tmp_path):
     config = write_config(tmp_path, QUICK)
     code = cli_main(["sweep", str(config), "--param", "tau_wheel_max",
@@ -633,3 +646,15 @@ def test_cli_env_var_output_dir(tmp_path, monkeypatch, capsys):
     code = cli_main(["run", "drop_uncontrolled"])
     assert code == 0
     assert (tmp_path / "envout" / "drop_uncontrolled.csv").exists()
+    # An empty directory, from the variable or from -o, means ./out.
+    for form, env, args in [("env", "", []), ("option", None, ["-o", ""])]:
+        cwd = tmp_path / form
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        if env is None:
+            monkeypatch.delenv("SWERVEFALL_OUTPUT_DIR")
+        else:
+            monkeypatch.setenv("SWERVEFALL_OUTPUT_DIR", env)
+        assert cli_main(["run", "drop_uncontrolled", *args]) == 0
+        assert sorted(p.relative_to(cwd).as_posix() for p in cwd.rglob("*")) == [
+            "out", "out/drop_uncontrolled.csv"]

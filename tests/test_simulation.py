@@ -19,9 +19,12 @@ from swervefall import (
     quat_from_euler,
 )
 from swervefall.simulation import (
+    IMU_BLOCK_TICKS,
     SimClock,
     apply_wheel_speed_limit,
     contact_height,
+    imu_reading,
+    imu_stream,
     initial_body_state,
 )
 from swervefall.dynamics import FlightKernel, kernel_holding
@@ -111,6 +114,66 @@ def test_imu_noise_is_seed_deterministic(params):
         np.testing.assert_array_equal(euler_a, euler_b)
         np.testing.assert_array_equal(omega_a, omega_b)
         assert accel_a == accel_b
+
+
+def per_tick_imu_sample(euler, omega, noise, rng):
+    """The IMU as it drew before block draws, kept as the reference: one
+    standard_normal(3 k) draw per tick for the k noisy channels."""
+    accel = 0.0
+    s_euler, s_omega, s_accel = noise.sigma_euler, noise.sigma_omega, noise.sigma_accel
+    draws = iter(rng.standard_normal(
+        3 * ((s_euler > 0) + (s_omega > 0) + (s_accel > 0))
+    ).tolist())
+    if s_euler > 0:
+        euler = [e + (0.0 + s_euler * z) for e, z in zip(euler, draws)]
+    if s_omega > 0:
+        omega = [w + (0.0 + s_omega * z) for w, z in zip(omega, draws)]
+    if s_accel > 0:
+        specific = np.array([0.0 + s_accel * z for z in draws])
+        accel = math.sqrt(specific.dot(specific))
+    return euler, omega, accel
+
+
+def reading_bits(reading):
+    euler, omega, accel = reading
+    return np.array([*euler, *omega, accel], dtype=float).view(np.uint64)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**63),
+    sigmas=st.dictionaries(
+        st.sampled_from(["sigma_euler", "sigma_omega", "sigma_accel"]),
+        st.floats(1e-6, 3.0), min_size=1,
+    ),
+    ticks=st.integers(2 * IMU_BLOCK_TICKS + 1, 3 * IMU_BLOCK_TICKS + 1),
+)
+def test_imu_block_stream_matches_per_tick_draws(seed, sigmas, ticks):
+    noise = NoiseModel(**sigmas)
+    truth = np.random.default_rng(seed + 1).uniform(-3.0, 3.0, (ticks, 6)).tolist()
+    stream = imu_stream(noise, seed)
+    reference, one_tick = np.random.default_rng(seed), np.random.default_rng(seed)
+    for row in truth:
+        euler, omega = row[:3], row[3:]
+        want = reading_bits(per_tick_imu_sample(euler, omega, noise, reference))
+        np.testing.assert_array_equal(
+            reading_bits(imu_reading(euler, omega, next(stream))), want)
+        np.testing.assert_array_equal(
+            reading_bits(imu_sample(euler, omega, noise, rng=one_tick)), want)
+
+    # A noisy run reads its accelerometer from the same stream.
+    scenario = ScenarioConfig(
+        drop_height=1.6, euler0=(0.3, -0.2, 0.0), seed=seed, dt_physics=1e-3,
+        noise=noise,
+    )
+    trajectory = simulate(scenario, ControllerConfig(), RobotParams())
+    reference = np.random.default_rng(seed)
+    accels = [
+        per_tick_imu_sample((0.0, 0.0, 0.0), [0.0, 0.0, 0.0], noise, reference)[2]
+        for _ in range(len(trajectory.rows))
+    ]
+    assert len(accels) > 2 * IMU_BLOCK_TICKS
+    assert trajectory.max_specific_accel == max([0.0, *accels])
 
 
 def test_imu_noise_requires_generator(params):
