@@ -43,7 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import RobotParams
-from .state import BodyState, SteeringState, TorqueCommand, quat_to_matrix
+from .state import (
+    BodyState,
+    NormBuffer,
+    SteeringState,
+    TorqueCommand,
+    quat_to_matrix,
+)
 
 GRAVITY_DIR = np.array([0.0, 0.0, -1.0])
 
@@ -301,10 +307,11 @@ class FlightKernel:
     The scalar arithmetic repeats the array formulation operation for
     operation (``np.cross`` order for the gyroscopic term, the
     ``quat_multiply`` order including its zero products, numpy's dot for
-    the quaternion norm), and the wheel term keeps numpy's matrix-vector
-    product, formed for every stage of every step of a call in one
-    stacked product, so trajectories match the array formulation bit for
-    bit.
+    the quaternion norm, formed on a buffer the kernel owns), and the
+    wheel term keeps numpy's matrix-vector product, formed for every
+    stage of every step of a call in one stacked product, so trajectories
+    match the array formulation bit for bit.  Like the held command, the
+    buffer is the kernel's own: a kernel serves one thread.
     """
 
     def __init__(self, s: SteeringState, params: RobotParams):
@@ -323,6 +330,8 @@ class FlightKernel:
         # (dt, _gravity_stages(dt)) of the last step length asked for.
         self._gravity = (None, None)
         self.centers = wheel_centers(params, s)
+        # The operand of each step's quaternion norm.
+        self._norms = NormBuffer()
         self.j_wyy = params.j_wyy
         self.wheel_radius = params.wheel_radius
         self.center_reach = float(np.linalg.norm(self.centers, axis=1).max())
@@ -475,6 +484,7 @@ class FlightKernel:
         non-finite translation in it first.
         """
         rates = self._rotation_rates
+        quat, quat_square = self._norms.values, self._norms.square4
         half = 0.5 * dt
         sixth = dt / 6.0
         # (qw, qx, qy, qz, ox, oy, oz) at the start of each step and after
@@ -510,8 +520,8 @@ class FlightKernel:
             if (ox * 0.0 + oy * 0.0 + oz * 0.0) != 0.0:
                 failure = NONFINITE_STEP
                 break
-            quat = np.array((qw1, qx1, qy1, qz1))
-            quat_norm = math.sqrt(quat.dot(quat))
+            quat[0], quat[1], quat[2], quat[3] = qw1, qx1, qy1, qz1
+            quat_norm = math.sqrt(quat_square())
             if not 1e-12 <= quat_norm < math.inf:
                 # Divergence can zero the quaternion by cancellation or
                 # push its norm past the float range while every

@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _lapack_solve
 
 from .params import RobotParams
 from .state import (
@@ -202,7 +203,15 @@ def allocate_body_torque(
         raise SingularConfiguration(
             f"|det| = {abs(jac.det):.3e} at alpha = {jac.alpha:.6f}"
         )
-    tau_1, tau_2, tau_delta = np.linalg.solve(jac.full, [tau_x, tau_y, tau_z]).tolist()
+    # np.linalg.solve's own LAPACK gufunc (dgesv) and its bits, without
+    # the wrapper, which costs more than the solve.  The guard above keeps
+    # the matrix nonsingular, so the wrapper's singular-matrix error
+    # cannot arise, and the gufunc raises the invalid flag only for a
+    # singular matrix: an overflow to inf or NaN warns no more than in
+    # the wrapper.
+    tau_1, tau_2, tau_delta = _lapack_solve(
+        jac.full, (tau_x, tau_y, tau_z), signature="dd->d"
+    ).tolist()
 
     limit_w = limits.tau_wheel_max
     limit_s = limits.tau_steer_max

@@ -19,13 +19,17 @@ state (IMU noise, when enabled, affects only what the controller saw).
 steering).
 
 Determinism: given identical configs and seed, every run produces
-bit-identical trajectories on a given numpy/OpenBLAS build and CPU (the
-quaternion norm's dot and the stacked wheel product round as the
-build's kernels do).  IMU noise, when enabled, draws from a dedicated
-seeded generator in a fixed per-tick order, a block of ticks per call
-(``imu_stream``).  Runs that differ only in ``LANE_FIELDS`` can share
-one attitude integration as lanes (``simulate_lanes``) and still get
-their separate runs' bits.
+bit-identical trajectories on a given numpy/OpenBLAS build and CPU.  Six
+numpy calls round as the build's kernels do: the kernel's quaternion
+``dot`` after each RK4 step, the ``dot`` of the tick's Euler readout
+(and of the settled check's rate norm), the stacked wheel product, the
+kernel's ``full @ pair``, the allocation's LAPACK ``dgesv`` and the
+IMU's stacked accelerometer ``matmul``; ``docs/model.md`` records how
+they round on the reference machine.  IMU noise, when enabled, draws
+from a dedicated seeded generator in a fixed per-tick order, a block of
+ticks per call (``imu_stream``).  Runs that differ only in
+``LANE_FIELDS`` can share one attitude integration as lanes
+(``simulate_lanes``) and still get their separate runs' bits.
 """
 
 from __future__ import annotations
@@ -50,17 +54,18 @@ from .kinematics import steering_from_submovements
 from .params import RobotParams
 from .state import (
     BodyState,
+    NormBuffer,
     SteeringState,
     SubmovementParams,
     TorqueCommand,
-    euler_angles,
     quat_from_euler,
+    unit_euler_angles,
 )
 
 BISECTION_TOL = 1e-6
-# Largest t_max / dt_physics a scenario may ask for: about 25 s of wall
+# Largest t_max / dt_physics a scenario may ask for: about 20 s of wall
 # time for `swervefall run` at ten physics steps per control tick and
-# 70 s at one (one core of a 2-vCPU Xeon).
+# 60 s at one (one core of a 2-vCPU Xeon).
 MAX_PHYSICS_STEPS = 10**6
 
 CSV_HEADER = (
@@ -440,6 +445,8 @@ def simulate_lanes(
     kernel = FlightKernel(steering, params)
     loop = AttitudeControlLoop(controller, params, sub)
     imu = imu_stream(first.noise, first.seed)
+    # The norms of the Euler readout and the settled check.
+    norms = NormBuffer()
 
     results: list[Trajectory | NonFiniteState] = [Trajectory() for _ in scenarios]
     # The running lanes and their flat states, which agree in y[6:17]:
@@ -458,7 +465,7 @@ def simulate_lanes(
     t = 0.0
     while True:
         y = states[0]
-        phi, theta, psi = euler_angles(y[6:10])
+        phi, theta, psi = unit_euler_angles(*norms.unit(y[6:10]))
         omega = y[10:13]
         euler_read, omega_read, accel = imu_reading((phi, theta, psi), omega, next(imu))
         if accel > max_accel:
@@ -498,7 +505,7 @@ def simulate_lanes(
             and mode == freefall
             and abs(phi) < SETTLED_ANGLE_LIMIT
             and abs(theta) < SETTLED_ANGLE_LIMIT
-            and float(np.linalg.norm(omega)) < SETTLED_RATE_LIMIT
+            and norms.norm3(omega) < SETTLED_RATE_LIMIT
         ):
             for k in live:
                 results[k].events.append((t, "settled"))

@@ -13,14 +13,17 @@ Conventions:
       direction; the brackets of wheels 2 and 3 are mounted pi-rotated, so
       their frame angle is delta_i + pi.
 
-All types are frozen value objects; the array-valued ones hold
-read-only numpy arrays.
+All types but ``NormBuffer``, a run's scratch buffer for numpy's dot,
+are frozen value objects; the array-valued ones hold read-only numpy
+arrays.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -50,20 +53,50 @@ def _frozen(values, shape) -> np.ndarray:
 
 # --- quaternions ------------------------------------------------------------
 
-def _unit_components(q) -> list[float]:
-    q = np.asarray(q, dtype=float)
-    # np.linalg.norm's own arithmetic: numpy's dot, then sqrt.  A sum of
-    # squares in Python can differ from the dot in the last bit.
-    norm = math.sqrt(q.dot(q))
-    if norm < 1e-12:
-        raise ValueError("cannot normalize near-zero quaternion")
-    # Spelled out: a list comprehension costs more than four divisions.
-    w, x, y, z = q.tolist()
-    return [w / norm, x / norm, y / norm, z / norm]
+class NormBuffer:
+    """Euclidean norms of three and four floats by numpy's dot, formed on
+    a buffer the object owns.
+
+    A float vector's ``np.linalg.norm`` is ``sqrt(x.dot(x))``, and a sum
+    of squares in Python can differ from that dot in the last bit; but
+    building an array for each vector costs more than the dot itself.
+    ``values`` is an ``array('d')`` of four floats that numpy views, and
+    ``square4()`` and ``square3()`` are the dot of the view of all four,
+    or of the first three, with itself: the same BLAS call on the same
+    operands, so the same bits.  Write the vector into ``values``, then
+    call.  The buffer is never resized (a live view forbids it).  A run
+    builds its own, so runs in concurrent threads never share operands.
+    """
+
+    __slots__ = ("values", "square4", "square3")
+
+    def __init__(self) -> None:
+        self.values = array("d", bytes(32))
+        four = np.frombuffer(self.values)
+        three = four[:3]
+        self.square4 = partial(four.dot, four)
+        self.square3 = partial(three.dot, three)
+
+    def unit(self, q) -> tuple[float, float, float, float]:
+        """The quaternion ``q``, four numbers, divided by its norm."""
+        values = self.values
+        values[0], values[1], values[2], values[3] = q
+        norm = math.sqrt(self.square4())
+        if norm < 1e-12:
+            raise ValueError("cannot normalize near-zero quaternion")
+        # Spelled out: a comprehension costs more than four divisions.
+        w, x, y, z = values
+        return w / norm, x / norm, y / norm, z / norm
+
+    def norm3(self, v) -> float:
+        """The norm of three floats ``v``, bit for bit ``np.linalg.norm(v)``."""
+        values = self.values
+        values[0], values[1], values[2] = v
+        return math.sqrt(self.square3())
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
-    return np.array(_unit_components(q))
+    return np.array(NormBuffer().unit(q))
 
 
 def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
@@ -79,7 +112,7 @@ def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrix R such that v_world = R @ v_body."""
-    w, x, y, z = _unit_components(q)
+    w, x, y, z = NormBuffer().unit(q)
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
@@ -111,7 +144,11 @@ class EulerAngles:
 def euler_angles(q) -> tuple[float, float, float]:
     """Z-Y-X angles (phi, theta, psi) as floats; theta is clamped to
     [-pi/2, pi/2]."""
-    w, x, y, z = _unit_components(q)
+    return unit_euler_angles(*NormBuffer().unit(q))
+
+
+def unit_euler_angles(w, x, y, z) -> tuple[float, float, float]:
+    """``euler_angles`` of the unit quaternion (w, x, y, z)."""
     # max(-1.0, min(1.0, s)) test for test; cheaper than the two calls.
     sin_theta = 2.0 * (w * y - z * x)
     sin_theta = sin_theta if sin_theta < 1.0 else 1.0

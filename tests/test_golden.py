@@ -3,6 +3,8 @@ byte for byte.  Any change to the physics, the controller or the CSV
 format that moves a single bit shows up here."""
 
 import hashlib
+import sys
+import threading
 
 import pytest
 
@@ -64,3 +66,40 @@ def test_noisy_clamped_csv_matches_golden_hash(tmp_path, monkeypatch):
     path = tmp_path / "noisy_clamped.csv"
     write_trajectory_csv(trajectory, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == NOISY_CLAMPED_SHA256
+
+
+def test_concurrent_runs_match_golden_hashes(tmp_path):
+    # Two runs in two threads that switch every microsecond: each run's
+    # norm buffers are its own, so neither run's CSV moves.
+    def controlled():
+        run_scenario("drop_controlled", tmp_path / "controlled")
+        return (tmp_path / "controlled" / "drop_controlled.csv").read_bytes()
+
+    def noisy():
+        entries = read_config_file(resolve_config_path("drop_controlled"))
+        entries.update(NOISY_CLAMPED)
+        loaded = loaded_from_entries(entries, name="noisy_clamped")
+        trajectory = simulation.simulate(loaded.scenario, loaded.controller, loaded.params)
+        path = tmp_path / "noisy_clamped.csv"
+        write_trajectory_csv(trajectory, path)
+        return path.read_bytes()
+
+    csvs = {}
+    threads = [
+        threading.Thread(target=lambda name=name, job=job: csvs.update({name: job()}))
+        for name, job in (("controlled", controlled), ("noisy", noisy))
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in csvs.items()} == {
+        "controlled": GOLDEN_SHA256["drop_controlled"],
+        "noisy": NOISY_CLAMPED_SHA256,
+    }

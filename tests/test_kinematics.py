@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from swervefall import (
     steering_from_submovements,
     submovements_from_steering,
 )
-from swervefall.kinematics import torque_jacobian
+from swervefall.kinematics import SINGULARITY_TOL, _lapack_solve, torque_jacobian
 
 SQRT2 = math.sqrt(2.0)
 ISO = SubmovementParams(alpha=math.pi / 4, beta=0.0)
@@ -267,3 +268,48 @@ def test_allocate_map_round_trip_grid(params):
             assert abs(back[0] - base.tau[0]) < 1e-9
             assert abs(back[1] - base.tau[1]) < 1e-9
             assert abs(back[4] - base.tau_delta) < 1e-9
+
+
+def reference_allocation(demand, jac, limits):
+    """allocate_body_torque through np.linalg.solve and the builtins'
+    clamps: the reference the direct LAPACK call must reproduce."""
+    tau_1, tau_2, tau_delta = np.linalg.solve(jac.full, list(demand)).tolist()
+    w, s = limits.tau_wheel_max, limits.tau_steer_max
+    c1, c2, cd = max(-w, min(w, tau_1)), max(-w, min(w, tau_2)), max(-s, min(s, tau_delta))
+    sat_mask = (5 if c1 != tau_1 else 0) | (10 if c2 != tau_2 else 0) | (16 if cd != tau_delta else 0)
+    return c1, c2, -c1, -c2, cd, sat_mask
+
+
+def test_direct_solve_matches_numpy_solve_bitwise(params, rng):
+    # Random configurations, a third of them with |sin 2 alpha| just
+    # above the allocation's singularity guard, and demands up to 1e308,
+    # where the solve can overflow to inf or NaN (as in the first case):
+    # the gufunc gives np.linalg.solve's bits, the command and sat_mask
+    # are the reference's, and no warning is raised.
+    cases = [(7.062966872867286e-07, 0.7341018350053976,
+              (9.926261847395556e+307, 9.725301265995554e+307, -7.006349478968817e+307))]
+    for i in range(1500):
+        alpha, beta = rng.uniform(-math.pi, math.pi, 2).tolist()
+        if i % 3 == 0:
+            near = 0.5 * math.asin(SINGULARITY_TOL * rng.uniform(1.001, 1.5))
+            alpha = [near, -near, math.pi / 2 - near, near - math.pi / 2][i % 4]
+        exponents = rng.uniform(-3.0, 1.0 if i % 2 else 308.0, 3)
+        demand = rng.uniform(-1.0, 1.0, 3) * 10.0 ** exponents
+        cases.append((alpha, beta, tuple(demand.tolist())))
+    seen = set()
+    with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn", divide="warn"):
+        warnings.simplefilter("error")
+        for alpha, beta, demand in cases:
+            jac = torque_jacobian(SubmovementParams(alpha, beta))
+            assert abs(jac.det) >= SINGULARITY_TOL
+            expected = np.linalg.solve(jac.full, list(demand))
+            got = _lapack_solve(jac.full, demand, signature="dd->d")
+            assert got.tobytes() == expected.tobytes()
+            command = allocate_body_torque(demand, jac, params)
+            reference = reference_allocation(demand, jac, params)
+            assert np.array(command[:5]).tobytes() == np.array(reference[:5]).tobytes()
+            assert command[5] == reference[5]
+            seen.add("nan" if np.isnan(expected).any() else
+                     "inf" if np.isinf(expected).any() else
+                     "clamped" if command[5] else "free")
+    assert seen == {"nan", "inf", "clamped", "free"}

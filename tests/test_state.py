@@ -14,7 +14,7 @@ from swervefall import (
     euler_from_quaternion,
     quat_from_euler,
 )
-from swervefall.state import quat_multiply, quat_normalize, wrap_angle
+from swervefall.state import NormBuffer, quat_multiply, quat_normalize, wrap_angle
 
 
 def test_identity_quaternion_gives_zero_angles():
@@ -104,3 +104,15 @@ def test_torque_command_zero():
     cmd = TorqueCommand.zero()
     assert not cmd.any_saturated()
     np.testing.assert_array_equal(cmd.tau, np.zeros(4))
+
+
+def test_norm_buffer_matches_numpy_norm_bitwise(rng):
+    # The buffered dot is numpy's: the settled check's rate norm is
+    # np.linalg.norm's, and a unit quaternion is q / np.linalg.norm(q).
+    norms = NormBuffer()
+    for _ in range(2000):
+        v = rng.standard_normal(4) * 10.0 ** rng.uniform(-3.0, 3.0)
+        assert norms.norm3(v[:3].tolist()) == float(np.linalg.norm(v[:3]))
+        assert norms.unit(v.tolist()) == tuple((v / np.linalg.norm(v)).tolist())
+    with pytest.raises(ValueError, match="near-zero"):
+        norms.unit((1e-13, 0.0, 0.0, 0.0))
