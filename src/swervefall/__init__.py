@@ -13,7 +13,6 @@ from .controller import (
     ControllerGains,
     ControllerMode,
     LinearPlant,
-    control_step,
     linearized_plant,
     pd_attitude,
 )
@@ -43,7 +42,6 @@ from .simulation import (
     NonFiniteState,
     ScenarioConfig,
     Trajectory,
-    imu_sample,
     simulate,
     step_rk4,
 )
@@ -91,9 +89,7 @@ __all__ = [
     "allocate_body_torque",
     "angular_acceleration",
     "compare",
-    "control_step",
     "euler_from_quaternion",
-    "imu_sample",
     "jacobian_determinant",
     "linearized_plant",
     "manipulability",

@@ -12,8 +12,8 @@ output directory before it simulates.
 
 Exit codes: 0 success, 2 config error, 3 simulation diverged.  Config
 errors include a run over the work budget of 10**6 physics steps
-(t_max / dt_physics; about 25 s of wall time at ten physics steps per
-control tick, 70 s at one), a dt_control / dt_physics ratio beyond the
+(t_max / dt_physics; about 20 s of wall time at ten physics steps per
+control tick, 60 s at one), a dt_control / dt_physics ratio beyond the
 float range (dt_control = 1e308), an IMU noise sigma above 180 deg,
 100 rad/s or 1000 m/s^2, geometry that cannot place the robot at
 drop_height, a config file that is not UTF-8, compare of two different
@@ -24,7 +24,8 @@ an existing regular file; reported as "output error").  A --values
 list may start with a minus sign (--values -10,-20).  A simulation
 diverges when the integration leaves the finite range or when the
 controller's torque demand does (kd_roll = 1e308 with a nonzero
-omega_x); numpy prints no warning about it.  A reader
+omega_x) or its allocation does (kd_roll = kd_pitch = 1e307 with
+omega_x = omega_y = -15); numpy prints no warning about it.  A reader
 that closes the output early (``| head``) ends the command with exit 0
 and no traceback: summaries are printed only after every run and file
 is complete.

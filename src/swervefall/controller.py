@@ -11,7 +11,7 @@ and runs the PD law
 
     tau_body = K_P (q_desired - q) - K_D q_dot
 
-with angle errors wrapped to (-pi, pi].  The body-torque demand is
+with angle errors wrapped to [-pi, pi).  The body-torque demand is
 allocated to wheel torques by inverting the configuration Jacobian and
 clamping per channel.  The derivative term feeds the gyro rates directly
 instead of differentiated Euler angles; at small angles the two coincide
@@ -30,7 +30,6 @@ import numpy as np
 
 from .kinematics import (
     SingularConfiguration,
-    TorqueJacobian,
     allocate_body_torque,
     torque_jacobian,
 )
@@ -90,33 +89,6 @@ def pd_attitude(
         kp_y * wrap_angle(q_desired[1] - q[1]) - kd_y * q_dot[1],
         kp_z * wrap_angle(q_desired[2] - q[2]) - kd_z * q_dot[2],
     )
-
-
-def control_step(
-    euler,
-    omega,
-    mode: ControllerMode,
-    gains: ControllerGains,
-    jac: TorqueJacobian,
-    params: RobotParams,
-    q_desired=(0.0, 0.0, 0.0),
-) -> tuple[float, float, float, float, float, int]:
-    """One controller tick: PD demand, allocation, saturation.
-
-    ``euler`` and ``omega`` are the IMU's angles and rates as float
-    triples; ``jac`` is the torque Jacobian of the commanded steering
-    configuration.  Returns the command as ``allocate_body_torque`` does.
-    Only FreefallStabilize produces torque.  A singular steering
-    configuration zeroes the command and raises the steering saturation
-    flag rather than crashing the loop.
-    """
-    if mode != ControllerMode.FREEFALL_STABILIZE:
-        return ZERO_COMMAND
-    demand = pd_attitude(euler, omega, q_desired, gains)
-    try:
-        return allocate_body_torque(demand, jac, params)
-    except SingularConfiguration:
-        return SINGULAR_COMMAND
 
 
 @dataclass(frozen=True)
@@ -211,7 +183,9 @@ class AttitudeControlLoop:
     switch.  Entering FreefallStabilize swings alpha to pi/4 (beta
     preserved) and latches the yaw setpoint at the current heading with
     zero desired roll and pitch.  The allocation Jacobian is built for
-    the current ``sub`` and rebuilt only when ``sub`` changes.
+    the current ``sub`` and rebuilt only when ``sub`` changes.  Setting
+    ``mode`` to FreefallStabilize by hand runs the flight branch on the
+    current ``sub`` and setpoints from the next ``update`` on.
     """
 
     def __init__(self, config: ControllerConfig, params: RobotParams,
@@ -232,8 +206,10 @@ class AttitudeControlLoop:
 
         In GroundTeleop the reading only feeds the freefall debounce and
         the command is ``ZERO_COMMAND``; from the tick that detects
-        freefall on, it is ``control_step``'s FreefallStabilize command:
-        the PD demand, allocated and clamped, or ``SINGULAR_COMMAND``.
+        freefall on, it is the PD demand, allocated and clamped, or
+        ``SINGULAR_COMMAND`` in a singular steering configuration.
+        Raises ValueError, as ``allocate_body_torque`` does, when the
+        demand or its solve is not finite.
         """
         if self.mode == ControllerMode.GROUND_TELEOP:
             if not self._detect(t, accel):

@@ -193,8 +193,8 @@ def allocate_body_torque(
     direction-preserving scaling); ``sat_mask`` marks clamped channels,
     bits 0-3 the wheels and bit 4 steering.  Raises SingularConfiguration
     when |det N| < 1e-6, where the inverse would amplify without bound,
-    and ValueError for a non-finite demand, which clamping would turn
-    into full saturation.
+    and ValueError for a non-finite demand or a solve that overflows to
+    inf or NaN, which clamping would turn into full saturation.
     """
     tau_x, tau_y, tau_z = demand
     if not (math.isfinite(tau_x) and math.isfinite(tau_y) and math.isfinite(tau_z)):
@@ -212,6 +212,11 @@ def allocate_body_torque(
     tau_1, tau_2, tau_delta = _lapack_solve(
         jac.full, (tau_x, tau_y, tau_z), signature="dd->d"
     ).tolist()
+    if not (math.isfinite(tau_1) and math.isfinite(tau_2) and math.isfinite(tau_delta)):
+        raise ValueError(
+            f"non-finite body-torque demand: {[tau_x, tau_y, tau_z]} "
+            f"allocates to {[tau_1, tau_2, tau_delta]}"
+        )
 
     limit_w = limits.tau_wheel_max
     limit_s = limits.tau_steer_max

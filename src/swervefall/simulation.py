@@ -136,8 +136,9 @@ def imu_stream(noise: NoiseModel, seed: int) -> Iterator:
     """The noise of a run's IMU samples, one per control tick, as
     ``imu_noise`` gives it: drawn ``IMU_BLOCK_TICKS`` samples at a time
     from a generator seeded with ``seed``, the values of one
-    ``imu_sample`` draw per tick.  Without noise every sample reads the
-    truth and a zero accelerometer, and nothing is drawn."""
+    ``imu_noise(noise, rng, 1)`` draw per tick.  Without noise every
+    sample reads the truth and a zero accelerometer, and nothing is
+    drawn."""
     if not noise.enabled():
         return repeat((None, None, 0.0))
     rng = np.random.default_rng(seed)
@@ -159,29 +160,6 @@ def imu_reading(euler, omega, sample_noise) -> tuple:
         (wx, wy, wz), (n1, n2, n3) = omega, omega_noise
         omega = [wx + n1, wy + n2, wz + n3]
     return euler, omega, accel
-
-
-def imu_sample(
-    euler,
-    omega,
-    noise: NoiseModel,
-    rng: np.random.Generator | None = None,
-) -> tuple[list[float], list[float], float]:
-    """What the IMU reports for the true Z-Y-X angles ``euler`` [rad] and
-    body rates ``omega`` [rad/s], given as float triples: one sample,
-    ``imu_reading`` under ``imu_noise`` for one tick.
-
-    Returns (euler, omega, accel): the angles and rates plus optional
-    seeded noise, and the accelerometer magnitude [m/s^2], which only
-    noise moves.  Noise takes one ``standard_normal(3 k)`` draw per call
-    for its k noisy channels; ``simulate`` reads the same values from
-    ``imu_stream`` a block of ticks at a time.
-    """
-    if not noise.enabled():
-        return euler, omega, 0.0
-    if rng is None:
-        raise ValueError("noise enabled but no generator supplied")
-    return imu_reading(euler, omega, imu_noise(noise, rng, 1)[0])
 
 
 def step_rk4(
@@ -474,7 +452,8 @@ def simulate_lanes(
             try:
                 command = loop.update(t, euler_read, omega_read, accel)
             except ValueError:
-                # The allocator refuses a NaN or infinite PD demand.
+                # The allocator refuses a NaN or infinite PD demand and a
+                # solve that overflows.
                 for k in live:
                     results[k] = NonFiniteState("non-finite controller demand", t=t)
                 break

@@ -209,21 +209,14 @@ class SubmovementParams:
 
 @dataclass(frozen=True)
 class TorqueCommand:
-    """Wheel drive torques [N·m], net per-joint steering torque, and
-    per-channel saturation flags (four wheels then steering)."""
+    """Wheel drive torques [N·m] and net per-joint steering torque."""
 
     tau: np.ndarray
     tau_delta: float = 0.0
-    saturated: np.ndarray = None  # type: ignore[assignment]
 
-    def __init__(self, tau, tau_delta: float = 0.0, saturated=None) -> None:
+    def __init__(self, tau, tau_delta: float = 0.0) -> None:
         object.__setattr__(self, "tau", _frozen(tau, (4,)))
         object.__setattr__(self, "tau_delta", float(tau_delta))
-        if saturated is None:
-            saturated = np.zeros(5, dtype=bool)
-        flags = np.array(saturated, dtype=bool).reshape(5)
-        flags.setflags(write=False)
-        object.__setattr__(self, "saturated", flags)
 
     @staticmethod
     def zero() -> "TorqueCommand":
@@ -238,9 +231,6 @@ class TorqueCommand:
             raise AsymmetricTorque(
                 f"torques not symmetric: tau={self.tau.tolist()}"
             )
-
-    def any_saturated(self) -> bool:
-        return bool(self.saturated.any())
 
 
 class BodyTorque(NamedTuple):

@@ -11,14 +11,10 @@ from swervefall import (
     ControllerConfig,
     ControllerGains,
     ControllerMode,
-    NoiseModel,
     RobotParams,
     SubmovementParams,
-    control_step,
-    imu_sample,
     linearized_plant,
     pd_attitude,
-    quat_from_euler,
     steering_from_submovements,
     angular_acceleration,
     TorqueCommand,
@@ -189,19 +185,21 @@ def test_gains_must_be_nonnegative():
         ControllerGains(kp=[-1, 0, 0], kd=[0, 0, 0])
 
 
-# --- control step ------------------------------------------------------------
+# --- flight command ----------------------------------------------------------
 
 def test_zero_error_zero_command(params):
-    _, euler, omega, _ = reading()
-    cmd = control_step(euler, omega, ControllerMode.FREEFALL_STABILIZE,
-                       ControllerGains.default(), torque_jacobian(ISO), params)
+    loop = AttitudeControlLoop(ControllerConfig(), params, ISO)
+    loop.mode = ControllerMode.FREEFALL_STABILIZE
+    cmd = loop.update(*reading())
     np.testing.assert_allclose(cmd[:4], np.zeros(4), atol=1e-15)
 
 
 def test_ground_mode_emits_nothing(params):
-    _, euler, omega, _ = reading(euler=(0.5, -0.4, 0.2), omega=(1, 1, 1))
-    cmd = control_step(euler, omega, ControllerMode.GROUND_TELEOP,
-                       ControllerGains.default(), torque_jacobian(ISO), params)
+    # On the ground at 1 g the loop only debounces: no torque, no switch.
+    loop = AttitudeControlLoop(ControllerConfig(), params, ISO)
+    cmd = loop.update(*reading(euler=(0.5, -0.4, 0.2), omega=(1, 1, 1),
+                               accel=(0, 0, 9.81)))
+    assert loop.mode == ControllerMode.GROUND_TELEOP
     np.testing.assert_array_equal(cmd[:4], np.zeros(4))
     assert cmd[4] == 0.0
 
@@ -209,9 +207,9 @@ def test_ground_mode_emits_nothing(params):
 def test_drop_attitude_saturates_wheels_two_and_four(params):
     # Release disturbance (roll 16 deg, pitch 23 deg nose-down): the
     # demand concentrates on the 2-4 diagonal, which clips at the limit.
-    _, euler, omega, _ = reading(euler=(math.radians(16), math.radians(23), 0.0))
-    cmd = control_step(euler, omega, ControllerMode.FREEFALL_STABILIZE,
-                       ControllerGains.default(), torque_jacobian(ISO), params)
+    loop = AttitudeControlLoop(ControllerConfig(), params, ISO)
+    loop.mode = ControllerMode.FREEFALL_STABILIZE
+    cmd = loop.update(*reading(euler=(math.radians(16), math.radians(23), 0.0)))
     assert abs(cmd[1]) == params.tau_wheel_max
     assert abs(cmd[3]) == params.tau_wheel_max
     assert saturated(cmd)[1] and saturated(cmd)[3]
@@ -219,10 +217,9 @@ def test_drop_attitude_saturates_wheels_two_and_four(params):
 
 
 def test_singular_configuration_zeroes_command(params):
-    _, euler, omega, _ = reading(euler=(0.3, 0.1, 0.0))
-    cmd = control_step(euler, omega, ControllerMode.FREEFALL_STABILIZE,
-                       ControllerGains.default(),
-                       torque_jacobian(SubmovementParams(0.0, 0.0)), params)
+    loop = AttitudeControlLoop(ControllerConfig(), params, SubmovementParams(0.0, 0.0))
+    loop.mode = ControllerMode.FREEFALL_STABILIZE
+    cmd = loop.update(*reading(euler=(0.3, 0.1, 0.0)))
     np.testing.assert_array_equal(cmd[:4], np.zeros(4))
     assert saturated(cmd)[4]
 
@@ -231,10 +228,11 @@ def test_achievable_command_reproduces_demand(params):
     from swervefall.kinematics import map_wheel_to_body_torque
 
     gains = ControllerGains(kp=[5.0, 5.0, 1.0], kd=[1.0, 1.0, 0.1])
-    _, euler, omega, _ = reading(euler=(0.2, -0.1, 0.05), omega=(0.1, 0.0, -0.2))
+    loop = AttitudeControlLoop(ControllerConfig(gains=gains), params, ISO)
+    loop.mode = ControllerMode.FREEFALL_STABILIZE
+    t, euler, omega, accel = reading(euler=(0.2, -0.1, 0.05), omega=(0.1, 0.0, -0.2))
     demand = pd_attitude(euler, omega, (0.0, 0.0, 0.0), gains)
-    cmd = control_step(euler, omega, ControllerMode.FREEFALL_STABILIZE, gains,
-                       torque_jacobian(ISO), params)
+    cmd = loop.update(t, euler, omega, accel)
     assert not any(saturated(cmd))
     body = map_wheel_to_body_torque(TorqueCommand(cmd[:4], cmd[4]), ISO)
     np.testing.assert_allclose(

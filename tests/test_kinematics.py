@@ -233,15 +233,19 @@ def test_allocate_clamps_and_flags(params):
     assert sat_mask & 1 and sat_mask & 2 and sat_mask & 16
 
 
-@pytest.mark.parametrize("demand", [
-    BodyTorque(math.nan, 0.0, 0.0),
-    BodyTorque(math.inf, 0.0, 0.0),
-    BodyTorque(0.0, 0.0, -math.inf),
-], ids=["nan", "inf", "minus-inf"])
-def test_allocate_rejects_non_finite_demand(params, demand):
+@pytest.mark.parametrize("sub, demand", [
+    (ISO, BodyTorque(math.nan, 0.0, 0.0)),
+    (ISO, BodyTorque(math.inf, 0.0, 0.0)),
+    (ISO, BodyTorque(0.0, 0.0, -math.inf)),
+    # A finite demand near a singular configuration whose solve overflows
+    # to NaN, which would clamp to +2.5 against a negative yaw demand.
+    (SubmovementParams(7.062966872867286e-07, 0.7341018350053976),
+     BodyTorque(9.926261847395556e+307, 9.725301265995554e+307, -7.006349478968817e+307)),
+], ids=["nan", "inf", "minus-inf", "overflowing-solve"])
+def test_allocate_rejects_non_finite_demand(params, sub, demand):
     # Clamping would turn NaN or inf into full saturation on every channel.
     with pytest.raises(ValueError, match="non-finite"):
-        allocate_body_torque(demand, torque_jacobian(ISO), params)
+        allocate_body_torque(demand, torque_jacobian(sub), params)
 
 
 def test_allocate_expands_symmetric_pairs(params):
@@ -272,8 +276,11 @@ def test_allocate_map_round_trip_grid(params):
 
 def reference_allocation(demand, jac, limits):
     """allocate_body_torque through np.linalg.solve and the builtins'
-    clamps: the reference the direct LAPACK call must reproduce."""
+    clamps: the reference the direct LAPACK call must reproduce.  Raises
+    ValueError where the solve is not finite."""
     tau_1, tau_2, tau_delta = np.linalg.solve(jac.full, list(demand)).tolist()
+    if not all(map(math.isfinite, (tau_1, tau_2, tau_delta))):
+        raise ValueError("non-finite solve")
     w, s = limits.tau_wheel_max, limits.tau_steer_max
     c1, c2, cd = max(-w, min(w, tau_1)), max(-w, min(w, tau_2)), max(-s, min(s, tau_delta))
     sat_mask = (5 if c1 != tau_1 else 0) | (10 if c2 != tau_2 else 0) | (16 if cd != tau_delta else 0)
@@ -285,7 +292,8 @@ def test_direct_solve_matches_numpy_solve_bitwise(params, rng):
     # above the allocation's singularity guard, and demands up to 1e308,
     # where the solve can overflow to inf or NaN (as in the first case):
     # the gufunc gives np.linalg.solve's bits, the command and sat_mask
-    # are the reference's, and no warning is raised.
+    # are the reference's or both refuse the solve, and no warning is
+    # raised.
     cases = [(7.062966872867286e-07, 0.7341018350053976,
               (9.926261847395556e+307, 9.725301265995554e+307, -7.006349478968817e+307))]
     for i in range(1500):
@@ -305,11 +313,17 @@ def test_direct_solve_matches_numpy_solve_bitwise(params, rng):
             expected = np.linalg.solve(jac.full, list(demand))
             got = _lapack_solve(jac.full, demand, signature="dd->d")
             assert got.tobytes() == expected.tobytes()
-            command = allocate_body_torque(demand, jac, params)
-            reference = reference_allocation(demand, jac, params)
-            assert np.array(command[:5]).tobytes() == np.array(reference[:5]).tobytes()
-            assert command[5] == reference[5]
+            try:
+                reference = reference_allocation(demand, jac, params)
+            except ValueError:
+                with pytest.raises(ValueError, match="non-finite"):
+                    allocate_body_torque(demand, jac, params)
+            else:
+                command = allocate_body_torque(demand, jac, params)
+                assert (np.array(command[:5]).tobytes()
+                        == np.array(reference[:5]).tobytes())
+                assert command[5] == reference[5]
             seen.add("nan" if np.isnan(expected).any() else
                      "inf" if np.isinf(expected).any() else
-                     "clamped" if command[5] else "free")
+                     "clamped" if reference[5] else "free")
     assert seen == {"nan", "inf", "clamped", "free"}

@@ -619,13 +619,20 @@ wheel_speed_max = 1e12
 
 @pytest.mark.parametrize("extra", [
     "kd_roll = 1e308\nomega_x = 2\n",
-], ids=["kd_roll"])
+    # A finite demand of about 1.5e308 per axis whose solve overflows.
+    "kp_roll = 0\nkp_pitch = 0\nkd_roll = 1e307\nkd_pitch = 1e307\n"
+    "omega_x = -15\nomega_y = -15\n",
+], ids=["kd_roll", "allocation_overflow"])
 def test_cli_nonfinite_controller_demand_exit_3(tmp_path, capsys, extra):
-    # The PD demand overflows once freefall is detected; the allocator
-    # refuses it and the run ends as diverged, not with a traceback.
+    # The PD demand, or its allocation, overflows once freefall is
+    # detected; the allocator refuses it and the run ends as diverged,
+    # not with a traceback or a saturated command.
     config = write_config(tmp_path, QUICK + extra)
     assert cli_main(["run", str(config), "-o", str(tmp_path / "o")]) == 3
-    assert "non-finite controller demand at t=" in capsys.readouterr().err
+    assert re.fullmatch(
+        r"simulation error: non-finite controller demand at t=\S+ s\n",
+        capsys.readouterr().err,
+    )
 
 
 def test_noise_sigmas_at_their_ceiling_run(tmp_path):

@@ -12,7 +12,6 @@ from swervefall import (
     ScenarioConfig,
     SubmovementParams,
     TorqueCommand,
-    imu_sample,
     simulate,
     steering_from_submovements,
     step_rk4,
@@ -23,6 +22,7 @@ from swervefall.simulation import (
     SimClock,
     apply_wheel_speed_limit,
     contact_height,
+    imu_noise,
     imu_reading,
     imu_stream,
     initial_body_state,
@@ -95,7 +95,8 @@ def test_quaternion_stays_normalized(params, rng):
 def test_imu_ballistic_reads_zero(params):
     state = BodyState([0, 0, 3], [1, 0, -2], quat_from_euler(0.4, 0.2, -1.0), [1, 2, 3])
     truth = euler_angles(state.quat)
-    euler, omega, accel = imu_sample(truth, state.omega.tolist(), NoiseModel())
+    euler, omega, accel = imu_reading(truth, state.omega.tolist(),
+                                      next(imu_stream(NoiseModel(), 0)))
     assert abs(accel) <= 1e-12
     np.testing.assert_allclose(omega, [1, 2, 3], atol=1e-15)
     assert tuple(euler) == truth
@@ -106,7 +107,8 @@ def test_imu_noise_is_seed_deterministic(params):
 
     def sample_run(seed):
         gen = np.random.default_rng(seed)
-        return [imu_sample((0.0, 0.0, 0.0), [0.0, 0.0, 0.0], noise, rng=gen)
+        return [imu_reading((0.0, 0.0, 0.0), [0.0, 0.0, 0.0],
+                            imu_noise(noise, gen, 1)[0])
                 for _ in range(5)]
 
     run_a, run_b = sample_run(7), sample_run(7)
@@ -159,7 +161,8 @@ def test_imu_block_stream_matches_per_tick_draws(seed, sigmas, ticks):
         np.testing.assert_array_equal(
             reading_bits(imu_reading(euler, omega, next(stream))), want)
         np.testing.assert_array_equal(
-            reading_bits(imu_sample(euler, omega, noise, rng=one_tick)), want)
+            reading_bits(imu_reading(euler, omega, imu_noise(noise, one_tick, 1)[0])),
+            want)
 
     # A noisy run reads its accelerometer from the same stream.
     scenario = ScenarioConfig(
@@ -174,11 +177,6 @@ def test_imu_block_stream_matches_per_tick_draws(seed, sigmas, ticks):
     ]
     assert len(accels) > 2 * IMU_BLOCK_TICKS
     assert trajectory.max_specific_accel == max([0.0, *accels])
-
-
-def test_imu_noise_requires_generator(params):
-    with pytest.raises(ValueError):
-        imu_sample((0.0, 0.0, 0.0), [0.0, 0.0, 0.0], NoiseModel(sigma_accel=0.1))
 
 
 # --- clock and limits --------------------------------------------------------

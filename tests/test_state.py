@@ -102,8 +102,8 @@ def test_torque_command_symmetry_contract():
 
 def test_torque_command_zero():
     cmd = TorqueCommand.zero()
-    assert not cmd.any_saturated()
     np.testing.assert_array_equal(cmd.tau, np.zeros(4))
+    assert cmd.tau_delta == 0.0
 
 
 def test_norm_buffer_matches_numpy_norm_bitwise(rng):
