@@ -16,11 +16,12 @@ errors include a run over the work budget of 10**6 physics steps
 control tick, 60 s at one), a dt_control / dt_physics ratio beyond the
 float range (dt_control = 1e308), an IMU noise sigma above 180 deg,
 100 rad/s or 1000 m/s^2, geometry that cannot place the robot at
-drop_height, a config file that is not UTF-8, compare of two different
-config files with the same name (their outputs would overwrite each
-other), sweep values that print alike to 12 significant digits, and an
-output directory or file that cannot be created or written (-o naming
-an existing regular file; reported as "output error").  A --values
+drop_height, a config file that is not UTF-8 (a leading byte-order
+mark is allowed), compare of two different config files with the same
+name (their outputs would overwrite each other), sweep values that
+print alike to 12 significant digits, and an output directory or file
+that cannot be created or written (-o naming an existing regular file;
+reported as "output error").  A --values
 list may start with a minus sign (--values -10,-20).  A simulation
 diverges when the integration leaves the finite range or when the
 controller's torque demand does (kd_roll = 1e308 with a nonzero
@@ -29,6 +30,10 @@ omega_x = omega_y = -15); numpy prints no warning about it.  A reader
 that closes the output early (``| head``) ends the command with exit 0
 and no traceback: summaries are printed only after every run and file
 is complete.
+
+The range checks of a parsed config are the ones library ``simulate``
+makes (``simulation.validate_run``), so ``simulate`` refuses the same
+input with the same message, as a ConfigError (a ValueError).
 
 sweep and compare validate every config before the first run and group
 the runs that differ only in drop_height, velocity_x/y/z and t_max:

@@ -61,7 +61,7 @@ class ControllerGains:
         kp = np.asarray(kp, dtype=float).reshape(3)
         kd = np.asarray(kd, dtype=float).reshape(3)
         if (kp < 0).any() or (kd < 0).any():
-            raise ValueError("gains must be non-negative")
+            raise ConfigError("gains must be non-negative")
         object.__setattr__(self, "kp", tuple(kp.tolist()))
         object.__setattr__(self, "kd", tuple(kd.tolist()))
 
@@ -151,22 +151,14 @@ class ControllerConfig:
             take_float(entries, "kd_pitch", base.gains.kd[1]),
             take_float(entries, "kd_yaw", base.gains.kd[2]),
         ]
-        try:
-            gains = ControllerGains(kp=kp, kd=kd)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        threshold = take_float(
-            entries, "freefall_accel_threshold", base.freefall_accel_threshold
-        )
-        if threshold <= 0.0:
-            raise ConfigError("freefall_accel_threshold must be positive")
-        debounce = take_float(entries, "freefall_debounce", base.freefall_debounce)
-        if debounce < 0.0:
-            raise ConfigError("freefall_debounce must be non-negative")
         return ControllerConfig(
-            gains=gains,
-            freefall_accel_threshold=threshold,
-            freefall_debounce=debounce,
+            gains=ControllerGains(kp=kp, kd=kd),
+            freefall_accel_threshold=take_float(
+                entries, "freefall_accel_threshold", base.freefall_accel_threshold
+            ),
+            freefall_debounce=take_float(
+                entries, "freefall_debounce", base.freefall_debounce
+            ),
             dt_control=take_float(entries, "dt_control", base.dt_control),
             enabled=take_bool(entries, "controller_enabled", base.enabled),
         )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Raised for unparseable, unknown, or out-of-range config entries."""
 
 
@@ -70,13 +70,6 @@ class RobotParams:
         return self.base_mass + 4.0 * self.wheel_mass
 
 
-_POSITIVE_FIELDS = (
-    "base_mass", "wheel_mass", "a", "b", "c",
-    "j_bxx", "j_byy", "j_bzz", "j_wxx", "j_wyy", "j_wzz",
-    "tau_wheel_max", "tau_steer_max", "wheel_speed_max",
-    "wheel_radius", "g",
-)
-
 # (moment, other, other) triplets for the triangle feasibility check.
 _INERTIA_TRIPLES = (
     ("j_bxx", "j_byy", "j_bzz"),
@@ -97,10 +90,10 @@ def validate_params(params: RobotParams) -> tuple[str, ...]:
     the violations; an empty tuple means the parameters are valid.
     """
     violations: list[str] = []
-    for name in _POSITIVE_FIELDS:
-        value = getattr(params, name)
+    for field in fields(RobotParams):
+        value = getattr(params, field.name)
         if not math.isfinite(value) or value <= 0.0:
-            violations.append(f"{name} must be positive")
+            violations.append(f"{field.name} must be positive")
     for moment, first, second in _INERTIA_TRIPLES:
         lhs = getattr(params, moment)
         rhs = getattr(params, first) + getattr(params, second)
@@ -139,7 +132,8 @@ def parse_flat_config(text: str, source: str = "<config>") -> dict[str, str]:
 def read_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        # utf-8-sig drops the byte-order mark some editors write first.
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config '{path}': {exc}") from exc
     return parse_flat_config(text, source=str(path))
@@ -190,7 +184,4 @@ def robot_params_from_entries(entries: dict[str, str]) -> RobotParams:
         overrides[key] = take_float(entries, key, getattr(params, key))
     if overrides:
         params = replace(params, **overrides)
-    violations = validate_params(params)
-    if violations:
-        raise ConfigError("invalid robot parameters: " + "; ".join(violations))
     return params

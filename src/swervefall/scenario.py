@@ -34,13 +34,12 @@ from .simulation import (
     NoiseModel,
     NonFiniteState,
     ScenarioConfig,
-    SimClock,
     Trajectory,
     attitude_key,
-    contact_height,
     initial_body_state,
     simulate,
     simulate_lanes,
+    validate_run,
 )
 from .state import SubmovementParams, euler_from_quaternion
 
@@ -64,7 +63,7 @@ def scenario_config_from_entries(entries: dict[str, str]) -> ScenarioConfig:
         sigma_omega=take_float(entries, "noise_sigma_omega", 0.0),
         sigma_accel=take_float(entries, "noise_sigma_accel", 0.0),
     )
-    config = ScenarioConfig(
+    return ScenarioConfig(
         drop_height=take_float(entries, "drop_height", base.drop_height),
         velocity=(
             take_float(entries, "velocity_x", 0.0),
@@ -88,11 +87,6 @@ def scenario_config_from_entries(entries: dict[str, str]) -> ScenarioConfig:
         dt_physics=take_float(entries, "dt_physics", base.dt_physics),
         noise=noise,
     )
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return config
 
 
 @dataclass(frozen=True)
@@ -125,8 +119,8 @@ def loaded_from_entries(entries: dict[str, str], name: str) -> LoadedScenario:
     """Validate parsed config entries into one runnable scenario.
 
     Consumes every key; anything left over is an unknown key and a hard
-    error.  Timing that the simulator would reject is a config error too,
-    and so is geometry too large to place the robot at ``drop_height``.
+    error.  Then the run must pass ``simulate``'s own checks:
+    ``validate_run`` and the placement in ``initial_body_state``.
     """
     params = robot_params_from_entries(entries)
     controller = ControllerConfig.from_entries(entries)
@@ -134,19 +128,11 @@ def loaded_from_entries(entries: dict[str, str], name: str) -> LoadedScenario:
     if entries:
         unknown = ", ".join(sorted(entries))
         raise ConfigError(f"unknown config keys: {unknown}")
-    try:
-        SimClock.create(scenario.dt_physics, controller.dt_control)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    validate_run(scenario, controller, params)
     steering = steering_from_submovements(
         SubmovementParams(scenario.alpha0, scenario.beta0)
     )
-    placed = contact_height(initial_body_state(scenario, steering, params), steering, params)
-    if not abs(placed - scenario.drop_height) <= 1e-9:
-        raise ConfigError(
-            f"cannot place the robot at drop_height {scenario.drop_height:g} m "
-            f"(placed at {placed:g} m; check wheel_radius and the geometry)"
-        )
+    initial_body_state(scenario, steering, params)
     return LoadedScenario(
         params=params, controller=controller, scenario=scenario, name=name
     )

@@ -51,7 +51,7 @@ from .dynamics import (
     wheel_centers,
 )
 from .kinematics import steering_from_submovements
-from .params import RobotParams
+from .params import ConfigError, RobotParams, validate_params
 from .state import (
     BodyState,
     NormBuffer,
@@ -236,33 +236,6 @@ def refine_touchdown(
     return t0 + hi, BodyState.from_flat(y_hi)
 
 
-@dataclass(frozen=True)
-class SimClock:
-    """Validated timing: control period must divide onto physics steps."""
-
-    dt_physics: float
-    dt_control: float
-    steps_per_tick: int
-
-    @staticmethod
-    def create(dt_physics: float, dt_control: float) -> "SimClock":
-        if dt_physics <= 0 or dt_control <= 0:
-            raise ValueError("time steps must be positive")
-        ratio = dt_control / dt_physics
-        if not math.isfinite(ratio):
-            raise ValueError(
-                f"dt_control / dt_physics ({dt_control} / {dt_physics}) "
-                f"overflows the float range"
-            )
-        steps = round(ratio)
-        if steps < 1 or abs(ratio - steps) > 1e-9 * steps:
-            raise ValueError(
-                f"dt_control ({dt_control}) must be an integer multiple "
-                f"of dt_physics ({dt_physics})"
-            )
-        return SimClock(dt_physics, dt_control, steps)
-
-
 def apply_wheel_speed_limit(command, wheel_speed, params: RobotParams):
     """Zero drive torque that would push a wheel past its speed limit.
 
@@ -293,7 +266,7 @@ def apply_wheel_speed_limit(command, wheel_speed, params: RobotParams):
 # rates and 1000 m/s^2 (about 100 g) for the accelerometer, each past the
 # full scale of any IMU a robot carries.  Under them every reading, and
 # the accelerometer magnitude, stays finite.
-NOISE_SIGMA_MAX = NoiseModel(sigma_euler=math.pi, sigma_omega=100.0, sigma_accel=1000.0)
+NOISE_SIGMA_MAX = (math.pi, 100.0, 1000.0)
 
 # The ScenarioConfig fields in which runs sharing one attitude
 # integration may differ: translation is ballistic and feeds back into
@@ -321,33 +294,59 @@ class ScenarioConfig:
     dt_physics: float = 1e-4
     noise: NoiseModel = NoiseModel()
 
-    def validate(self) -> None:
-        if self.drop_height < 0.0:
-            raise ValueError("drop_height must be non-negative")
-        if self.t_max < 0.0:
-            raise ValueError("t_max must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        noise = self.noise
-        if min(noise.sigma_euler, noise.sigma_omega, noise.sigma_accel) < 0.0:
-            raise ValueError("IMU noise sigmas must be non-negative")
-        top = NOISE_SIGMA_MAX
-        if (
-            noise.sigma_euler > top.sigma_euler
-            or noise.sigma_omega > top.sigma_omega
-            or noise.sigma_accel > top.sigma_accel
-        ):
-            raise ValueError(
-                "IMU noise sigmas may not exceed 180 deg (noise_sigma_euler_deg), "
-                "100 rad/s (noise_sigma_omega) and 1000 m/s^2 (noise_sigma_accel)"
-            )
-        if self.dt_physics <= 0.0:
-            raise ValueError("dt_physics must be positive")
-        if self.t_max > MAX_PHYSICS_STEPS * self.dt_physics:
-            raise ValueError(
-                f"t_max / dt_physics exceeds the work budget of "
-                f"{MAX_PHYSICS_STEPS} physics steps (up to about a minute)"
-            )
+
+def validate_run(scenario: ScenarioConfig, controller, params: RobotParams) -> int:
+    """Check one run: the robot (``validate_params``), the controller's
+    freefall detection, the scenario, the work budget and that the
+    control period is a whole number of physics steps, which it returns.
+    Raises ConfigError at the first violation.  ``initial_body_state``
+    checks the placement at ``drop_height``."""
+    violations = validate_params(params)
+    if violations:
+        raise ConfigError("invalid robot parameters: " + "; ".join(violations))
+    # Each "not x >= bound" refuses NaN as well.
+    if not controller.freefall_accel_threshold > 0.0:
+        raise ConfigError("freefall_accel_threshold must be positive")
+    if not controller.freefall_debounce >= 0.0:
+        raise ConfigError("freefall_debounce must be non-negative")
+    if not scenario.drop_height >= 0.0:
+        raise ConfigError("drop_height must be non-negative")
+    if not scenario.t_max >= 0.0:
+        raise ConfigError("t_max must be non-negative")
+    if scenario.seed < 0:
+        raise ConfigError("seed must be non-negative")
+    noise = scenario.noise
+    sigmas = (noise.sigma_euler, noise.sigma_omega, noise.sigma_accel)
+    if not all(sigma >= 0.0 for sigma in sigmas):
+        raise ConfigError("IMU noise sigmas must be non-negative")
+    if any(sigma > top for sigma, top in zip(sigmas, NOISE_SIGMA_MAX)):
+        raise ConfigError(
+            "IMU noise sigmas may not exceed 180 deg (noise_sigma_euler_deg), "
+            "100 rad/s (noise_sigma_omega) and 1000 m/s^2 (noise_sigma_accel)"
+        )
+    dt_physics, dt_control = scenario.dt_physics, controller.dt_control
+    if not dt_physics > 0.0:
+        raise ConfigError("dt_physics must be positive")
+    if scenario.t_max > MAX_PHYSICS_STEPS * dt_physics:
+        raise ConfigError(
+            f"t_max / dt_physics exceeds the work budget of "
+            f"{MAX_PHYSICS_STEPS} physics steps (up to about a minute)"
+        )
+    if not dt_control > 0.0:
+        raise ConfigError("time steps must be positive")
+    ratio = dt_control / dt_physics
+    if not math.isfinite(ratio):
+        raise ConfigError(
+            f"dt_control / dt_physics ({dt_control} / {dt_physics}) "
+            f"overflows the float range"
+        )
+    steps = round(ratio)
+    if steps < 1 or abs(ratio - steps) > 1e-9 * steps:
+        raise ConfigError(
+            f"dt_control ({dt_control}) must be an integer multiple "
+            f"of dt_physics ({dt_physics})"
+        )
+    return steps
 
 
 SETTLED_ANGLE_LIMIT = math.radians(2.0)
@@ -357,13 +356,19 @@ SETTLED_RATE_LIMIT = 0.5
 def initial_body_state(
     scenario: ScenarioConfig, steering: SteeringState, params: RobotParams
 ) -> BodyState:
-    """Place the robot so the lowest contact point sits at drop_height."""
+    """Place the robot so the lowest contact point sits at drop_height;
+    raises ConfigError where the placed state misses it by over 1e-9 m."""
     quat = quat_from_euler(*scenario.euler0)
     probe = BodyState(np.zeros(3), scenario.velocity, quat, scenario.omega0)
     z0 = scenario.drop_height - contact_height(probe, steering, params)
-    return BodyState(
-        [0.0, 0.0, z0], scenario.velocity, quat, scenario.omega0
-    )
+    state = BodyState([0.0, 0.0, z0], scenario.velocity, quat, scenario.omega0)
+    placed = contact_height(state, steering, params)
+    if not abs(placed - scenario.drop_height) <= 1e-9:
+        raise ConfigError(
+            f"cannot place the robot at drop_height {scenario.drop_height:g} m "
+            f"(placed at {placed:g} m; check wheel_radius and the geometry)"
+        )
+    return state
 
 
 def attitude_key(scenario: ScenarioConfig, controller, params: RobotParams) -> str:
@@ -376,9 +381,10 @@ def attitude_key(scenario: ScenarioConfig, controller, params: RobotParams) -> s
 
 def simulate(scenario, controller, params: RobotParams) -> Trajectory:
     """Run one scenario to touchdown or t_max: ``simulate_lanes`` for
-    one lane.  Raises NonFiniteState (with the absolute time) if the
-    integration diverges or the controller's torque demand leaves the
-    finite range."""
+    one lane.  Raises ConfigError for a run the config loader refuses
+    (``validate_run``), and NonFiniteState (with the absolute time) if
+    the integration diverges or the controller's torque demand leaves
+    the finite range."""
     [result] = simulate_lanes([scenario], controller, params)
     if isinstance(result, NonFiniteState):
         raise result
@@ -414,10 +420,9 @@ def simulate_lanes(
     if len({attitude_key(s, controller, params) for s in scenarios}) != 1:
         raise ValueError(f"lanes may differ only in {', '.join(LANE_FIELDS)}")
     for scenario in scenarios:
-        scenario.validate()
+        steps = validate_run(scenario, controller, params)
     first = scenarios[0]
-    clock = SimClock.create(first.dt_physics, controller.dt_control)
-    dt, steps = clock.dt_physics, clock.steps_per_tick
+    dt = first.dt_physics
     sub = SubmovementParams(alpha=first.alpha0, beta=first.beta0)
     steering = steering_from_submovements(sub)
     kernel = FlightKernel(steering, params)

@@ -182,12 +182,12 @@ class SteeringState:
         values = [wrap_angle(d) for d in np.asarray(delta, dtype=float).reshape(4)]
         object.__setattr__(self, "delta", _frozen(values, (4,)))
 
-    def is_flight_symmetric(self, tol: float = SYMMETRY_TOL) -> bool:
+    def is_flight_symmetric(self) -> bool:
         d = self.delta
-        return abs(d[0] - d[2]) <= tol and abs(d[1] - d[3]) <= tol
+        return abs(d[0] - d[2]) <= SYMMETRY_TOL and abs(d[1] - d[3]) <= SYMMETRY_TOL
 
-    def require_flight_symmetric(self, tol: float = SYMMETRY_TOL) -> None:
-        if not self.is_flight_symmetric(tol):
+    def require_flight_symmetric(self) -> None:
+        if not self.is_flight_symmetric():
             raise AsymmetricSteering(
                 f"steering not symmetric: delta={self.delta.tolist()}"
             )
@@ -222,12 +222,12 @@ class TorqueCommand:
     def zero() -> "TorqueCommand":
         return TorqueCommand(np.zeros(4))
 
-    def is_flight_symmetric(self, tol: float = SYMMETRY_TOL) -> bool:
+    def is_flight_symmetric(self) -> bool:
         t = self.tau
-        return abs(t[0] + t[2]) <= tol and abs(t[1] + t[3]) <= tol
+        return abs(t[0] + t[2]) <= SYMMETRY_TOL and abs(t[1] + t[3]) <= SYMMETRY_TOL
 
-    def require_flight_symmetric(self, tol: float = SYMMETRY_TOL) -> None:
-        if not self.is_flight_symmetric(tol):
+    def require_flight_symmetric(self) -> None:
+        if not self.is_flight_symmetric():
             raise AsymmetricTorque(
                 f"torques not symmetric: tau={self.tau.tolist()}"
             )

@@ -10,6 +10,7 @@ from swervefall.params import (
     take_bool,
     take_float,
 )
+from swervefall.scenario import loaded_from_entries
 
 
 def test_default_params_pass_validation(params):
@@ -88,4 +89,4 @@ def test_robot_params_from_entries_overrides_and_pops():
 
 def test_robot_params_from_entries_validates():
     with pytest.raises(ConfigError, match="wheel_mass"):
-        robot_params_from_entries({"wheel_mass": "-2"})
+        loaded_from_entries({"wheel_mass": "-2"}, name="x")

@@ -1,9 +1,15 @@
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import swervefall
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+MODEL = ROOT / "docs" / "model.md"
+# Dotted names in the docs that belong to numpy or the standard library.
+OUTSIDE_ROOTS = {"np", "numpy", "os"}
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):
@@ -26,3 +32,27 @@ def test_readme_public_api_names_resolve():
     names = re.findall(r"`(\w+)`", paragraph.group(0))
     assert len(names) > 10
     assert [name for name in names if not hasattr(swervefall, name)] == []
+
+
+def test_model_doc_package_names_resolve():
+    # Every backticked dotted name in docs/model.md that is not numpy's or
+    # the standard library's names a module, class, function or attribute
+    # of the package, so a doc cannot keep naming deleted code.
+    text = MODEL.read_text(encoding="utf-8")
+    dotted = re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", text)
+    names = [name for name in dotted if name.split(".")[0] not in OUTSIDE_ROOTS]
+    assert len(names) > 10
+    namespace = {}
+    for info in pkgutil.iter_modules(swervefall.__path__):
+        module = importlib.import_module(f"swervefall.{info.name}")
+        namespace.update(vars(module))
+        namespace[info.name] = module
+    missing = []
+    for name in names:
+        root, *rest = name.split(".")
+        obj = namespace.get(root)
+        for part in rest:
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(name)
+    assert missing == []

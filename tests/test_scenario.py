@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -14,9 +15,23 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import swervefall.scenario as scenario
-from swervefall import ConfigError, compare, run_scenario, simulate, sweep
+from swervefall import (
+    ConfigError,
+    ControllerConfig,
+    RobotParams,
+    ScenarioConfig,
+    compare,
+    run_scenario,
+    simulate,
+    sweep,
+)
 from swervefall.cli import main as cli_main
-from swervefall.scenario import load_scenario_file, resolve_config_path
+from swervefall.scenario import (
+    load_scenario_file,
+    loaded_from_entries,
+    resolve_config_path,
+    sweepable_parameters,
+)
 from swervefall.simulation import CSV_HEADER
 
 QUICK = """
@@ -69,6 +84,75 @@ def test_bad_timing_is_config_error(tmp_path):
     )
     with pytest.raises(ConfigError, match="integer multiple"):
         load_scenario_file(path)
+
+
+@pytest.mark.parametrize("key, value, params, controller", [
+    ("j_bxx", "-1.0", RobotParams(j_bxx=-1.0), ControllerConfig()),
+    ("j_wzz", "1.0", RobotParams(j_wzz=1.0), ControllerConfig()),
+    ("wheel_radius", "1e20", RobotParams(wheel_radius=1e20), ControllerConfig()),
+    ("freefall_debounce", "-1.0", RobotParams(),
+     ControllerConfig(freefall_debounce=-1.0)),
+    ("freefall_accel_threshold", "0.0", RobotParams(),
+     ControllerConfig(freefall_accel_threshold=0.0)),
+])
+def test_simulate_refuses_what_the_loader_refuses(key, value, params, controller):
+    # Library simulate runs the loader's checks: the same input fails
+    # with the same ConfigError, never with a trajectory.
+    with pytest.raises(ConfigError) as loader:
+        loaded_from_entries({key: value}, name="x")
+    with pytest.raises(ConfigError) as library:
+        simulate(ScenarioConfig(t_max=0.3, dt_physics=0.001), controller, params)
+    assert str(library.value) == str(loader.value)
+
+
+def test_sweepable_parameters_are_the_float_keys_the_loader_reads():
+    # A float key a parser reads but the sweep list lacks (or the reverse)
+    # fails here.  The robot keys are matched against the dataclass; every
+    # other key is looked up with ``in`` before it is taken.
+    class Recording(dict):
+        def __init__(self):
+            super().__init__()
+            self.asked = set()
+
+        def __contains__(self, key):
+            self.asked.add(key)
+            return super().__contains__(key)
+
+    entries = Recording()
+    loaded_from_entries(entries, name="defaults")
+    robot = {f.name for f in dataclasses.fields(RobotParams)}
+    read = robot | entries.asked
+    assert read - {"seed", "controller_enabled"} == sweepable_parameters()
+
+
+def test_byte_order_mark_config_runs_as_without(tmp_path):
+    text = QUICK.lstrip()
+    plain, marked = tmp_path / "plain" / "quick.cfg", tmp_path / "marked" / "quick.cfg"
+    for path in (plain, marked):
+        path.parent.mkdir()
+    plain.write_text(text, encoding="utf-8")
+    # As some Windows editors save it: a UTF-8 byte-order mark first.
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    run_scenario(plain, tmp_path / "out_plain")
+    run_scenario(marked, tmp_path / "out_marked")
+    expected = (tmp_path / "out_plain" / "quick.csv").read_bytes()
+    assert (tmp_path / "out_marked" / "quick.csv").read_bytes() == expected
+
+
+def test_import_loads_no_pool_or_cli():
+    # The pool modules load only in a parallel sweep or compare, and
+    # argparse only with the console script: importing the package for a
+    # single run pays for neither.
+    src = str(Path(scenario.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, swervefall; print(*sys.modules)"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, check=True, env=dict(os.environ, PYTHONPATH=path),
+    ).stdout.split()
+    assert "swervefall" in loaded
+    heavy = {"multiprocessing", "concurrent.futures", "argparse"}
+    assert heavy.isdisjoint(loaded)
 
 
 def test_run_scenario_writes_pinned_csv(tmp_path):

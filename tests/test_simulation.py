@@ -19,13 +19,13 @@ from swervefall import (
 )
 from swervefall.simulation import (
     IMU_BLOCK_TICKS,
-    SimClock,
     apply_wheel_speed_limit,
     contact_height,
     imu_noise,
     imu_reading,
     imu_stream,
     initial_body_state,
+    validate_run,
 )
 from swervefall.dynamics import FlightKernel, kernel_holding
 from swervefall.state import euler_angles
@@ -181,11 +181,11 @@ def test_imu_block_stream_matches_per_tick_draws(seed, sigmas, ticks):
 
 # --- clock and limits --------------------------------------------------------
 
-def test_clock_requires_integer_ratio():
-    clock = SimClock.create(1e-4, 1e-3)
-    assert clock.steps_per_tick == 10
+def test_clock_requires_integer_ratio(params):
+    controller = ControllerConfig(dt_control=1e-3)
+    assert validate_run(ScenarioConfig(dt_physics=1e-4), controller, params) == 10
     with pytest.raises(ValueError):
-        SimClock.create(3e-4, 1e-3)
+        validate_run(ScenarioConfig(dt_physics=3e-4), controller, params)
 
 
 def test_wheel_speed_limit_zeroes_pair(params):
