@@ -47,13 +47,11 @@ from .simulation import (
 )
 from .state import (
     AsymmetricSteering,
-    AsymmetricTorque,
     BodyState,
     BodyTorque,
     EulerAngles,
     SteeringState,
     SubmovementParams,
-    TorqueCommand,
     euler_from_quaternion,
     quat_from_euler,
 )
@@ -62,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymmetricSteering",
-    "AsymmetricTorque",
     "AttitudeControlLoop",
     "BodyState",
     "BodyTorque",
@@ -83,7 +80,6 @@ __all__ = [
     "SingularConfiguration",
     "SteeringState",
     "SubmovementParams",
-    "TorqueCommand",
     "TorqueJacobian",
     "Trajectory",
     "allocate_body_torque",

@@ -14,8 +14,9 @@ Exit codes: 0 success, 2 config error, 3 simulation diverged.  Config
 errors include a run over the work budget of 10**6 physics steps
 (t_max / dt_physics; about 20 s of wall time at ten physics steps per
 control tick, 60 s at one), a dt_control / dt_physics ratio beyond the
-float range (dt_control = 1e308), an IMU noise sigma above 180 deg,
-100 rad/s or 1000 m/s^2, geometry that cannot place the robot at
+float range (dt_control = 1e308), a release spin past |omega| *
+dt_physics = 0.0719 rad, an IMU noise sigma above 180 deg, 100 rad/s
+or 1000 m/s^2, geometry that cannot place the robot at
 drop_height, a config file that is not UTF-8 (a leading byte-order
 mark is allowed), compare of two different config files with the same
 name (their outputs would overwrite each other), sweep values that

@@ -42,14 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kinematics import submovements_from_steering, torque_jacobian
 from .params import RobotParams
-from .state import (
-    BodyState,
-    NormBuffer,
-    SteeringState,
-    TorqueCommand,
-    quat_to_matrix,
-)
+from .state import BodyState, NormBuffer, SteeringState, quat_to_matrix
 
 GRAVITY_DIR = np.array([0.0, 0.0, -1.0])
 
@@ -140,29 +135,24 @@ def _drive_torque_columns(s: SteeringState) -> np.ndarray:
     return cols
 
 
-def net_drive_torque(s: SteeringState, cmd: TorqueCommand) -> np.ndarray:
-    """Sum of per-wheel drive reactions plus the steering couple."""
-    directions = _drive_torque_columns(s)
-    total = directions.T @ cmd.tau
-    total[2] += 4.0 * cmd.tau_delta
-    return total
-
-
 def angular_acceleration(
     state: BodyState,
     s: SteeringState,
-    cmd: TorqueCommand,
+    command,
     params: RobotParams,
 ) -> np.ndarray:
-    """Closed-form body angular acceleration (Wx_dot, Wy_dot, Wz_dot).
+    """Closed-form body angular acceleration (Wx_dot, Wy_dot, Wz_dot)
+    under the flight command ``(tau_1, tau_2, tau_delta)``.
 
     Assembles the input torque through the (alpha, beta) trig-identity
     Jacobian; the oracle instead sums per-wheel reaction directions in
     the raw steering angles, so agreement between the two exercises the
     angle-addition identities rather than shared code.
     """
-    kernel = kernel_holding(cmd, s, params)
-    return np.array(kernel.derivative(state.flat())[10:13])
+    kernel = FlightKernel(s, params)
+    kernel.set_command(*command)
+    rates = kernel._rotation_rates(*state.quat.tolist(), *state.omega.tolist())
+    return np.array(rates[4:])
 
 
 @dataclass(frozen=True)
@@ -183,18 +173,21 @@ class ReactionLoads:
 def oracle_newton_euler(
     state: BodyState,
     s: SteeringState,
-    cmd: TorqueCommand,
+    command,
     params: RobotParams,
 ) -> tuple[np.ndarray, ReactionLoads]:
     """Numerically assembled dynamics; the reference for the closed form.
 
-    Builds the mass matrix and right-hand side from per-wheel vector sums
-    and solves the 3x3 system for W_dot.  W_dot-dependent reaction terms
-    (wheel forces through the parallel-axis sum, axle reactions through
-    the rolling-direction channels) are moved onto the left-hand side.
+    Expands the flight command ``(tau_1, tau_2, tau_delta)`` to the four
+    wheel torques (tau_1, tau_2, -tau_1, -tau_2), builds the mass matrix
+    and right-hand side from per-wheel vector sums and solves the 3x3
+    system for W_dot.  W_dot-dependent reaction terms (wheel forces
+    through the parallel-axis sum, axle reactions through the
+    rolling-direction channels) are moved onto the left-hand side.
     """
     s.require_flight_symmetric()
-    cmd.require_flight_symmetric()
+    tau_1, tau_2, tau_delta = command
+    tau = np.array([tau_1, tau_2, -tau_1, -tau_2], dtype=float)
     omega = state.omega
 
     centers = wheel_centers(params, s)
@@ -220,7 +213,11 @@ def oracle_newton_euler(
     if np.linalg.det(mass) <= 0.0 or mass[0, 0] <= 0.0 or mass[1, 1] <= 0.0:
         raise SingularMassMatrix(f"effective inertia not positive: {np.diag(mass)}")
 
-    torque = net_drive_torque(s, cmd)
+    # Per-wheel drive reactions in the raw steering angles, plus the
+    # steering couple.
+    drive_dirs = _drive_torque_columns(s)
+    torque = drive_dirs.T @ tau
+    torque[2] += 4.0 * tau_delta
     gyro = np.cross(omega, np.diag(mass) * omega)
     omega_dot = np.linalg.solve(mass, torque - gyro)
 
@@ -234,9 +231,8 @@ def oracle_newton_euler(
             np.cross(omega_dot, r) + np.cross(omega, np.cross(omega, r))
         )
     tau_x = -params.j_wxx * FRAME_SIGNS * omega_dot[0]
-    drive_dirs = _drive_torque_columns(s)
-    tau_b = drive_dirs * cmd.tau[:, None]
-    tau_b[:, 2] += cmd.tau_delta
+    tau_b = drive_dirs * tau[:, None]
+    tau_b[:, 2] += tau_delta
     return omega_dot, ReactionLoads(f_b=f_b, tau_x=tau_x, tau_b=tau_b)
 
 
@@ -248,18 +244,6 @@ def torque_jacobian_reaction(s: SteeringState) -> np.ndarray:
     out[0] = FRAME_SIGNS * np.cos(d)
     out[1] = FRAME_SIGNS * np.sin(d)
     return out
-
-
-def kernel_holding(
-    cmd: TorqueCommand, s: SteeringState, params: RobotParams
-) -> "FlightKernel":
-    """A flight kernel at steering ``s`` holding ``cmd``, which must be
-    flight-symmetric (tau_3 = -tau_1, tau_4 = -tau_2)."""
-    cmd.require_flight_symmetric()
-    kernel = FlightKernel(s, params)
-    tau_1, tau_2 = cmd.tau[:2].tolist()
-    kernel.set_command(tau_1, tau_2, cmd.tau_delta)
-    return kernel
 
 
 NONFINITE_STEP = "non-finite state after RK4 step"
@@ -300,9 +284,8 @@ class FlightKernel:
     flat states of 17 floats (r_ob, v_ob, quat, omega, wheel_speed) that
     differ only in r_ob and v_ob through all of the tick's classical RK4
     steps in one call: the attitude once, then the wheel speeds, then
-    each state's position and velocity along that history.  ``advance``
-    is ``advance_lanes`` for one state and ``step`` is ``advance`` for
-    one step.
+    each state's position and velocity along that history.  ``step`` is
+    ``advance_lanes`` for one state and one step.
 
     The scalar arithmetic repeats the array formulation operation for
     operation (``np.cross`` order for the gyroscopic term, the
@@ -315,17 +298,14 @@ class FlightKernel:
     """
 
     def __init__(self, s: SteeringState, params: RobotParams):
-        from .kinematics import submovements_from_steering, torque_jacobian
-
         self.inertia = effective_inertia(params, s).tolist()
         self.full = torque_jacobian(submovements_from_steering(s)).full
-        # Spin axes are the negated drive-reaction directions.
-        self.spin_axes = -_drive_torque_columns(s)
-        # The same axes as a stack of one: one matmul then forms the
-        # products of any number of RK4 stages, each bit for bit the
-        # per-stage ``spin_axes @ omega_dot`` (a flattened
-        # ``spin_axes @ od.T`` or an einsum would round differently).
-        self._spin_stack = self.spin_axes[None]
+        # The wheel spin axes, the negated drive-reaction directions, as
+        # a stack of one: one matmul then forms the products of any number
+        # of RK4 stages, each bit for bit the per-stage
+        # ``spin_axes @ omega_dot`` (a flattened ``spin_axes @ od.T`` or
+        # an einsum would round differently).
+        self._spin_stack = -_drive_torque_columns(s)[None]
         self.accel = (params.g * GRAVITY_DIR).tolist()
         # (dt, _gravity_stages(dt)) of the last step length asked for.
         self._gravity = (None, None)
@@ -368,7 +348,7 @@ class FlightKernel:
     def set_command(self, tau_1: float, tau_2: float, tau_delta: float) -> None:
         """Hold the flight-symmetric command (tau_1, tau_2, -tau_1, -tau_2)
         with steering torque ``tau_delta`` for the following steps;
-        required before ``advance``."""
+        required before ``advance_lanes`` and ``step``."""
         self.torque = (self.full @ np.array([tau_1, tau_2, tau_delta])).tolist()
         j = self.j_wyy
         self.tau_over_j = [tau_1 / j, tau_2 / j, -tau_1 / j, -tau_2 / j]
@@ -408,43 +388,15 @@ class FlightKernel:
             (tz - (ox * hy - oy * hx)) / iz,
         )
 
-    def derivative(self, y) -> list[float]:
-        """Time derivative of a flat state under the held command.
-
-        Wheel reactions are internal, so translation is pure gravity.
-        Wheel spin integrates the drive torque against the spin inertia
-        minus the base angular-acceleration component along each spin
-        axis; the spin state exists to let the simulator enforce wheel
-        speed limits and does not feed back into the base dynamics.
-        """
-        rates = self._rotation_rates(*y[6:13])
-        wheel = np.subtract(self.tau_over_j, self.spin_axes @ np.array(rates[4:]))
-        return [*y[3:6], *self.accel, *rates, *wheel.tolist()]
-
     def step(self, y, dt: float) -> list[float]:
-        """One RK4 step of length ``dt``: ``advance`` for a single step."""
-        return self.advance(y, dt, 1)[0]
-
-    def advance(
-        self, y, dt: float, steps: int, stop_at_ground: bool = False
-    ) -> tuple[list[float], int]:
-        """Up to ``steps`` RK4 steps of length ``dt`` from flat state
-        ``y``: ``advance_lanes`` for one lane.
-
-        Returns (state, taken), the flat state after ``taken`` steps.
-        ``taken`` is ``steps`` unless ``stop_at_ground`` is set and a
-        wheel is on or below the ground at the end of step ``taken`` + 1;
-        the state is then that step's pre-step state, from which a
-        bisection can start.
-
-        Raises NonFiniteState at the earliest step after which a
-        component has left the finite range or the quaternion has
-        degenerated; its ``t`` is that step's start relative to ``y``.
-        """
-        [(state, taken, failure)] = self.advance_lanes([y], dt, steps, stop_at_ground)
+        """One RK4 step of length ``dt`` from flat state ``y``:
+        ``advance_lanes`` for one lane and one step.  Raises
+        NonFiniteState, with ``t`` = 0.0, if the step leaves the finite
+        range or degenerates the quaternion."""
+        [(state, _, failure)] = self.advance_lanes([y], dt, 1)
         if failure is not None:
-            raise NonFiniteState(failure, t=taken * dt)
-        return state, taken
+            raise NonFiniteState(failure, t=0.0)
+        return state
 
     def advance_lanes(
         self, ys, dt: float, steps: int, stop_at_ground: bool = False

@@ -38,20 +38,12 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _lapack_solve
 
 from .params import RobotParams
-from .state import (
-    BodyTorque,
-    SteeringState,
-    SubmovementParams,
-    TorqueCommand,
-    wrap_angle,
-)
+from .state import BodyTorque, SteeringState, SubmovementParams, wrap_angle
 
-# Allocation refuses below this |det N|; inverting closer to the
-# singularity amplifies wheel torques without bound.
+# Manipulability reports singular, and allocation refuses, below this
+# |det N|; inverting closer to the singularity amplifies wheel torques
+# without bound.
 SINGULARITY_TOL = 1e-6
-
-# Manipulability reports singular below this |det N|.
-SINGULAR_DET_TOL = 1e-9
 
 
 class SingularConfiguration(Exception):
@@ -135,7 +127,8 @@ class ManipulabilityReport:
     lambda_x_prime and lambda_y_prime are the body-torque magnitudes
     reachable per unit wheel torque about the two authority axes
     (2*sqrt(2)|sin a| and 2*sqrt(2)|cos a|); axis_angle is the rotation
-    beta of those axes.  singular means |det| < 1e-9.
+    beta of those axes.  singular means |det| < SINGULARITY_TOL (1e-6),
+    where ``allocate_body_torque`` refuses.
     """
 
     lambda_x_prime: float
@@ -157,26 +150,15 @@ def manipulability(sub: SubmovementParams) -> ManipulabilityReport:
         lambda_y_prime=lam_y,
         axis_angle=sub.beta,
         det=det,
-        singular=abs(det) < SINGULAR_DET_TOL,
+        singular=abs(det) < SINGULARITY_TOL,
     )
 
 
-def map_wheel_to_body_torque(
-    cmd: TorqueCommand, sub: SubmovementParams
-) -> BodyTorque:
-    """Forward map: symmetric wheel/steering torques to net base torque.
-
-    Raises AsymmetricTorque unless tau_3 = -tau_1 and tau_4 = -tau_2.
-    """
-    cmd.require_flight_symmetric()
-    jac = torque_jacobian(sub)
-    pair = np.array([cmd.tau[0], cmd.tau[1], cmd.tau_delta])
-    body = jac.full @ pair
-    return BodyTorque(
-        tau_x=float(body[0]),
-        tau_y=float(body[1]),
-        tau_z=float(body[2]),
-    )
+def map_wheel_to_body_torque(command, sub: SubmovementParams) -> BodyTorque:
+    """Forward map: the flight command ``(tau_1, tau_2, tau_delta)``,
+    wheels 3 and 4 driving -tau_1 and -tau_2, to net base torque."""
+    body = torque_jacobian(sub).full @ np.array(command, dtype=float)
+    return BodyTorque(*body.tolist())
 
 
 def allocate_body_torque(

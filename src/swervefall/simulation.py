@@ -43,13 +43,7 @@ from itertools import chain, count, repeat
 import numpy as np
 
 from .controller import ZERO_COMMAND, AttitudeControlLoop, ControllerMode
-from .dynamics import (
-    FlightKernel,
-    NonFiniteState,
-    kernel_holding,
-    lowest_contact,
-    wheel_centers,
-)
+from .dynamics import FlightKernel, NonFiniteState, lowest_contact, wheel_centers
 from .kinematics import steering_from_submovements
 from .params import ConfigError, RobotParams, validate_params
 from .state import (
@@ -57,7 +51,6 @@ from .state import (
     NormBuffer,
     SteeringState,
     SubmovementParams,
-    TorqueCommand,
     quat_from_euler,
     unit_euler_angles,
 )
@@ -67,6 +60,12 @@ BISECTION_TOL = 1e-6
 # time for `swervefall run` at ten physics steps per control tick and
 # 60 s at one (one core of a 2-vCPU Xeon).
 MAX_PHYSICS_STEPS = 10**6
+# Attitude error [rad] a release spin may build up over MAX_PHYSICS_STEPS
+# steps.  An RK4 step of a spin at |omega| lags the exact rotation by
+# about theta^5 / 60 rad, theta = |omega| dt / 2 (docs/model.md, Release
+# spin), so the largest |omega0| dt_physics of a release is about 0.072.
+SPIN_ERROR_BUDGET = 1e-3
+MAX_SPIN_STEP = 2.0 * (60.0 * SPIN_ERROR_BUDGET / MAX_PHYSICS_STEPS) ** 0.2
 
 CSV_HEADER = (
     "t,phi,theta,psi,omega_x,omega_y,omega_z,"
@@ -164,18 +163,21 @@ def imu_reading(euler, omega, sample_noise) -> tuple:
 
 def step_rk4(
     state: BodyState,
-    cmd: TorqueCommand,
+    command,
     s: SteeringState,
     params: RobotParams,
     dt: float,
 ) -> BodyState:
-    """One classical fourth-order step; renormalizes the quaternion.
+    """One classical fourth-order step under the flight command
+    ``(tau_1, tau_2, tau_delta)``; renormalizes the quaternion.
 
-    Raises NonFiniteState if any component leaves the finite range.
+    Raises ValueError unless ``dt`` is positive and finite, and
+    NonFiniteState if any component leaves the finite range.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    kernel = kernel_holding(cmd, s, params)
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    kernel = FlightKernel(s, params)
+    kernel.set_command(*command)
     return BodyState.from_flat(kernel.step(state.flat(), dt))
 
 
@@ -297,7 +299,8 @@ class ScenarioConfig:
 
 def validate_run(scenario: ScenarioConfig, controller, params: RobotParams) -> int:
     """Check one run: the robot (``validate_params``), the controller's
-    freefall detection, the scenario, the work budget and that the
+    freefall detection, the scenario, the work budget, the release spin
+    against the physics step (``MAX_SPIN_STEP``) and that the
     control period is a whole number of physics steps, which it returns.
     Raises ConfigError at the first violation.  ``initial_body_state``
     checks the placement at ``drop_height``."""
@@ -331,6 +334,12 @@ def validate_run(scenario: ScenarioConfig, controller, params: RobotParams) -> i
         raise ConfigError(
             f"t_max / dt_physics exceeds the work budget of "
             f"{MAX_PHYSICS_STEPS} physics steps (up to about a minute)"
+        )
+    spin_step = math.hypot(*scenario.omega0) * dt_physics
+    if not spin_step <= MAX_SPIN_STEP:
+        raise ConfigError(
+            f"release spin |omega| * dt_physics = {spin_step:.3g} rad exceeds "
+            f"{MAX_SPIN_STEP:.3g} rad: lower dt_physics or omega_x/y/z"
         )
     if not dt_control > 0.0:
         raise ConfigError("time steps must be positive")

@@ -1,4 +1,4 @@
-"""State representations: orientation, body state, steering, and torques.
+"""State representations: orientation, body state, steering and body torque.
 
 Conventions:
     * Body frame: x forward, y left, z up (right-handed).  World frame has
@@ -34,10 +34,6 @@ GIMBAL_PROXIMITY_DEG = 89.0
 
 class AsymmetricSteering(Exception):
     """Steering state violates the flight symmetry d1=d3, d2=d4."""
-
-
-class AsymmetricTorque(Exception):
-    """Torque command violates the flight symmetry t3=-t1, t4=-t2."""
 
 
 def wrap_angle(angle: float) -> float:
@@ -205,32 +201,6 @@ class SubmovementParams:
 
     alpha: float
     beta: float
-
-
-@dataclass(frozen=True)
-class TorqueCommand:
-    """Wheel drive torques [N·m] and net per-joint steering torque."""
-
-    tau: np.ndarray
-    tau_delta: float = 0.0
-
-    def __init__(self, tau, tau_delta: float = 0.0) -> None:
-        object.__setattr__(self, "tau", _frozen(tau, (4,)))
-        object.__setattr__(self, "tau_delta", float(tau_delta))
-
-    @staticmethod
-    def zero() -> "TorqueCommand":
-        return TorqueCommand(np.zeros(4))
-
-    def is_flight_symmetric(self) -> bool:
-        t = self.tau
-        return abs(t[0] + t[2]) <= SYMMETRY_TOL and abs(t[1] + t[3]) <= SYMMETRY_TOL
-
-    def require_flight_symmetric(self) -> None:
-        if not self.is_flight_symmetric():
-            raise AsymmetricTorque(
-                f"torques not symmetric: tau={self.tau.tolist()}"
-            )
 
 
 class BodyTorque(NamedTuple):

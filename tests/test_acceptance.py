@@ -18,7 +18,6 @@ from swervefall import (
     ControllerConfig,
     RobotParams,
     SubmovementParams,
-    TorqueCommand,
     angular_acceleration,
     jacobian_determinant,
     linearized_plant,
@@ -86,7 +85,7 @@ def test_01_oracle_equivalence(default_params):
             sub = SubmovementParams(*rng.uniform(-1.5, 1.5, 2))
             steering = steering_from_submovements(sub)
             t1, t2 = rng.uniform(-10, 10, 2)
-            cmd = TorqueCommand([t1, t2, -t1, -t2], rng.uniform(-2.5, 2.5))
+            cmd = (t1, t2, rng.uniform(-2.5, 2.5))
             state = BodyState(
                 rng.uniform(-2, 2, 3), rng.uniform(-4, 4, 3),
                 rng.normal(0, 1, 4), rng.uniform(-4, 4, 3),
@@ -124,7 +123,7 @@ def test_03_linearization(default_params):
             for sign in (1.0, -1.0):
                 pair = np.zeros(3)
                 pair[j] = sign * h
-                cmd = TorqueCommand([pair[0], pair[1], -pair[0], -pair[1]], pair[2])
+                cmd = (pair[0], pair[1], pair[2])
                 sensitivity[:, j] += sign * angular_acceleration(
                     state, steering, cmd, default_params
                 )
@@ -148,7 +147,7 @@ def test_04_conservation(default_params):
         )
         h0 = state.rotation() @ (inertia * state.omega)
         ke0 = 0.5 * float(state.omega @ (inertia * state.omega))
-        cmd = TorqueCommand.zero()
+        cmd = (0.0, 0.0, 0.0)
         for _ in range(1000):
             state = step_rk4(state, cmd, steering, default_params, 1e-3)
         h1 = state.rotation() @ (inertia * state.omega)
@@ -211,11 +210,11 @@ def test_09_yaw_decoupling(default_params):
         rng = np.random.default_rng(9)
         for _ in range(100):
             t1, t2 = rng.uniform(-10, 10, 2)
-            cmd = TorqueCommand([t1, t2, -t1, -t2], 0.0)
+            cmd = (t1, t2, 0.0)
             acc = angular_acceleration(state, steering, cmd, default_params)
             assert abs(acc[2]) < 1e-12
         for tau_d in (-2.0, 0.7, 1.9):
-            cmd = TorqueCommand(np.zeros(4), tau_d)
+            cmd = (0.0, 0.0, tau_d)
             acc = angular_acceleration(state, steering, cmd, default_params)
             assert abs(acc[2] - 4 * tau_d / default_params.j_bzz) < 1e-12
 

@@ -4,7 +4,6 @@ import pickle
 import sys
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from swervefall import (
@@ -12,7 +11,6 @@ from swervefall import (
     RobotParams,
     SteeringState,
     SubmovementParams,
-    TorqueCommand,
     angular_acceleration,
     oracle_newton_euler,
     reflected_inertia,
@@ -35,13 +33,14 @@ from swervefall.state import quat_multiply
 
 SQRT2 = math.sqrt(2.0)
 ISO = steering_from_submovements(SubmovementParams(math.pi / 4, 0.0))
+ZERO = (0.0, 0.0, 0.0)
 
 
 def random_symmetric_setup(rng):
     sub = SubmovementParams(*rng.uniform(-1.5, 1.5, 2))
     steering = steering_from_submovements(sub)
     t1, t2 = rng.uniform(-8.0, 8.0, 2)
-    cmd = TorqueCommand([t1, t2, -t1, -t2], rng.uniform(-2.0, 2.0))
+    cmd = (t1, t2, rng.uniform(-2.0, 2.0))
     state = BodyState(
         rng.uniform(-1, 1, 3),
         rng.uniform(-3, 3, 3),
@@ -107,13 +106,12 @@ def test_wheel_centers_cancel_in_pairs(params, rng):
 
 def test_equilibrium_is_stationary(params):
     state = BodyState.at_rest()
-    acc = angular_acceleration(state, ISO, TorqueCommand.zero(), params)
+    acc = angular_acceleration(state, ISO, ZERO, params)
     np.testing.assert_allclose(acc, np.zeros(3), atol=1e-15)
 
 
 def test_isotropic_opposing_torques_roll_only(params):
-    cmd = TorqueCommand([-1.0, 1.0, 1.0, -1.0], 0.0)
-    acc = angular_acceleration(BodyState.at_rest(), ISO, cmd, params)
+    acc = angular_acceleration(BodyState.at_rest(), ISO, (-1.0, 1.0, 0.0), params)
     refl = reflected_inertia(params, ISO)
     j_roll = params.j_bxx + refl.j_xx + 2 * SQRT2 * params.j_wxx
     assert math.isclose(acc[0], 2 * SQRT2 / j_roll, rel_tol=1e-12)
@@ -122,8 +120,7 @@ def test_isotropic_opposing_torques_roll_only(params):
 
 
 def test_pure_steering_torque_yaw_rate(params):
-    cmd = TorqueCommand(np.zeros(4), 1.0)
-    acc = angular_acceleration(BodyState.at_rest(), ISO, cmd, params)
+    acc = angular_acceleration(BodyState.at_rest(), ISO, (0.0, 0.0, 1.0), params)
     assert math.isclose(acc[2], 4.0 / params.j_bzz, rel_tol=1e-14)
     assert abs(acc[0]) < 1e-15 and abs(acc[1]) < 1e-15
 
@@ -142,7 +139,7 @@ def test_oracle_reaction_forces_vanish_at_rest(params):
     # wheel reaction force, so the loads and the acceleration are zero
     # even at a tilted attitude.
     state = BodyState([0, 0, 2], [0, 0, 0], quat_from_euler(0.4, -0.3, 0.2), [0, 0, 0])
-    acc, loads = oracle_newton_euler(state, ISO, TorqueCommand.zero(), params)
+    acc, loads = oracle_newton_euler(state, ISO, ZERO, params)
     np.testing.assert_allclose(acc, np.zeros(3), atol=1e-15)
     np.testing.assert_allclose(loads.f_b, np.zeros((4, 3)), atol=1e-15)
 
@@ -169,12 +166,11 @@ def test_effective_inertia_positive_over_configs(params, rng):
 
 def run_torque_free(params, steering, omega0, duration, dt):
     state = BodyState([0, 0, 100.0], [0, 0, 0], quat_from_euler(0.1, 0.2, -0.3), omega0)
-    cmd = TorqueCommand.zero()
     steps = int(round(duration / dt))
     inertia = effective_inertia(params, steering)
     states = [state]
     for _ in range(steps):
-        state = step_rk4(state, cmd, steering, params, dt)
+        state = step_rk4(state, ZERO, steering, params, dt)
         states.append(state)
     return states, inertia
 
@@ -195,51 +191,61 @@ def test_torque_free_conservation(params):
         assert abs(ke - ke0) / ke0 < 1e-8
 
 
-# --- state derivative --------------------------------------------------------
-
-def kernel_derivative(state, steering, cmd, params):
-    """Flat derivative (v_ob, a_ob, quat_dot, omega_dot, wheel_accel)."""
-    kernel = FlightKernel(steering, params)
-    kernel.set_command(cmd.tau[0], cmd.tau[1], cmd.tau_delta)
-    return np.array(kernel.derivative(state.flat()))
-
+# --- translation and wheel spin ----------------------------------------------
 
 def test_rest_state_falls_straight(params):
-    deriv = kernel_derivative(BodyState.at_rest(), ISO, TorqueCommand.zero(), params)
-    np.testing.assert_allclose(deriv[3:6], [0.0, 0.0, -params.g], atol=1e-15)
-    np.testing.assert_allclose(deriv[10:13], np.zeros(3), atol=1e-15)
-    np.testing.assert_allclose(deriv[0:3], np.zeros(3), atol=1e-15)
+    # One step from rest: the base drops under gravity alone, without
+    # turning or drifting sideways.
+    dt = 1e-3
+    state = step_rk4(BodyState.at_rest(), ZERO, ISO, params, dt)
+    assert math.isclose(state.v_ob[2], -params.g * dt, rel_tol=1e-14)
+    assert math.isclose(state.r_ob[2], -0.5 * params.g * dt**2, rel_tol=1e-14)
+    assert state.r_ob[0] == state.r_ob[1] == state.v_ob[0] == state.v_ob[1] == 0.0
+    assert state.quat.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert state.omega.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_vertical_acceleration_independent_of_torque(params, rng):
+    # Whatever the command and the tumble, a step changes the velocity by
+    # gravity's increment alone.
+    dt = 1e-3
     for _ in range(20):
         state, steering, cmd = random_symmetric_setup(rng)
-        deriv = kernel_derivative(state, steering, cmd, params)
-        assert math.isclose(deriv[5], -params.g, rel_tol=1e-15)
-        assert deriv[3] == 0.0 and deriv[4] == 0.0
+        stepped = step_rk4(state, cmd, steering, params, dt)
+        assert math.isclose(
+            stepped.v_ob[2] - state.v_ob[2], -params.g * dt, rel_tol=1e-12
+        )
+        assert stepped.v_ob[0] == state.v_ob[0] and stepped.v_ob[1] == state.v_ob[1]
 
 
 def test_wheel_speed_integrates_drive_torque(params):
     # With the base pinned by a huge inertia, wheel speed is a pure
     # integrator of tau / j_wyy.
     heavy = dataclasses.replace(params, j_bxx=1e9, j_byy=1e9, j_bzz=1e9)
-    cmd = TorqueCommand([2.0, -1.0, -2.0, 1.0], 0.0)
     state = BodyState.at_rest((0, 0, 50))
     dt, steps = 1e-3, 200
     for _ in range(steps):
-        state = step_rk4(state, cmd, ISO, heavy, dt)
-    expected = cmd.tau * (dt * steps) / heavy.j_wyy
+        state = step_rk4(state, (2.0, -1.0, 0.0), ISO, heavy, dt)
+    expected = np.array([2.0, -1.0, -2.0, 1.0]) * (dt * steps) / heavy.j_wyy
     np.testing.assert_allclose(state.wheel_speed, expected, rtol=1e-9, atol=1e-12)
 
 
 def test_wheel_acceleration_formula(params, rng):
-    from swervefall.dynamics import _drive_torque_columns
-
-    state, steering, cmd = random_symmetric_setup(rng)
-    deriv = kernel_derivative(state, steering, cmd, params)
-    spin_axes = -_drive_torque_columns(steering)
-    expected = cmd.tau / params.j_wyy - spin_axes @ deriv[10:13]
-    np.testing.assert_allclose(deriv[13:17], expected, atol=1e-12)
+    # Each wheel's spin rate changes at tau_i / j_wyy minus the base's
+    # angular acceleration along its spin axis; over a short step the
+    # wheel speeds change at that rate to first order in dt.
+    dt = 1e-7
+    for _ in range(20):
+        state, steering, cmd = random_symmetric_setup(rng)
+        t1, t2, _ = cmd
+        spin_axes = -_drive_torque_columns(steering)
+        expected = (
+            np.array([t1, t2, -t1, -t2]) / params.j_wyy
+            - spin_axes @ angular_acceleration(state, steering, cmd, params)
+        )
+        stepped = step_rk4(state, cmd, steering, params, dt)
+        rate = (stepped.wheel_speed - state.wheel_speed) / dt
+        np.testing.assert_allclose(rate, expected, rtol=1e-6, atol=1e-4)
 
 
 # --- scalar kernel against the array formulation ------------------------------
@@ -248,13 +254,14 @@ def reference_derivative(y, steering, cmd, params):
     """The flight derivative in array form, operation for operation as
     the scalar kernel must reproduce it."""
     inertia = effective_inertia(params, steering)
-    pair = np.array([cmd.tau[0], cmd.tau[1], cmd.tau_delta])
+    t1, t2, t_delta = cmd
+    pair = np.array([t1, t2, t_delta])
     torque = torque_jacobian(submovements_from_steering(steering)).full @ pair
     omega = y[10:13]
     omega_dot = (torque - np.cross(omega, inertia * omega)) / inertia
     quat_dot = 0.5 * quat_multiply(y[6:10], np.array([0.0, *omega]))
     spin_axes = -_drive_torque_columns(steering)
-    wheel_accel = cmd.tau / params.j_wyy - spin_axes @ omega_dot
+    wheel_accel = np.array([t1, t2, -t1, -t2]) / params.j_wyy - spin_axes @ omega_dot
     return np.concatenate(
         [y[3:6], params.g * GRAVITY_DIR, quat_dot, omega_dot, wheel_accel]
     )
@@ -277,9 +284,10 @@ def reference_rk4(y0, steering, cmd, params, dt):
 
 
 def reference_tick(y, steering, cmd, params, dt, steps, stop_at_ground):
-    """``steps`` reference RK4 steps, as ``FlightKernel.advance`` must
-    take them: (state, taken), stopping before the first step that ends
-    with a wheel on the ground, or ("diverged", index of the step)."""
+    """``steps`` reference RK4 steps, as ``FlightKernel.advance_lanes``
+    must take them for one lane: (state, taken), stopping before the
+    first step that ends with a wheel on the ground, or ("diverged",
+    index of the step)."""
     centers = wheel_centers(params, steering)
     for i in range(steps):
         try:
@@ -295,12 +303,13 @@ def reference_tick(y, steering, cmd, params, dt, steps, stop_at_ground):
 
 
 def test_derivative_matches_array_formulation_bitwise(params, rng):
+    # The closed-form angular acceleration is the reference derivative's
+    # omega_dot, bit for bit.
     for _ in range(50):
         state, steering, cmd = random_symmetric_setup(rng)
         expected = reference_derivative(np.array(state.flat()), steering, cmd, params)
-        np.testing.assert_array_equal(
-            kernel_derivative(state, steering, cmd, params), expected
-        )
+        got = angular_acceleration(state, steering, cmd, params)
+        assert got.tobytes() == expected[10:13].tobytes()
 
 
 def test_rk4_matches_array_formulation_bitwise(params, rng):
@@ -353,7 +362,7 @@ def test_tick_matches_reference_steps_bitwise(
     alpha, beta, torques, quat, rates, height, velocity, wheels, dt, steps,
     stop_at_ground, event, event_step,
 ):
-    # One advance over a control tick against the array-formulation RK4
+    # One kernel call over a control tick against the array-formulation RK4
     # stepped one step at a time: the same bits at the end of the tick,
     # the same touchdown step with the same pre-step state, and the same
     # failing step when the base or the wheels diverge within the tick.
@@ -382,21 +391,21 @@ def test_tick_matches_reference_steps_bitwise(
         params = dataclasses.replace(params, j_wyy=1e-300)
         headroom = (k + 0.5) * dt * abs(t1) / params.j_wyy
         wheels[0] = math.copysign(sys.float_info.max - headroom, t1)
-    cmd = TorqueCommand([t1, t2, -t1, -t2], t_delta)
     kernel = FlightKernel(steering, params)
     kernel.set_command(t1, t2, t_delta)
     y = [0.0, 0.0, height, *velocity, *quat, *omega, *wheels]
     with np.errstate(over="ignore", invalid="ignore"):
         expected, taken = reference_tick(
-            np.array(y), steering, cmd, params, dt, steps, stop_at_ground
+            np.array(y), steering, torques, params, dt, steps, stop_at_ground
         )
-        if isinstance(expected, str):
-            with pytest.raises(NonFiniteState) as info:
-                kernel.advance(y, dt, steps, stop_at_ground)
-            assert info.value.t == taken * dt
-            return
-        state, kernel_taken = kernel.advance(y, dt, steps, stop_at_ground)
+        [(state, kernel_taken, failure)] = kernel.advance_lanes(
+            [y], dt, steps, stop_at_ground
+        )
     assert kernel_taken == taken
+    if isinstance(expected, str):
+        assert state is None and failure is not None
+        return
+    assert failure is None
     assert np.array(state).tobytes() == expected.tobytes()
 
 
@@ -486,19 +495,17 @@ def test_lanes_match_lone_runs_bitwise(
             velocity = (1e300, *velocity[1:])
             px = sys.float_info.max - (overflow + 0.5) * dt * 1e300
         ys.append([px, 0.0, height, *velocity, *quat, *omega, *wheels])
-    cmd = TorqueCommand([t1, t2, -t1, -t2], t_delta)
     kernel = FlightKernel(steering, params)
     kernel.set_command(t1, t2, t_delta)
     with np.errstate(over="ignore", invalid="ignore"):
         expected = []
         for y in ys:
             state, taken = reference_tick(
-                np.array(y), steering, cmd, params, dt, steps, stop_at_ground
+                np.array(y), steering, torques, params, dt, steps, stop_at_ground
             )
             if isinstance(state, str):
-                with pytest.raises(NonFiniteState) as info:
-                    kernel.advance(y, dt, steps, stop_at_ground)
-                expected.append((None, taken, info.value.message))
+                [(_, _, message)] = kernel.advance_lanes([y], dt, steps, stop_at_ground)
+                expected.append((None, taken, message))
             else:
                 expected.append((state.tobytes(), taken, None))
         got = [

@@ -1,6 +1,7 @@
 import importlib
 import pkgutil
 import re
+import types
 from pathlib import Path
 
 import swervefall
@@ -32,6 +33,16 @@ def test_readme_public_api_names_resolve():
     names = re.findall(r"`(\w+)`", paragraph.group(0))
     assert len(names) > 10
     assert [name for name in names if not hasattr(swervefall, name)] == []
+
+
+def test_package_all_lists_its_public_names():
+    # __all__ names exactly the public names, other than modules, bound in
+    # the package root, so a deleted name cannot stay listed and a new one
+    # cannot go unlisted.
+    public = [name for name, value in vars(swervefall).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert sorted(swervefall.__all__) == sorted(public)
+    exec("from swervefall import *", {})
 
 
 def test_model_doc_package_names_resolve():

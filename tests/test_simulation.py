@@ -6,19 +6,23 @@ from hypothesis import given, settings, strategies as st
 
 from swervefall import (
     BodyState,
+    ConfigError,
     ControllerConfig,
     NoiseModel,
     RobotParams,
     ScenarioConfig,
     SubmovementParams,
-    TorqueCommand,
     simulate,
     steering_from_submovements,
     step_rk4,
     quat_from_euler,
 )
+from swervefall.cli import main as cli_main
 from swervefall.simulation import (
     IMU_BLOCK_TICKS,
+    MAX_PHYSICS_STEPS,
+    MAX_SPIN_STEP,
+    SPIN_ERROR_BUDGET,
     apply_wheel_speed_limit,
     contact_height,
     imu_noise,
@@ -27,10 +31,11 @@ from swervefall.simulation import (
     initial_body_state,
     validate_run,
 )
-from swervefall.dynamics import FlightKernel, kernel_holding
-from swervefall.state import euler_angles
+from swervefall.dynamics import FlightKernel
+from swervefall.state import euler_angles, quat_multiply
 
 ISO = steering_from_submovements(SubmovementParams(math.pi / 4, 0.0))
+ZERO = (0.0, 0.0, 0.0)
 
 
 # --- integrator --------------------------------------------------------------
@@ -42,13 +47,15 @@ def test_freefall_distance(params):
     t_fall = math.sqrt(2 * 0.85 / params.g)
     dt = t_fall / 4163.0
     for _ in range(4163):
-        state = step_rk4(state, TorqueCommand.zero(), ISO, params, dt)
+        state = step_rk4(state, ZERO, ISO, params, dt)
     assert abs(state.r_ob[2] - (-0.85)) < 1e-6
 
 
 def test_rk4_rejects_nonpositive_dt(params):
-    with pytest.raises(ValueError):
-        step_rk4(BodyState.at_rest(), TorqueCommand.zero(), ISO, params, 0.0)
+    # NaN and inf too: each used to end in NonFiniteState at t=nan.
+    for dt in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            step_rk4(BodyState.at_rest(), ZERO, ISO, params, dt)
 
 
 def test_rk4_fourth_order_convergence(params):
@@ -56,12 +63,12 @@ def test_rk4_fourth_order_convergence(params):
     # Richardson reference at a much finer step.  Halving dt should cut
     # the error ~16x.
     omega0 = np.array([6.0, -5.0, 4.0])
-    cmd = TorqueCommand(np.zeros(4), 0.5)
-    kernel = kernel_holding(cmd, ISO, params)
+    kernel = FlightKernel(ISO, params)
+    kernel.set_command(0.0, 0.0, 0.5)
 
     def integrate(dt, t_end=0.2):
         state = BodyState([0, 0, 10], [0, 0, 0], [1, 0, 0, 0], omega0)
-        y, _ = kernel.advance(state.flat(), dt, int(round(t_end / dt)))
+        [(y, _, _)] = kernel.advance_lanes([state.flat()], dt, int(round(t_end / dt)))
         return np.array(y[10:13])
 
     # Reference step is 200x finer than the probes, so its own error is
@@ -77,7 +84,7 @@ def test_quiescent_rotation_state_unchanged(params):
     # No torque, no rotation: attitude, rates, and wheel speeds hold
     # exactly while the body falls.
     state = BodyState.at_rest((0, 0, 5))
-    stepped = step_rk4(state, TorqueCommand.zero(), ISO, params, 1e-3)
+    stepped = step_rk4(state, ZERO, ISO, params, 1e-3)
     np.testing.assert_allclose(stepped.quat, state.quat, atol=1e-15)
     np.testing.assert_allclose(stepped.omega, np.zeros(3), atol=1e-15)
     np.testing.assert_allclose(stepped.wheel_speed, np.zeros(4), atol=1e-15)
@@ -86,7 +93,7 @@ def test_quiescent_rotation_state_unchanged(params):
 def test_quaternion_stays_normalized(params, rng):
     state = BodyState([0, 0, 10], [0, 0, 0], rng.normal(0, 1, 4), rng.uniform(-2, 2, 3))
     for _ in range(500):
-        state = step_rk4(state, TorqueCommand.zero(), ISO, params, 1e-3)
+        state = step_rk4(state, ZERO, ISO, params, 1e-3)
     assert abs(np.linalg.norm(state.quat) - 1.0) < 1e-9
 
 
@@ -282,3 +289,46 @@ def test_event_ordering(params):
         assert times["freefall_start"] <= times["settled"] <= times["touchdown"]
     sample_times = [row[0] for row in trajectory.rows]
     assert all(b > a for a, b in zip(sample_times, sample_times[1:]))
+
+
+# --- release spin bound ------------------------------------------------------
+
+def spin_scenario(axis, step):
+    """A level release spinning about principal axis ``axis`` at ``step``
+    rad per physics step."""
+    omega0 = [0.0, 0.0, 0.0]
+    omega0[axis] = step / 1e-4
+    return ScenarioConfig(drop_height=0.5, omega0=tuple(omega0), dt_physics=1e-4)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_spin_inside_the_bound_tracks_the_exact_spin(params, axis):
+    # Torque-free spin about a principal axis keeps its rate W, so the
+    # exact attitude at touchdown is the turn W t about that axis.  Just
+    # inside the bound the run's attitude misses it by no more than the
+    # budget's share for the steps taken, and by most of that share: the
+    # error model behind the bound holds, and is not loose.
+    scenario = spin_scenario(axis, 0.999 * MAX_SPIN_STEP)
+    trajectory = simulate(scenario, ControllerConfig(enabled=False), params)
+    t = trajectory.touchdown_time
+    half_turn = 0.5 * scenario.omega0[axis] * t
+    undo_exact = np.zeros(4)
+    undo_exact[0], undo_exact[1 + axis] = math.cos(half_turn), -math.sin(half_turn)
+    miss = quat_multiply(undo_exact, trajectory.touchdown_state.quat)
+    error = 2.0 * math.atan2(float(np.linalg.norm(miss[1:])), abs(miss[0]))
+    share = SPIN_ERROR_BUDGET * (t / scenario.dt_physics) / MAX_PHYSICS_STEPS
+    assert 0.9 * share <= error <= share
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_spin_outside_the_bound_exits_2(tmp_path, capsys, params, axis):
+    # Just past the bound the loader refuses the release, and so does
+    # library simulate.
+    step = 1.001 * MAX_SPIN_STEP
+    config = tmp_path / "spin.cfg"
+    config.write_text(f"dt_physics = 0.0001\nomega_{axis} = {step / 1e-4!r}\n",
+                      encoding="utf-8")
+    assert cli_main(["run", str(config), "-o", str(tmp_path / "o")]) == 2
+    assert "config error: release spin" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="release spin"):
+        simulate(spin_scenario("xyz".index(axis), step), ControllerConfig(), params)

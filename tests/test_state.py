@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from swervefall import (
     AsymmetricSteering,
-    AsymmetricTorque,
     BodyState,
     SteeringState,
-    TorqueCommand,
     euler_from_quaternion,
     quat_from_euler,
 )
@@ -90,20 +88,6 @@ def test_steering_state_wraps_and_checks_symmetry():
     assert not asym.is_flight_symmetric()
     with pytest.raises(AsymmetricSteering):
         asym.require_flight_symmetric()
-
-
-def test_torque_command_symmetry_contract():
-    ok = TorqueCommand([1.0, -2.0, -1.0, 2.0], 0.5)
-    ok.require_flight_symmetric()
-    bad = TorqueCommand([1.0, -2.0, -1.0, 2.5])
-    with pytest.raises(AsymmetricTorque):
-        bad.require_flight_symmetric()
-
-
-def test_torque_command_zero():
-    cmd = TorqueCommand.zero()
-    np.testing.assert_array_equal(cmd.tau, np.zeros(4))
-    assert cmd.tau_delta == 0.0
 
 
 def test_norm_buffer_matches_numpy_norm_bitwise(rng):
