@@ -31,8 +31,7 @@ from .kinematics import (
     jacobian_determinant,
     manipulability,
     map_wheel_to_body_torque,
-    steering_from_submovements,
-    submovements_from_steering,
+    steering_angles,
     torque_jacobian,
 )
 from .params import ConfigError, RobotParams, validate_params
@@ -46,11 +45,9 @@ from .simulation import (
     step_rk4,
 )
 from .state import (
-    AsymmetricSteering,
     BodyState,
     BodyTorque,
     EulerAngles,
-    SteeringState,
     SubmovementParams,
     euler_from_quaternion,
     quat_from_euler,
@@ -59,7 +56,6 @@ from .state import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymmetricSteering",
     "AttitudeControlLoop",
     "BodyState",
     "BodyTorque",
@@ -78,7 +74,6 @@ __all__ = [
     "RunSummary",
     "ScenarioConfig",
     "SingularConfiguration",
-    "SteeringState",
     "SubmovementParams",
     "TorqueJacobian",
     "Trajectory",
@@ -96,9 +91,8 @@ __all__ = [
     "reflected_inertia",
     "run_scenario",
     "simulate",
-    "steering_from_submovements",
+    "steering_angles",
     "step_rk4",
-    "submovements_from_steering",
     "sweep",
     "torque_jacobian",
     "validate_params",

@@ -27,7 +27,9 @@ list may start with a minus sign (--values -10,-20).  A simulation
 diverges when the integration leaves the finite range or when the
 controller's torque demand does (kd_roll = 1e308 with a nonzero
 omega_x) or its allocation does (kd_roll = kd_pitch = 1e307 with
-omega_x = omega_y = -15); numpy prints no warning about it.  A reader
+omega_x = omega_y = -15), and when the body rates grow in flight past
+the release spin bound (|omega| * dt_physics = 0.0719 rad at the start
+of a control tick); numpy prints no warning about it.  A reader
 that closes the output early (``| head``) ends the command with exit 0
 and no traceback: summaries are printed only after every run and file
 is complete.

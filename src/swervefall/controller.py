@@ -50,20 +50,21 @@ class ControllerGains:
     """Diagonal PD gains per Euler axis (roll, pitch, yaw), each a tuple
     of three floats.
 
-    Entries must be non-negative; zeroing an axis disables it (the yaw
-    channel ships disabled).
+    Entries must be finite and non-negative; zeroing an axis disables it
+    (the yaw channel ships disabled).
     """
 
     kp: tuple[float, float, float]
     kd: tuple[float, float, float]
 
     def __init__(self, kp, kd) -> None:
-        kp = np.asarray(kp, dtype=float).reshape(3)
-        kd = np.asarray(kd, dtype=float).reshape(3)
-        if (kp < 0).any() or (kd < 0).any():
-            raise ConfigError("gains must be non-negative")
-        object.__setattr__(self, "kp", tuple(kp.tolist()))
-        object.__setattr__(self, "kd", tuple(kd.tolist()))
+        kp = tuple(np.asarray(kp, dtype=float).reshape(3).tolist())
+        kd = tuple(np.asarray(kd, dtype=float).reshape(3).tolist())
+        # "not 0 <= g < inf" refuses NaN as well.
+        if not all(0.0 <= g < math.inf for g in kp + kd):
+            raise ConfigError("gains must be non-negative and finite")
+        object.__setattr__(self, "kp", kp)
+        object.__setattr__(self, "kd", kd)
 
     @staticmethod
     def default() -> "ControllerGains":

@@ -42,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import submovements_from_steering, torque_jacobian
+from .kinematics import steering_angles, torque_jacobian
 from .params import RobotParams
-from .state import BodyState, NormBuffer, SteeringState, quat_to_matrix
+from .state import BodyState, NormBuffer, SubmovementParams, quat_to_matrix
 
 GRAVITY_DIR = np.array([0.0, 0.0, -1.0])
 
@@ -70,23 +70,23 @@ def steer_points(params: RobotParams) -> np.ndarray:
     ])
 
 
-def wheel_offsets(params: RobotParams, s: SteeringState) -> np.ndarray:
+def wheel_offsets(params: RobotParams, sub: SubmovementParams) -> np.ndarray:
     """Axle offsets from steering axis to wheel center, per wheel."""
-    d = s.delta
+    d = np.array(steering_angles(sub))
     out = np.zeros((4, 3))
     out[:, 0] = params.c * FRAME_SIGNS * np.sin(d)
     out[:, 1] = -params.c * FRAME_SIGNS * np.cos(d)
     return out
 
 
-def wheel_centers(params: RobotParams, s: SteeringState) -> np.ndarray:
-    return steer_points(params) + wheel_offsets(params, s)
+def wheel_centers(params: RobotParams, sub: SubmovementParams) -> np.ndarray:
+    return steer_points(params) + wheel_offsets(params, sub)
 
 
 @dataclass(frozen=True)
 class InertiaReflection:
     """Wheel masses reflected to the base inertia [kg·m²]; functions of
-    the symmetric steering angles.  Planar mass layout gives
+    the steering configuration.  Planar mass layout gives
     j_zz = j_xx + j_yy."""
 
     j_xx: float
@@ -94,14 +94,10 @@ class InertiaReflection:
     j_zz: float
 
 
-def reflected_inertia(params: RobotParams, s: SteeringState) -> InertiaReflection:
-    """Closed-form reflection of the four wheel masses.
-
-    Requires flight-symmetric steering; the pair structure collapses the
-    four-wheel sum onto delta_1 and delta_2.
-    """
-    s.require_flight_symmetric()
-    d1, d2 = float(s.delta[0]), float(s.delta[1])
+def reflected_inertia(params: RobotParams, sub: SubmovementParams) -> InertiaReflection:
+    """Closed-form reflection of the four wheel masses; the pair structure
+    collapses the four-wheel sum onto delta_1 and delta_2."""
+    d1, d2, _, _ = steering_angles(sub)
     m = params.wheel_mass
     a2, b2, c = params.a / 2.0, params.b / 2.0, params.c
     j_xx = 2.0 * m * ((b2 + c * np.cos(d1)) ** 2 + (b2 + c * np.cos(d2)) ** 2)
@@ -109,16 +105,16 @@ def reflected_inertia(params: RobotParams, s: SteeringState) -> InertiaReflectio
     return InertiaReflection(j_xx=float(j_xx), j_yy=float(j_yy), j_zz=float(j_xx + j_yy))
 
 
-def _wheel_axle_weights(s: SteeringState) -> tuple[float, float]:
+def _wheel_axle_weights(sub: SubmovementParams) -> tuple[float, float]:
     """Axle-normal inertia reaction weights for the roll and pitch axes."""
-    d1, d2 = float(s.delta[0]), float(s.delta[1])
+    d1, d2, _, _ = steering_angles(sub)
     return 2.0 * (np.cos(d1) + np.cos(d2)), 2.0 * (np.sin(d1) - np.sin(d2))
 
 
-def effective_inertia(params: RobotParams, s: SteeringState) -> np.ndarray:
-    """Diagonal model inertia (Jx*, Jy*, Jz*) at a symmetric configuration."""
-    refl = reflected_inertia(params, s)
-    w_x, w_y = _wheel_axle_weights(s)
+def effective_inertia(params: RobotParams, sub: SubmovementParams) -> np.ndarray:
+    """Diagonal model inertia (Jx*, Jy*, Jz*) at a steering configuration."""
+    refl = reflected_inertia(params, sub)
+    w_x, w_y = _wheel_axle_weights(sub)
     return np.array([
         params.j_bxx + refl.j_xx + params.j_wxx * w_x,
         params.j_byy + refl.j_yy + params.j_wxx * w_y,
@@ -126,9 +122,9 @@ def effective_inertia(params: RobotParams, s: SteeringState) -> np.ndarray:
     ])
 
 
-def _drive_torque_columns(s: SteeringState) -> np.ndarray:
+def _drive_torque_columns(sub: SubmovementParams) -> np.ndarray:
     """Per-wheel base reaction direction for unit drive torque (rows)."""
-    d = s.delta
+    d = np.array(steering_angles(sub))
     cols = np.zeros((4, 3))
     cols[:, 0] = -FRAME_SIGNS * np.cos(d)
     cols[:, 1] = FRAME_SIGNS * np.sin(d)
@@ -137,7 +133,7 @@ def _drive_torque_columns(s: SteeringState) -> np.ndarray:
 
 def angular_acceleration(
     state: BodyState,
-    s: SteeringState,
+    sub: SubmovementParams,
     command,
     params: RobotParams,
 ) -> np.ndarray:
@@ -149,7 +145,7 @@ def angular_acceleration(
     the raw steering angles, so agreement between the two exercises the
     angle-addition identities rather than shared code.
     """
-    kernel = FlightKernel(s, params)
+    kernel = FlightKernel(sub, params)
     kernel.set_command(*command)
     rates = kernel._rotation_rates(*state.quat.tolist(), *state.omega.tolist())
     return np.array(rates[4:])
@@ -172,7 +168,7 @@ class ReactionLoads:
 
 def oracle_newton_euler(
     state: BodyState,
-    s: SteeringState,
+    sub: SubmovementParams,
     command,
     params: RobotParams,
 ) -> tuple[np.ndarray, ReactionLoads]:
@@ -185,12 +181,11 @@ def oracle_newton_euler(
     through the parallel-axis sum, axle reactions through the
     rolling-direction channels) are moved onto the left-hand side.
     """
-    s.require_flight_symmetric()
     tau_1, tau_2, tau_delta = command
     tau = np.array([tau_1, tau_2, -tau_1, -tau_2], dtype=float)
     omega = state.omega
 
-    centers = wheel_centers(params, s)
+    centers = wheel_centers(params, sub)
     # Parallel-axis reflection of the wheel masses, diagonal part.  The
     # model keeps the reflection diagonal; products of inertia vanish at
     # beta = 0 and are not carried by the diagonal EOMs.
@@ -199,7 +194,7 @@ def oracle_newton_euler(
         reflect += params.wheel_mass * (float(r @ r) * np.eye(3) - np.outer(r, r))
     reflect = np.diag(np.diag(reflect))
 
-    jac_reaction = torque_jacobian_reaction(s)
+    jac_reaction = torque_jacobian_reaction(sub)
     axle_x = params.j_wxx * float(jac_reaction[0] @ FRAME_SIGNS)
     axle_y = params.j_wxx * float(jac_reaction[1] @ FORE_AFT_SIGNS)
 
@@ -215,7 +210,7 @@ def oracle_newton_euler(
 
     # Per-wheel drive reactions in the raw steering angles, plus the
     # steering couple.
-    drive_dirs = _drive_torque_columns(s)
+    drive_dirs = _drive_torque_columns(sub)
     torque = drive_dirs.T @ tau
     torque[2] += 4.0 * tau_delta
     gyro = np.cross(omega, np.diag(mass) * omega)
@@ -236,10 +231,10 @@ def oracle_newton_euler(
     return omega_dot, ReactionLoads(f_b=f_b, tau_x=tau_x, tau_b=tau_b)
 
 
-def torque_jacobian_reaction(s: SteeringState) -> np.ndarray:
+def torque_jacobian_reaction(sub: SubmovementParams) -> np.ndarray:
     """Rolling-direction matrix: columns map per-wheel axle-normal
     reaction torques into body axes."""
-    d = s.delta
+    d = np.array(steering_angles(sub))
     out = np.zeros((3, 4))
     out[0] = FRAME_SIGNS * np.cos(d)
     out[1] = FRAME_SIGNS * np.sin(d)
@@ -275,7 +270,7 @@ def lowest_contact(
 
 
 class FlightKernel:
-    """Flight physics at one locked steering configuration.
+    """Flight physics at one locked steering configuration ``sub``.
 
     Built once per steering configuration, it holds the effective
     inertia, the full torque Jacobian, the wheel spin axes, gravity and
@@ -297,19 +292,20 @@ class FlightKernel:
     buffer is the kernel's own: a kernel serves one thread.
     """
 
-    def __init__(self, s: SteeringState, params: RobotParams):
-        self.inertia = effective_inertia(params, s).tolist()
-        self.full = torque_jacobian(submovements_from_steering(s)).full
+    def __init__(self, sub: SubmovementParams, params: RobotParams):
+        self.inertia = effective_inertia(params, sub).tolist()
+        # The Jacobian the controller allocates with.
+        self.full = torque_jacobian(sub).full
         # The wheel spin axes, the negated drive-reaction directions, as
         # a stack of one: one matmul then forms the products of any number
         # of RK4 stages, each bit for bit the per-stage
         # ``spin_axes @ omega_dot`` (a flattened ``spin_axes @ od.T`` or
         # an einsum would round differently).
-        self._spin_stack = -_drive_torque_columns(s)[None]
+        self._spin_stack = -_drive_torque_columns(sub)[None]
         self.accel = (params.g * GRAVITY_DIR).tolist()
         # (dt, _gravity_stages(dt)) of the last step length asked for.
         self._gravity = (None, None)
-        self.centers = wheel_centers(params, s)
+        self.centers = wheel_centers(params, sub)
         # The operand of each step's quaternion norm.
         self._norms = NormBuffer()
         self.j_wyy = params.j_wyy

@@ -6,6 +6,10 @@ The airborne steering motion decomposes into two coordinated coordinates:
     delta_1 = delta_3 = beta + alpha
     delta_2 = delta_4 = beta - alpha
 
+A steering configuration is always a ``SubmovementParams`` (alpha, beta);
+``steering_angles`` expands it to the four wrapped angles where per-wheel
+geometry or telemetry needs them.
+
 Under flight symmetry (tau_3 = -tau_1, tau_4 = -tau_2, equal steering
 torque tau_delta at every joint) the net base torque is linear in
 (tau_1, tau_2, tau_delta):
@@ -38,7 +42,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _lapack_solve
 
 from .params import RobotParams
-from .state import BodyTorque, SteeringState, SubmovementParams, wrap_angle
+from .state import BodyTorque, SubmovementParams, wrap_angle
 
 # Manipulability reports singular, and allocation refuses, below this
 # |det N|; inverting closer to the singularity amplifies wheel torques
@@ -50,23 +54,12 @@ class SingularConfiguration(Exception):
     """Torque allocation attempted at (or too near) a singular alpha."""
 
 
-def steering_from_submovements(sub: SubmovementParams) -> SteeringState:
-    """Expand (alpha, beta) to the four symmetric steering angles."""
+def steering_angles(sub: SubmovementParams) -> tuple[float, float, float, float]:
+    """The four steering angles (delta_1, delta_2, delta_3, delta_4) of
+    (alpha, beta), each wrapped to [-pi, pi)."""
     d13 = wrap_angle(sub.beta + sub.alpha)
     d24 = wrap_angle(sub.beta - sub.alpha)
-    return SteeringState([d13, d24, d13, d24])
-
-
-def submovements_from_steering(s: SteeringState) -> SubmovementParams:
-    """Recover (alpha, beta) from a symmetric steering state.
-
-    Raises AsymmetricSteering when d1 != d3 or d2 != d4.
-    """
-    s.require_flight_symmetric()
-    d = s.delta
-    alpha = ((d[0] + d[2]) - (d[1] + d[3])) / 4.0
-    beta = ((d[0] + d[2]) + (d[1] + d[3])) / 4.0
-    return SubmovementParams(alpha=float(alpha), beta=float(beta))
+    return d13, d24, d13, d24
 
 
 @dataclass(frozen=True)

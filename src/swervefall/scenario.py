@@ -19,7 +19,6 @@ from importlib import resources
 from pathlib import Path
 
 from .controller import ControllerConfig
-from .kinematics import steering_from_submovements
 from .params import (
     ConfigError,
     RobotParams,
@@ -129,10 +128,9 @@ def loaded_from_entries(entries: dict[str, str], name: str) -> LoadedScenario:
         unknown = ", ".join(sorted(entries))
         raise ConfigError(f"unknown config keys: {unknown}")
     validate_run(scenario, controller, params)
-    steering = steering_from_submovements(
-        SubmovementParams(scenario.alpha0, scenario.beta0)
+    initial_body_state(
+        scenario, SubmovementParams(scenario.alpha0, scenario.beta0), params
     )
-    initial_body_state(scenario, steering, params)
     return LoadedScenario(
         params=params, controller=controller, scenario=scenario, name=name
     )

@@ -44,12 +44,11 @@ import numpy as np
 
 from .controller import ZERO_COMMAND, AttitudeControlLoop, ControllerMode
 from .dynamics import FlightKernel, NonFiniteState, lowest_contact, wheel_centers
-from .kinematics import steering_from_submovements
+from .kinematics import steering_angles
 from .params import ConfigError, RobotParams, validate_params
 from .state import (
     BodyState,
     NormBuffer,
-    SteeringState,
     SubmovementParams,
     quat_from_euler,
     unit_euler_angles,
@@ -66,6 +65,10 @@ MAX_PHYSICS_STEPS = 10**6
 # spin), so the largest |omega0| dt_physics of a release is about 0.072.
 SPIN_ERROR_BUDGET = 1e-3
 MAX_SPIN_STEP = 2.0 * (60.0 * SPIN_ERROR_BUDGET / MAX_PHYSICS_STEPS) ** 0.2
+# How a run ends whose body rates grow past that bound in flight.
+SPIN_STEP_EXCEEDED = (
+    f"body rates past the spin bound |omega| * dt_physics = {MAX_SPIN_STEP:.3g} rad"
+)
 
 CSV_HEADER = (
     "t,phi,theta,psi,omega_x,omega_y,omega_z,"
@@ -164,7 +167,7 @@ def imu_reading(euler, omega, sample_noise) -> tuple:
 def step_rk4(
     state: BodyState,
     command,
-    s: SteeringState,
+    sub: SubmovementParams,
     params: RobotParams,
     dt: float,
 ) -> BodyState:
@@ -176,15 +179,17 @@ def step_rk4(
     """
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
-    kernel = FlightKernel(s, params)
+    kernel = FlightKernel(sub, params)
     kernel.set_command(*command)
     return BodyState.from_flat(kernel.step(state.flat(), dt))
 
 
-def contact_height(state: BodyState, s: SteeringState, params: RobotParams) -> float:
+def contact_height(
+    state: BodyState, sub: SubmovementParams, params: RobotParams
+) -> float:
     """Height of the lowest wheel contact point above the ground plane."""
     return lowest_contact(
-        state.r_ob[2], state.quat, wheel_centers(params, s), params.wheel_radius
+        state.r_ob[2], state.quat, wheel_centers(params, sub), params.wheel_radius
     )
 
 
@@ -314,6 +319,8 @@ def validate_run(scenario: ScenarioConfig, controller, params: RobotParams) -> i
         raise ConfigError("freefall_debounce must be non-negative")
     if not scenario.drop_height >= 0.0:
         raise ConfigError("drop_height must be non-negative")
+    if not all(math.isfinite(v) for v in scenario.velocity):
+        raise ConfigError("velocity must be finite")
     if not scenario.t_max >= 0.0:
         raise ConfigError("t_max must be non-negative")
     if scenario.seed < 0:
@@ -335,10 +342,14 @@ def validate_run(scenario: ScenarioConfig, controller, params: RobotParams) -> i
             f"t_max / dt_physics exceeds the work budget of "
             f"{MAX_PHYSICS_STEPS} physics steps (up to about a minute)"
         )
-    spin_step = math.hypot(*scenario.omega0) * dt_physics
-    if not spin_step <= MAX_SPIN_STEP:
+    # The comparison ``simulate_lanes`` makes on every tick, so a release
+    # that passes it cannot fail it at t = 0.
+    ox, oy, oz = scenario.omega0
+    spin_top = MAX_SPIN_STEP / dt_physics
+    if not ox * ox + oy * oy + oz * oz <= spin_top * spin_top:
         raise ConfigError(
-            f"release spin |omega| * dt_physics = {spin_step:.3g} rad exceeds "
+            f"release spin |omega| * dt_physics = "
+            f"{math.hypot(ox, oy, oz) * dt_physics:.3g} rad exceeds "
             f"{MAX_SPIN_STEP:.3g} rad: lower dt_physics or omega_x/y/z"
         )
     if not dt_control > 0.0:
@@ -363,15 +374,15 @@ SETTLED_RATE_LIMIT = 0.5
 
 
 def initial_body_state(
-    scenario: ScenarioConfig, steering: SteeringState, params: RobotParams
+    scenario: ScenarioConfig, sub: SubmovementParams, params: RobotParams
 ) -> BodyState:
     """Place the robot so the lowest contact point sits at drop_height;
     raises ConfigError where the placed state misses it by over 1e-9 m."""
     quat = quat_from_euler(*scenario.euler0)
     probe = BodyState(np.zeros(3), scenario.velocity, quat, scenario.omega0)
-    z0 = scenario.drop_height - contact_height(probe, steering, params)
+    z0 = scenario.drop_height - contact_height(probe, sub, params)
     state = BodyState([0.0, 0.0, z0], scenario.velocity, quat, scenario.omega0)
-    placed = contact_height(state, steering, params)
+    placed = contact_height(state, sub, params)
     if not abs(placed - scenario.drop_height) <= 1e-9:
         raise ConfigError(
             f"cannot place the robot at drop_height {scenario.drop_height:g} m "
@@ -392,8 +403,9 @@ def simulate(scenario, controller, params: RobotParams) -> Trajectory:
     """Run one scenario to touchdown or t_max: ``simulate_lanes`` for
     one lane.  Raises ConfigError for a run the config loader refuses
     (``validate_run``), and NonFiniteState (with the absolute time) if
-    the integration diverges or the controller's torque demand leaves
-    the finite range."""
+    the integration diverges, the controller's torque demand leaves the
+    finite range or the body rates grow past the step's spin bound
+    (``SPIN_STEP_EXCEEDED``)."""
     [result] = simulate_lanes([scenario], controller, params)
     if isinstance(result, NonFiniteState):
         raise result
@@ -416,7 +428,8 @@ def simulate_lanes(
     tick reads the IMU through ``imu_reading`` under the next sample of
     ``imu_stream``, whose noise is drawn ``IMU_BLOCK_TICKS`` ticks at a
     time, and carries the controller mode as the int the telemetry
-    records.
+    records.  A tick that starts with |omega| dt_physics past
+    ``MAX_SPIN_STEP`` ends every live lane with ``SPIN_STEP_EXCEEDED``.
     Translation is ballistic and nothing reads it back: the IMU, the
     freefall debounce, the controller, the wheel speeds and the events
     are the same for every lane until the lane ends.  So the runs are
@@ -433,10 +446,13 @@ def simulate_lanes(
     first = scenarios[0]
     dt = first.dt_physics
     sub = SubmovementParams(alpha=first.alpha0, beta=first.beta0)
-    steering = steering_from_submovements(sub)
-    kernel = FlightKernel(steering, params)
+    kernel = FlightKernel(sub, params)
     loop = AttitudeControlLoop(controller, params, sub)
     imu = imu_stream(first.noise, first.seed)
+    # |omega|^2 past which the step no longer resolves the spin
+    # (``MAX_SPIN_STEP``); a product, since a square may overflow.
+    spin_top = MAX_SPIN_STEP / dt
+    max_spin_squared = spin_top * spin_top
     # The norms of the Euler readout and the settled check.
     norms = NormBuffer()
 
@@ -444,11 +460,11 @@ def simulate_lanes(
     # The running lanes and their flat states, which agree in y[6:17]:
     # attitude, body rates and wheel speeds.
     live = list(range(len(scenarios)))
-    states = [initial_body_state(s, steering, params).flat() for s in scenarios]
+    states = [initial_body_state(s, sub, params).flat() for s in scenarios]
     t_ends = [s.t_max + 1e-12 for s in scenarios]
     soonest_end = min(t_ends)
     max_accel = 0.0
-    delta_deg = [math.degrees(d) for d in steering.delta]
+    delta_deg = [math.degrees(d) for d in steering_angles(sub)]
     settled_seen = False
     # The controller mode as the int the telemetry records.
     mode = int(ControllerMode.GROUND_TELEOP)
@@ -457,8 +473,13 @@ def simulate_lanes(
     t = 0.0
     while True:
         y = states[0]
-        phi, theta, psi = unit_euler_angles(*norms.unit(y[6:10]))
         omega = y[10:13]
+        ox, oy, oz = omega
+        if ox * ox + oy * oy + oz * oz > max_spin_squared:
+            for k in live:
+                results[k] = NonFiniteState(SPIN_STEP_EXCEEDED, t=t)
+            break
+        phi, theta, psi = unit_euler_angles(*norms.unit(y[6:10]))
         euler_read, omega_read, accel = imu_reading((phi, theta, psi), omega, next(imu))
         if accel > max_accel:
             max_accel = accel
@@ -475,9 +496,8 @@ def simulate_lanes(
                 mode = int(loop.mode)
                 for k in live:
                     results[k].events.append((t, "freefall_start"))
-                steering = steering_from_submovements(loop.sub)
-                kernel = FlightKernel(steering, params)
-                delta_deg = [math.degrees(d) for d in steering.delta]
+                kernel = FlightKernel(loop.sub, params)
+                delta_deg = [math.degrees(d) for d in steering_angles(loop.sub)]
             command = apply_wheel_speed_limit(command, y[13:17], params)
         else:
             command = ZERO_COMMAND

@@ -1,4 +1,5 @@
-"""State representations: orientation, body state, steering and body torque.
+"""State representations: orientation, body state, steering coordinates
+and body torque.
 
 Conventions:
     * Body frame: x forward, y left, z up (right-handed).  World frame has
@@ -28,12 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-SYMMETRY_TOL = 1e-9
 GIMBAL_PROXIMITY_DEG = 89.0
-
-
-class AsymmetricSteering(Exception):
-    """Steering state violates the flight symmetry d1=d3, d2=d4."""
 
 
 def wrap_angle(angle: float) -> float:
@@ -166,28 +162,7 @@ def euler_from_quaternion(q: np.ndarray) -> EulerAngles:
     return EulerAngles(phi, theta, psi, gimbal_proximity=near_gimbal)
 
 
-# --- steering and submovement coordinates -----------------------------------
-
-@dataclass(frozen=True)
-class SteeringState:
-    """Four steering angles delta_1..delta_4 [rad], wrapped to [-pi, pi)."""
-
-    delta: np.ndarray
-
-    def __init__(self, delta) -> None:
-        values = [wrap_angle(d) for d in np.asarray(delta, dtype=float).reshape(4)]
-        object.__setattr__(self, "delta", _frozen(values, (4,)))
-
-    def is_flight_symmetric(self) -> bool:
-        d = self.delta
-        return abs(d[0] - d[2]) <= SYMMETRY_TOL and abs(d[1] - d[3]) <= SYMMETRY_TOL
-
-    def require_flight_symmetric(self) -> None:
-        if not self.is_flight_symmetric():
-            raise AsymmetricSteering(
-                f"steering not symmetric: delta={self.delta.tolist()}"
-            )
-
+# --- steering coordinates ---------------------------------------------------
 
 @dataclass(frozen=True)
 class SubmovementParams:

@@ -24,7 +24,6 @@ from swervefall import (
     manipulability,
     oracle_newton_euler,
     run_scenario,
-    steering_from_submovements,
     step_rk4,
     quat_from_euler,
 )
@@ -82,8 +81,7 @@ def test_01_oracle_equivalence(default_params):
         rng = np.random.default_rng(1)
         t0 = time.time()
         for _ in range(1000):
-            sub = SubmovementParams(*rng.uniform(-1.5, 1.5, 2))
-            steering = steering_from_submovements(sub)
+            steering = SubmovementParams(*rng.uniform(-1.5, 1.5, 2))
             t1, t2 = rng.uniform(-10, 10, 2)
             cmd = (t1, t2, rng.uniform(-2.5, 2.5))
             state = BodyState(
@@ -115,7 +113,7 @@ def test_02_jacobian_determinant():
 def test_03_linearization(default_params):
     with criterion(3, "finite-difference linearization at the isotropic "
                       "equilibrium reproduces the plant inertias (1e-6)"):
-        steering = steering_from_submovements(ISO)
+        steering = ISO
         state = BodyState.at_rest()
         h = 1e-5
         sensitivity = np.zeros((3, 3))
@@ -139,7 +137,7 @@ def test_03_linearization(default_params):
 def test_04_conservation(default_params):
     with criterion(4, "torque-free tumble conserves angular momentum and "
                       "rotational energy (1 s at 1 ms, 1e-8 relative)"):
-        steering = steering_from_submovements(SubmovementParams(0.55, 0.2))
+        steering = SubmovementParams(0.55, 0.2)
         inertia = effective_inertia(default_params, steering)
         state = BodyState(
             [0, 0, 200.0], [0, 0, 0],
@@ -205,7 +203,7 @@ def test_08_ledge_settles_before_impact(ledge):
 def test_09_yaw_decoupling(default_params):
     with criterion(9, "wheel torques give zero yaw acceleration; steering "
                       "torque gives 4 tau / j_bzz (1e-12)"):
-        steering = steering_from_submovements(ISO)
+        steering = ISO
         state = BodyState.at_rest()
         rng = np.random.default_rng(9)
         for _ in range(100):

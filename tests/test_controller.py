@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from swervefall import (
     AttitudeControlLoop,
     BodyState,
+    ConfigError,
     ControllerConfig,
     ControllerGains,
     ControllerMode,
@@ -15,7 +16,6 @@ from swervefall import (
     SubmovementParams,
     linearized_plant,
     pd_attitude,
-    steering_from_submovements,
     angular_acceleration,
 )
 from swervefall.controller import closed_loop_poles
@@ -184,6 +184,16 @@ def test_gains_must_be_nonnegative():
         ControllerGains(kp=[-1, 0, 0], kd=[0, 0, 0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_gains_must_be_finite(bad):
+    # Refused where negative gains are, as the ConfigError the loader
+    # raises for them; NaN used to pass and end a run as NonFiniteState.
+    with pytest.raises(ConfigError, match="finite"):
+        ControllerGains(kp=[bad, 75.0, 0.0], kd=[12.0, 12.0, 0.0])
+    with pytest.raises(ConfigError, match="finite"):
+        ControllerGains(kp=[75.0, 75.0, 0.0], kd=[12.0, bad, 0.0])
+
+
 # --- flight command ----------------------------------------------------------
 
 def test_zero_error_zero_command(params):
@@ -245,7 +255,7 @@ def test_plant_formulas(params):
     from swervefall import reflected_inertia
 
     plant = linearized_plant(params)
-    refl = reflected_inertia(params, steering_from_submovements(ISO))
+    refl = reflected_inertia(params, ISO)
     axle = 2 * math.sqrt(2) * params.j_wxx
     assert math.isclose(plant.j_roll, params.j_bxx + refl.j_xx + axle, rel_tol=1e-12)
     assert math.isclose(plant.j_pitch, params.j_byy + refl.j_yy + axle, rel_tol=1e-12)
@@ -255,7 +265,7 @@ def test_plant_formulas(params):
 def test_plant_matches_finite_difference(params):
     # Central differences of the nonlinear dynamics wrt wheel torques,
     # composed with the inverse torque map, give diag(1/J) per axis.
-    steering = steering_from_submovements(ISO)
+    steering = ISO
     state = BodyState.at_rest()
     h = 1e-5
     sensitivity = np.zeros((3, 3))

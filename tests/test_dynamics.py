@@ -9,12 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from swervefall import (
     BodyState,
     RobotParams,
-    SteeringState,
     SubmovementParams,
     angular_acceleration,
     oracle_newton_euler,
     reflected_inertia,
-    steering_from_submovements,
     step_rk4,
     quat_from_euler,
 )
@@ -28,17 +26,16 @@ from swervefall.dynamics import (
     steer_points,
     wheel_centers,
 )
-from swervefall.kinematics import submovements_from_steering, torque_jacobian
+from swervefall.kinematics import torque_jacobian
 from swervefall.state import quat_multiply
 
 SQRT2 = math.sqrt(2.0)
-ISO = steering_from_submovements(SubmovementParams(math.pi / 4, 0.0))
+ISO = SubmovementParams(math.pi / 4, 0.0)
 ZERO = (0.0, 0.0, 0.0)
 
 
 def random_symmetric_setup(rng):
-    sub = SubmovementParams(*rng.uniform(-1.5, 1.5, 2))
-    steering = steering_from_submovements(sub)
+    steering = SubmovementParams(*rng.uniform(-1.5, 1.5, 2))
     t1, t2 = rng.uniform(-8.0, 8.0, 2)
     cmd = (t1, t2, rng.uniform(-2.0, 2.0))
     state = BodyState(
@@ -62,14 +59,14 @@ def test_reflection_point_wheel_limit(params):
 
 
 def test_reflection_neutral_config(params):
-    refl = reflected_inertia(params, SteeringState([0.0, 0.0, 0.0, 0.0]))
+    refl = reflected_inertia(params, SubmovementParams(0.0, 0.0))
     expected = 4 * params.wheel_mass * (params.b / 2 + params.c) ** 2
     assert math.isclose(refl.j_xx, expected, rel_tol=1e-12)
 
 
 def test_reflection_zz_is_sum(params, rng):
     for _ in range(20):
-        steering = steering_from_submovements(SubmovementParams(*rng.uniform(-3, 3, 2)))
+        steering = SubmovementParams(*rng.uniform(-3, 3, 2))
         refl = reflected_inertia(params, steering)
         assert math.isclose(refl.j_zz, refl.j_xx + refl.j_yy, rel_tol=1e-12)
 
@@ -78,7 +75,7 @@ def test_reflection_matches_parallel_axis_sum(params, rng):
     # Independent oracle: sum m (y^2+z^2) and m (x^2+z^2) over the wheel
     # centers directly.
     for _ in range(10):
-        steering = steering_from_submovements(SubmovementParams(*rng.uniform(-3, 3, 2)))
+        steering = SubmovementParams(*rng.uniform(-3, 3, 2))
         refl = reflected_inertia(params, steering)
         centers = wheel_centers(params, steering)
         j_xx = sum(params.wheel_mass * (c[1] ** 2 + c[2] ** 2) for c in centers)
@@ -97,7 +94,7 @@ def test_steer_points_symmetry(params):
 def test_wheel_centers_cancel_in_pairs(params, rng):
     # Symmetric steering keeps the system mass center on the base center.
     for _ in range(20):
-        steering = steering_from_submovements(SubmovementParams(*rng.uniform(-3, 3, 2)))
+        steering = SubmovementParams(*rng.uniform(-3, 3, 2))
         centers = wheel_centers(params, steering)
         np.testing.assert_allclose(centers.sum(axis=0), np.zeros(3), atol=1e-12)
 
@@ -148,7 +145,7 @@ def test_gravity_moment_cancellation_by_symmetry(params, rng):
     # The moment of a common per-wheel load about the base center is
     # (sum r_i) x u = 0 for symmetric steering.
     for _ in range(10):
-        steering = steering_from_submovements(SubmovementParams(*rng.uniform(-3, 3, 2)))
+        steering = SubmovementParams(*rng.uniform(-3, 3, 2))
         centers = wheel_centers(params, steering)
         u = rng.normal(0, 9.81, 3)
         moment = np.cross(centers, u[None, :]).sum(axis=0)
@@ -157,7 +154,7 @@ def test_gravity_moment_cancellation_by_symmetry(params, rng):
 
 def test_effective_inertia_positive_over_configs(params, rng):
     for _ in range(200):
-        steering = steering_from_submovements(SubmovementParams(*rng.uniform(-3.2, 3.2, 2)))
+        steering = SubmovementParams(*rng.uniform(-3.2, 3.2, 2))
         inertia = effective_inertia(params, steering)
         assert (inertia > 0).all()
 
@@ -180,7 +177,7 @@ def angular_momentum_world(state, inertia):
 
 
 def test_torque_free_conservation(params):
-    steering = steering_from_submovements(SubmovementParams(0.55, 0.2))
+    steering = SubmovementParams(0.55, 0.2)
     states, inertia = run_torque_free(params, steering, [0.9, -1.3, 0.7], 1.0, 1e-3)
     h0 = angular_momentum_world(states[0], inertia)
     ke0 = 0.5 * float(states[0].omega @ (inertia * states[0].omega))
@@ -256,7 +253,7 @@ def reference_derivative(y, steering, cmd, params):
     inertia = effective_inertia(params, steering)
     t1, t2, t_delta = cmd
     pair = np.array([t1, t2, t_delta])
-    torque = torque_jacobian(submovements_from_steering(steering)).full @ pair
+    torque = torque_jacobian(steering).full @ pair
     omega = y[10:13]
     omega_dot = (torque - np.cross(omega, inertia * omega)) / inertia
     quat_dot = 0.5 * quat_multiply(y[6:10], np.array([0.0, *omega]))
@@ -300,6 +297,14 @@ def reference_tick(y, steering, cmd, params, dt, steps, stop_at_ground):
             return y, i
         y = y1
     return y, steps
+
+
+def test_kernel_torque_map_is_the_allocation_jacobian(params):
+    # The kernel maps a command through the Jacobian the controller
+    # allocates with, built from (alpha, beta) as given: beta = 10 deg
+    # reaches it unrounded.
+    sub = SubmovementParams(math.radians(45.0), math.radians(10.0))
+    assert FlightKernel(sub, params).full.tobytes() == torque_jacobian(sub).full.tobytes()
 
 
 def test_derivative_matches_array_formulation_bitwise(params, rng):
@@ -368,7 +373,7 @@ def test_tick_matches_reference_steps_bitwise(
     # failing step when the base or the wheels diverge within the tick.
     # ``event`` aims a touchdown or a divergence at about ``event_step``.
     params = RobotParams()
-    steering = steering_from_submovements(SubmovementParams(alpha, beta))
+    steering = SubmovementParams(alpha, beta)
     omega = list(rates)
     wheels = list(wheels)
     t1, t2, t_delta = torques
@@ -469,7 +474,7 @@ def test_lanes_match_lone_runs_bitwise(
     # the same bits, the same touchdown step and the same failing step,
     # with the message that advancing the lane alone gives.
     params = RobotParams()
-    steering = steering_from_submovements(SubmovementParams(alpha, 0.0))
+    steering = SubmovementParams(alpha, 0.0)
     omega = list(rates)
     wheels = [1.0, 2.0, 3.0, 4.0]
     t1, t2, t_delta = torques

@@ -3,21 +3,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from swervefall import (
-    AsymmetricSteering,
     BodyTorque,
     SingularConfiguration,
-    SteeringState,
     SubmovementParams,
     allocate_body_torque,
     jacobian_determinant,
     manipulability,
     map_wheel_to_body_torque,
-    steering_from_submovements,
-    submovements_from_steering,
+    steering_angles,
 )
 from swervefall.kinematics import SINGULARITY_TOL, _lapack_solve, torque_jacobian
 
@@ -28,54 +23,25 @@ ISO = SubmovementParams(alpha=math.pi / 4, beta=0.0)
 # --- submovement coordinates -------------------------------------------------
 
 def test_isotropic_steering_expansion():
-    s = steering_from_submovements(ISO)
     np.testing.assert_allclose(
-        s.delta, [math.pi / 4, -math.pi / 4, math.pi / 4, -math.pi / 4], atol=1e-15
+        steering_angles(ISO),
+        [math.pi / 4, -math.pi / 4, math.pi / 4, -math.pi / 4],
+        atol=1e-15,
     )
 
 
 def test_neutral_steering_expansion():
-    s = steering_from_submovements(SubmovementParams(0.0, 0.0))
-    np.testing.assert_allclose(s.delta, np.zeros(4), atol=1e-15)
+    np.testing.assert_allclose(
+        steering_angles(SubmovementParams(0.0, 0.0)), np.zeros(4), atol=1e-15
+    )
 
 
 def test_superposed_steering_expansion():
-    s = steering_from_submovements(SubmovementParams(math.pi / 4, -math.pi / 4))
-    np.testing.assert_allclose(s.delta, [0.0, -math.pi / 2, 0.0, -math.pi / 2], atol=1e-15)
-
-
-def test_submovements_from_isotropic_steering():
-    sub = submovements_from_steering(
-        SteeringState([math.pi / 4, -math.pi / 4, math.pi / 4, -math.pi / 4])
+    np.testing.assert_allclose(
+        steering_angles(SubmovementParams(math.pi / 4, -math.pi / 4)),
+        [0.0, -math.pi / 2, 0.0, -math.pi / 2],
+        atol=1e-15,
     )
-    assert math.isclose(sub.alpha, math.pi / 4, rel_tol=1e-12)
-    assert abs(sub.beta) < 1e-15
-
-
-def test_submovements_from_neutral_steering():
-    sub = submovements_from_steering(SteeringState([0.0, 0.0, 0.0, 0.0]))
-    assert sub.alpha == 0.0 and sub.beta == 0.0
-
-
-def test_submovements_direct_evaluation():
-    sub = submovements_from_steering(SteeringState([0.1, 0.2, 0.1, 0.2]))
-    assert math.isclose(sub.alpha, -0.05, abs_tol=1e-15)
-    assert math.isclose(sub.beta, 0.15, abs_tol=1e-15)
-
-
-def test_submovements_reject_asymmetric():
-    with pytest.raises(AsymmetricSteering):
-        submovements_from_steering(SteeringState([0.1, 0.2, 0.3, 0.2]))
-
-
-@settings(max_examples=200)
-@given(alpha=st.floats(-1.5, 1.5), beta=st.floats(-1.5, 1.5))
-def test_submovement_round_trip(alpha, beta):
-    sub = submovements_from_steering(
-        steering_from_submovements(SubmovementParams(alpha, beta))
-    )
-    assert abs(sub.alpha - alpha) < 1e-12
-    assert abs(sub.beta - beta) < 1e-12
 
 
 # --- torque jacobian ---------------------------------------------------------

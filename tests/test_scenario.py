@@ -32,7 +32,7 @@ from swervefall.scenario import (
     resolve_config_path,
     sweepable_parameters,
 )
-from swervefall.simulation import CSV_HEADER
+from swervefall.simulation import CSV_HEADER, SPIN_STEP_EXCEEDED
 
 QUICK = """
 drop_height = 0.2
@@ -667,8 +667,9 @@ def test_cli_out_of_range_value_exit_2(tmp_path, capsys, key, value):
 
 
 def test_cli_nonfinite_exit_3(tmp_path):
-    # Microscopic inertia with huge gains and a coarse step drives the
-    # integration to overflow.
+    # Microscopic inertia with huge gains and a coarse step spins the body
+    # past the step's spin bound; the run ends at the start of the tick
+    # (t = 0.03 s) whose step used to overflow.
     unstable = """
 drop_height = 50.0
 roll_deg = 40.0
@@ -695,9 +696,18 @@ wheel_speed_max = 1e12
     config = write_config(tmp_path, unstable, "unstable.cfg")
     result = run_cli_process(["run", str(config), "-o", str(tmp_path / "u")])
     assert result.returncode == 3
-    assert "simulation diverged at t=" in result.stderr
-    # The overflow is reported once, as the divergence, not also as a
-    # numpy warning.
+    assert f"simulation error: {SPIN_STEP_EXCEEDED} at t=0.030000 s" in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+
+
+def test_cli_translation_overflow_exit_3(tmp_path):
+    # A finite release velocity whose translation overflows in the first
+    # step diverges at t = 0; the overflow is reported once, as the
+    # divergence, not also as a numpy warning.
+    config = write_config(tmp_path, QUICK + "velocity_x = 1e308\n")
+    result = run_cli_process(["run", str(config), "-o", str(tmp_path / "o")])
+    assert result.returncode == 3
+    assert "simulation error: simulation diverged at t=0.000000 s" in result.stderr
     assert "RuntimeWarning" not in result.stderr
 
 

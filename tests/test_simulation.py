@@ -13,16 +13,18 @@ from swervefall import (
     ScenarioConfig,
     SubmovementParams,
     simulate,
-    steering_from_submovements,
     step_rk4,
     quat_from_euler,
 )
 from swervefall.cli import main as cli_main
+from swervefall.params import read_config_file
+from swervefall.scenario import load_scenario_file, resolve_config_path
 from swervefall.simulation import (
     IMU_BLOCK_TICKS,
     MAX_PHYSICS_STEPS,
     MAX_SPIN_STEP,
     SPIN_ERROR_BUDGET,
+    SPIN_STEP_EXCEEDED,
     apply_wheel_speed_limit,
     contact_height,
     imu_noise,
@@ -34,7 +36,7 @@ from swervefall.simulation import (
 from swervefall.dynamics import FlightKernel
 from swervefall.state import euler_angles, quat_multiply
 
-ISO = steering_from_submovements(SubmovementParams(math.pi / 4, 0.0))
+ISO = SubmovementParams(math.pi / 4, 0.0)
 ZERO = (0.0, 0.0, 0.0)
 
 
@@ -242,7 +244,7 @@ def test_contact_bound_never_skips_a_touching_wheel(alpha, beta, quat, height):
     # kernel's tilt bound says a wheel may touch; elsewhere every wheel
     # must clear the ground.
     params = RobotParams()
-    steering = steering_from_submovements(SubmovementParams(alpha, beta))
+    steering = SubmovementParams(alpha, beta)
     kernel = FlightKernel(steering, params)
     state = BodyState([0, 0, height * kernel.contact_reach], [0, 0, 0], quat, [0, 0, 0])
     if not kernel.may_touch_ground(state.flat()):
@@ -318,6 +320,48 @@ def test_spin_inside_the_bound_tracks_the_exact_spin(params, axis):
     error = 2.0 * math.atan2(float(np.linalg.norm(miss[1:])), abs(miss[0]))
     share = SPIN_ERROR_BUDGET * (t / scenario.dt_physics) / MAX_PHYSICS_STEPS
     assert 0.9 * share <= error <= share
+
+
+def test_nonfinite_release_velocity_is_a_config_error(params):
+    # The loader refuses it at parse; library simulate used to run it and
+    # end in NonFiniteState at t=0.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="velocity must be finite"):
+            simulate(ScenarioConfig(velocity=(0.0, bad, 0.0)), ControllerConfig(), params)
+
+
+def spin_up_config(tmp_path, kp):
+    """drop_controlled at one physics step per tick, level in pitch, whose
+    stiff, undamped roll loop (gain ``kp``, torque and wheel-speed limits
+    lifted) spins the body up in flight."""
+    entries = dict(
+        read_config_file(resolve_config_path("drop_controlled")),
+        pitch_deg="0.0", dt_physics="0.001", kp_roll=kp, kp_pitch=kp,
+        kd_roll="0", kd_pitch="0", tau_wheel_max="1e6", wheel_speed_max="1e12",
+    )
+    path = tmp_path / "spin_up.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()),
+                    encoding="utf-8")
+    return path
+
+
+def test_rates_past_the_bound_in_flight_exit_3(tmp_path, capsys):
+    # Released at rest, the run reaches |omega| dt_physics of about 1.2
+    # against the 0.072 bound; it used to exit 0 and report touchdown
+    # rates of hundreds of rad/s.
+    config = spin_up_config(tmp_path, "3e4")
+    assert cli_main(["run", str(config), "-o", str(tmp_path / "o")]) == 3
+    assert f"simulation error: {SPIN_STEP_EXCEEDED} at t=" in capsys.readouterr().err
+
+
+def test_rates_just_inside_the_bound_in_flight_run(tmp_path):
+    # A softer loop peaks just under the bound and runs to touchdown.  The
+    # telemetry rates are the rates the guard reads at each tick.
+    loaded = load_scenario_file(spin_up_config(tmp_path, "7800"))
+    trajectory = simulate(loaded.scenario, loaded.controller, loaded.params)
+    assert trajectory.touchdown_time is not None
+    peak = np.linalg.norm(trajectory.rows[:, 4:7], axis=1).max()
+    assert 0.95 * MAX_SPIN_STEP < peak * loaded.scenario.dt_physics <= MAX_SPIN_STEP
 
 
 @pytest.mark.parametrize("axis", ["x", "y", "z"])

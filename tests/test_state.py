@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swervefall import (
-    AsymmetricSteering,
     BodyState,
-    SteeringState,
     euler_from_quaternion,
     quat_from_euler,
 )
@@ -78,16 +76,6 @@ def test_wrap_angle_range():
     for x in (-7.0, -math.pi, 0.0, math.pi - 1e-9, math.pi, 9.0):
         wrapped = wrap_angle(x)
         assert -math.pi <= wrapped < math.pi
-
-
-def test_steering_state_wraps_and_checks_symmetry():
-    s = SteeringState([math.pi, -math.pi, math.pi, -math.pi])
-    # pi wraps onto -pi, so all four coincide.
-    assert s.is_flight_symmetric()
-    asym = SteeringState([0.1, 0.2, 0.3, 0.2])
-    assert not asym.is_flight_symmetric()
-    with pytest.raises(AsymmetricSteering):
-        asym.require_flight_symmetric()
 
 
 def test_norm_buffer_matches_numpy_norm_bitwise(rng):
