@@ -38,6 +38,10 @@ The range checks of a parsed config are the ones library ``simulate``
 makes (``simulation.validate_run``), so ``simulate`` refuses the same
 input with the same message, as a ConfigError (a ValueError).
 
+sweep --param takes any config key, seed and controller_enabled
+included, and sets it as a config line would: an unknown key or a value
+the key does not take (a fractional seed) exits 2 before any output.
+
 sweep and compare validate every config before the first run and group
 the runs that differ only in drop_height, velocity_x/y/z and t_max:
 each group integrates one attitude history for all of its runs.  The

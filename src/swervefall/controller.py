@@ -13,11 +13,12 @@ and runs the PD law
 
 with angle errors wrapped to [-pi, pi).  The body-torque demand is
 allocated to wheel torques by inverting the configuration Jacobian and
-clamping per channel.  The derivative term feeds the gyro rates directly
-instead of differentiated Euler angles; at small angles the two coincide
-and the gyro path avoids differentiation noise.  No transition leaves
-FreefallStabilize: the run ends at touchdown.  GroundTeleop always
-commands zero torque.
+clamping per channel, then held to the wheel-speed limit.  The
+derivative term feeds the gyro rates directly instead of differentiated
+Euler angles; at small angles the two coincide and the gyro path avoids
+differentiation noise.  No transition leaves FreefallStabilize: the run
+ends at touchdown.  GroundTeleop and a disabled controller command zero
+torque.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ from .state import SubmovementParams, wrap_angle
 
 FLIGHT_ALPHA = math.pi / 4.0
 
-# (tau_1, tau_2, tau_3, tau_4, tau_delta, sat_mask) of a silent controller.
-ZERO_COMMAND = (0.0, 0.0, 0.0, 0.0, 0.0, 0)
+# (tau_1, tau_2, tau_delta, sat_mask) of a silent controller.
+ZERO_COMMAND = (0.0, 0.0, 0.0, 0)
 # The command of a singular steering configuration: no torque, steering
 # saturation flag (bit 4) raised.
-SINGULAR_COMMAND = (0.0, 0.0, 0.0, 0.0, 0.0, 0b10000)
+SINGULAR_COMMAND = (0.0, 0.0, 0.0, 0b10000)
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,30 @@ class ControllerGains:
 class ControllerMode(IntEnum):
     GROUND_TELEOP = 0
     FREEFALL_STABILIZE = 1
+
+
+def apply_wheel_speed_limit(command, wheel_speed, params: RobotParams):
+    """Zero drive torque that would push a wheel past its speed limit.
+
+    Takes and returns the command (tau_1, tau_2, tau_delta, sat_mask),
+    given the four wheel speeds.  Wheels 3 and 4 drive -tau_1 and
+    -tau_2, so a diagonal pair loses its drive when either wheel has
+    reached the limit in the direction it pushes; ``sat_mask`` is kept.
+    """
+    tau_1, tau_2, tau_delta, sat_mask = command
+    w1, w2, w3, w4 = wheel_speed
+    limit = params.wheel_speed_max
+    if (
+        (tau_1 > 0.0 and (w1 >= limit or w3 <= -limit))
+        or (tau_1 < 0.0 and (w1 <= -limit or w3 >= limit))
+    ):
+        tau_1 = 0.0
+    if (
+        (tau_2 > 0.0 and (w2 >= limit or w4 <= -limit))
+        or (tau_2 < 0.0 and (w2 <= -limit or w4 >= limit))
+    ):
+        tau_2 = 0.0
+    return tau_1, tau_2, tau_delta, sat_mask
 
 
 def pd_attitude(
@@ -170,7 +195,7 @@ class AttitudeControlLoop:
     setpoints, and the commanded steering configuration.
 
     ``update`` consumes one IMU reading per control tick and returns the
-    torque command as plain numbers (see ``allocate_body_torque``).  The
+    flight command as plain numbers (see ``allocate_body_torque``).  The
     loop starts in GroundTeleop and switches once, on freefall detection;
     nothing leaves FreefallStabilize, so detection runs only before that
     switch.  Entering FreefallStabilize swings alpha to pi/4 (beta
@@ -192,18 +217,22 @@ class AttitudeControlLoop:
         self._below_since: float | None = None
 
     def update(
-        self, t: float, euler, omega, accel: float
-    ) -> tuple[float, float, float, float, float, int]:
-        """One tick on the IMU reading at time ``t``: Euler angles and body
-        rates as float triples, and the accelerometer magnitude.
+        self, t: float, euler, omega, accel: float, wheel_speed
+    ) -> tuple[float, float, float, int]:
+        """One tick on the IMU reading at time ``t`` (Euler angles and body
+        rates as float triples, the accelerometer magnitude) and the four
+        wheel speeds.
 
-        In GroundTeleop the reading only feeds the freefall debounce and
-        the command is ``ZERO_COMMAND``; from the tick that detects
-        freefall on, it is the PD demand, allocated and clamped, or
-        ``SINGULAR_COMMAND`` in a singular steering configuration.
-        Raises ValueError, as ``allocate_body_torque`` does, when the
-        demand or its solve is not finite.
+        A disabled controller returns ``ZERO_COMMAND``.  In GroundTeleop
+        the reading only feeds the freefall debounce and the command is
+        ``ZERO_COMMAND``; from the tick that detects freefall on, it is
+        the PD demand, allocated, clamped and held to the wheel-speed
+        limit, or ``SINGULAR_COMMAND`` in a singular steering
+        configuration.  Raises ValueError, as ``allocate_body_torque``
+        does, when the demand or its solve is not finite.
         """
+        if not self.config.enabled:
+            return ZERO_COMMAND
         if self.mode == ControllerMode.GROUND_TELEOP:
             if not self._detect(t, accel):
                 return ZERO_COMMAND
@@ -213,9 +242,10 @@ class AttitudeControlLoop:
             self.q_desired = (0.0, 0.0, euler[2])
         demand = pd_attitude(euler, omega, self.q_desired, self.config.gains)
         try:
-            return allocate_body_torque(demand, self.jacobian, self.params)
+            command = allocate_body_torque(demand, self.jacobian, self.params)
         except SingularConfiguration:
             return SINGULAR_COMMAND
+        return apply_wheel_speed_limit(command, wheel_speed, self.params)
 
     def _detect(self, t: float, magnitude: float) -> bool:
         """Track the under-threshold run and test it against the window."""

@@ -156,17 +156,17 @@ def map_wheel_to_body_torque(command, sub: SubmovementParams) -> BodyTorque:
 
 def allocate_body_torque(
     demand, jac: TorqueJacobian, limits: RobotParams
-) -> tuple[float, float, float, float, float, int]:
+) -> tuple[float, float, float, int]:
     """Invert the torque map and clamp each channel to its limit.
 
     ``demand`` is the body-torque demand (tau_x, tau_y, tau_z), such as a
     ``BodyTorque``; ``jac`` is the Jacobian of the commanded steering
     configuration, built once per configuration with ``torque_jacobian``.
-    Returns the flight-symmetric command as plain numbers,
-    (tau_1, tau_2, -tau_1, -tau_2, tau_delta, sat_mask), in the order of
-    the telemetry columns.  Saturation is independent per channel (no
-    direction-preserving scaling); ``sat_mask`` marks clamped channels,
-    bits 0-3 the wheels and bit 4 steering.  Raises SingularConfiguration
+    Returns the flight command as plain numbers, (tau_1, tau_2,
+    tau_delta, sat_mask), wheels 3 and 4 driving -tau_1 and -tau_2.
+    Saturation is independent per channel (no direction-preserving
+    scaling); ``sat_mask`` marks clamped channels, bits 0-3 the wheels
+    and bit 4 steering.  Raises SingularConfiguration
     when |det N| < 1e-6, where the inverse would amplify without bound,
     and ValueError for a non-finite demand or a solve that overflows to
     inf or NaN, which clamping would turn into full saturation.
@@ -208,4 +208,4 @@ def allocate_body_torque(
         | (0b01010 if clamped_2 != tau_2 else 0)
         | (0b10000 if clamped_d != tau_delta else 0)
     )
-    return clamped_1, clamped_2, -clamped_1, -clamped_2, clamped_d, sat_mask
+    return clamped_1, clamped_2, clamped_d, sat_mask

@@ -374,23 +374,6 @@ def compare(
     return summary_a, summary_b, report
 
 
-SWEEPABLE_EXTRA = {
-    "kp_roll", "kp_pitch", "kp_yaw", "kd_roll", "kd_pitch", "kd_yaw",
-    "freefall_accel_threshold", "freefall_debounce", "dt_control",
-    "drop_height", "velocity_x", "velocity_y", "velocity_z",
-    "roll_deg", "pitch_deg", "yaw_deg", "omega_x", "omega_y", "omega_z",
-    "alpha_deg", "beta_deg", "t_max", "dt_physics",
-    "noise_sigma_euler_deg", "noise_sigma_omega", "noise_sigma_accel",
-}
-
-
-def sweepable_parameters() -> set[str]:
-    from dataclasses import fields
-
-    robot = {f.name for f in fields(RobotParams)}
-    return robot | SWEEPABLE_EXTRA
-
-
 def sweep(
     base_config: str | Path,
     parameter: str,
@@ -399,18 +382,18 @@ def sweep(
 ) -> list[RunSummary]:
     """Run the base scenario once per parameter value.
 
-    Each run is named and configured by its value printed to 12
-    significant digits; values that print alike are a config error.  The
-    base config is read once, and every value's scenario is validated
-    before the first run, so a bad value leaves no output behind.  Writes
-    one telemetry CSV per run plus an aggregated summary CSV.  Unknown
-    parameter names are config errors.  The runs execute in parallel
-    worker processes and their files match a serial run's byte for byte;
-    a run that diverges leaves the CSVs of the runs before it and no
-    aggregate.
+    ``parameter`` is any config key the loader reads; it is set as the
+    base config would set it, so an unknown key or a value the key does
+    not take (a fractional ``seed``) is the loader's config error.  Each
+    run is named and configured by its value printed to 12 significant
+    digits; values that print alike are a config error.  The base config
+    is read once, and every value's scenario is validated before the
+    first run, so a bad value leaves no output behind.  Writes one
+    telemetry CSV per run plus an aggregated summary CSV.  The runs
+    execute in parallel worker processes and their files match a serial
+    run's byte for byte; a run that diverges leaves the CSVs of the runs
+    before it and no aggregate.
     """
-    if parameter not in sweepable_parameters():
-        raise ConfigError(f"unknown sweep parameter '{parameter}'")
     texts = [f"{value:.12g}" for value in values]
     repeated = sorted({text for text in texts if texts.count(text) > 1})
     if repeated:

@@ -7,13 +7,15 @@ first instant the lowest wheel contact point (wheel-center height minus
 wheel radius) reaches the ground plane z = 0, refined by bisection to
 1e-6 s.  No contact response is modeled; the run ends there.
 
-One control tick carries plain floats from the simulated IMU through
-the freefall debounce, the PD law, the allocation and the wheel-speed
-limit, and appends one flat telemetry row: the 25 CSV values in
-``CSV_HEADER`` order, angles in degrees, ending with the integer-valued
-``mode`` and ``sat_mask``.  Rows go into one growing float64 buffer,
-200 bytes per tick.  Pose columns are ground truth from the simulated
-state (IMU noise, when enabled, affects only what the controller saw).
+One control tick carries plain floats from the simulated IMU into one
+``AttitudeControlLoop.update`` call (freefall debounce, PD law,
+allocation and wheel-speed limit), holds the flight command it returns
+over the tick's physics steps, and appends one flat telemetry row: the
+25 CSV values in ``CSV_HEADER`` order, angles in degrees, ending with
+the integer-valued ``mode`` and ``sat_mask``.  Rows go into one growing
+float64 buffer, 200 bytes per tick.  Pose columns are ground truth from
+the simulated state (IMU noise, when enabled, affects only what the
+controller saw).
 ``mode`` is the controller mode (0 ground, 1 freefall stabilize) and
 ``sat_mask`` packs the saturation flags (bits 0-3 wheels, bit 4
 steering).
@@ -42,7 +44,7 @@ from itertools import chain, count, repeat
 
 import numpy as np
 
-from .controller import ZERO_COMMAND, AttitudeControlLoop, ControllerMode
+from .controller import AttitudeControlLoop, ControllerMode
 from .dynamics import FlightKernel, NonFiniteState, lowest_contact, wheel_centers
 from .kinematics import steering_angles
 from .params import ConfigError, RobotParams, validate_params
@@ -243,32 +245,6 @@ def refine_touchdown(
     return t0 + hi, BodyState.from_flat(y_hi)
 
 
-def apply_wheel_speed_limit(command, wheel_speed, params: RobotParams):
-    """Zero drive torque that would push a wheel past its speed limit.
-
-    ``command`` is (tau_1, tau_2, tau_3, tau_4, tau_delta, sat_mask) as
-    ``allocate_body_torque`` returns it and ``wheel_speed`` the four
-    wheel spin rates; returns the command in the same form.  Checked
-    pairwise so the flight torque symmetry survives clamping: a diagonal
-    pair loses drive in the offending direction when either member has
-    reached the limit.  The saturation flags are left as they are.
-    """
-    tau_1, tau_2, tau_3, tau_4, tau_delta, sat_mask = command
-    w1, w2, w3, w4 = wheel_speed
-    limit = params.wheel_speed_max
-    if (
-        (w1 >= limit and tau_1 > 0.0) or (w1 <= -limit and tau_1 < 0.0)
-        or (w3 >= limit and tau_3 > 0.0) or (w3 <= -limit and tau_3 < 0.0)
-    ):
-        tau_1 = tau_3 = 0.0
-    if (
-        (w2 >= limit and tau_2 > 0.0) or (w2 <= -limit and tau_2 < 0.0)
-        or (w4 >= limit and tau_4 > 0.0) or (w4 <= -limit and tau_4 < 0.0)
-    ):
-        tau_2 = tau_4 = 0.0
-    return tau_1, tau_2, tau_3, tau_4, tau_delta, sat_mask
-
-
 # Largest IMU noise sigmas: a half turn for the angles, 100 rad/s for the
 # rates and 1000 m/s^2 (about 100 g) for the accelerometer, each past the
 # full scale of any IMU a robot carries.  Under them every reading, and
@@ -321,10 +297,13 @@ def validate_run(scenario: ScenarioConfig, controller, params: RobotParams) -> i
         raise ConfigError("drop_height must be non-negative")
     if not all(math.isfinite(v) for v in scenario.velocity):
         raise ConfigError("velocity must be finite")
+    if not all(map(math.isfinite, (*scenario.euler0, scenario.alpha0, scenario.beta0))):
+        raise ConfigError("release attitude and steering angles must be finite")
     if not scenario.t_max >= 0.0:
         raise ConfigError("t_max must be non-negative")
-    if scenario.seed < 0:
-        raise ConfigError("seed must be non-negative")
+    # The noise generator takes only integer seeds.
+    if not isinstance(scenario.seed, (int, np.integer)) or scenario.seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
     noise = scenario.noise
     sigmas = (noise.sigma_euler, noise.sigma_omega, noise.sigma_accel)
     if not all(sigma >= 0.0 for sigma in sigmas):
@@ -427,9 +406,11 @@ def simulate_lanes(
     tick's RK4 steps in one ``FlightKernel.advance_lanes`` call.  Each
     tick reads the IMU through ``imu_reading`` under the next sample of
     ``imu_stream``, whose noise is drawn ``IMU_BLOCK_TICKS`` ticks at a
-    time, and carries the controller mode as the int the telemetry
-    records.  A tick that starts with |omega| dt_physics past
-    ``MAX_SPIN_STEP`` ends every live lane with ``SPIN_STEP_EXCEEDED``.
+    time, holds the command of one ``AttitudeControlLoop.update`` call
+    (``-tau_1`` and ``-tau_2`` are the ``tau_3`` and ``tau_4`` columns)
+    and carries the controller mode as the int the telemetry records.  A
+    tick that starts with |omega| dt_physics past ``MAX_SPIN_STEP`` ends
+    every live lane with ``SPIN_STEP_EXCEEDED``.
     Translation is ballistic and nothing reads it back: the IMU, the
     freefall debounce, the controller, the wheel speeds and the events
     are the same for every lane until the lane ends.  So the runs are
@@ -483,33 +464,30 @@ def simulate_lanes(
         euler_read, omega_read, accel = imu_reading((phi, theta, psi), omega, next(imu))
         if accel > max_accel:
             max_accel = accel
-        if controller.enabled:
-            try:
-                command = loop.update(t, euler_read, omega_read, accel)
-            except ValueError:
-                # The allocator refuses a NaN or infinite PD demand and a
-                # solve that overflows.
-                for k in live:
-                    results[k] = NonFiniteState("non-finite controller demand", t=t)
-                break
-            if loop.mode != mode:
-                mode = int(loop.mode)
-                for k in live:
-                    results[k].events.append((t, "freefall_start"))
-                kernel = FlightKernel(loop.sub, params)
-                delta_deg = [math.degrees(d) for d in steering_angles(loop.sub)]
-            command = apply_wheel_speed_limit(command, y[13:17], params)
-        else:
-            command = ZERO_COMMAND
+        try:
+            tau_1, tau_2, tau_delta, sat_mask = loop.update(
+                t, euler_read, omega_read, accel, y[13:17]
+            )
+        except ValueError:
+            # The allocator refuses a NaN or infinite PD demand and a
+            # solve that overflows.
+            for k in live:
+                results[k] = NonFiniteState("non-finite controller demand", t=t)
+            break
+        if loop.mode != mode:
+            mode = int(loop.mode)
+            for k in live:
+                results[k].events.append((t, "freefall_start"))
+            kernel = FlightKernel(loop.sub, params)
+            delta_deg = [math.degrees(d) for d in steering_angles(loop.sub)]
 
-        tau_1, tau_2, tau_3, tau_4, tau_delta, sat_mask = command
         phi_deg, theta_deg, psi_deg = (
             math.degrees(phi), math.degrees(theta), math.degrees(psi)
         )
         for k, state in zip(live, states):
             results[k].values.fromlist([
                 t, phi_deg, theta_deg, psi_deg, *omega,
-                tau_1, tau_2, tau_3, tau_4, tau_delta, *delta_deg, *state[0:3],
+                tau_1, tau_2, -tau_1, -tau_2, tau_delta, *delta_deg, *state[0:3],
                 *y[13:17], mode, sat_mask,
             ])
 

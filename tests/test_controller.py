@@ -24,19 +24,22 @@ from swervefall.kinematics import torque_jacobian
 ISO = SubmovementParams(math.pi / 4, 0.0)
 
 
-def reading(euler=(0, 0, 0), omega=(0, 0, 0), accel=(0, 0, 0), t=0.0):
-    """``AttitudeControlLoop.update`` arguments for one IMU reading."""
+def reading(euler=(0, 0, 0), omega=(0, 0, 0), accel=(0, 0, 0), t=0.0,
+            wheel_speed=(0.0, 0.0, 0.0, 0.0)):
+    """``AttitudeControlLoop.update`` arguments for one IMU reading and
+    the wheel speeds."""
     return (
         t,
         [float(v) for v in euler],
         [float(v) for v in omega],
         float(np.linalg.norm(accel)),
+        list(wheel_speed),
     )
 
 
 def saturated(cmd):
     """The five saturation flags of a command's ``sat_mask``."""
-    return [bool(cmd[5] >> bit & 1) for bit in range(5)]
+    return [bool(cmd[3] >> bit & 1) for bit in range(5)]
 
 
 # --- freefall detection ------------------------------------------------------
@@ -200,7 +203,7 @@ def test_zero_error_zero_command(params):
     loop = AttitudeControlLoop(ControllerConfig(), params, ISO)
     loop.mode = ControllerMode.FREEFALL_STABILIZE
     cmd = loop.update(*reading())
-    np.testing.assert_allclose(cmd[:4], np.zeros(4), atol=1e-15)
+    np.testing.assert_allclose(cmd[:2], np.zeros(2), atol=1e-15)
 
 
 def test_ground_mode_emits_nothing(params):
@@ -209,8 +212,8 @@ def test_ground_mode_emits_nothing(params):
     cmd = loop.update(*reading(euler=(0.5, -0.4, 0.2), omega=(1, 1, 1),
                                accel=(0, 0, 9.81)))
     assert loop.mode == ControllerMode.GROUND_TELEOP
-    np.testing.assert_array_equal(cmd[:4], np.zeros(4))
-    assert cmd[4] == 0.0
+    np.testing.assert_array_equal(cmd[:2], np.zeros(2))
+    assert cmd[2] == 0.0
 
 
 def test_drop_attitude_saturates_wheels_two_and_four(params):
@@ -220,7 +223,6 @@ def test_drop_attitude_saturates_wheels_two_and_four(params):
     loop.mode = ControllerMode.FREEFALL_STABILIZE
     cmd = loop.update(*reading(euler=(math.radians(16), math.radians(23), 0.0)))
     assert abs(cmd[1]) == params.tau_wheel_max
-    assert abs(cmd[3]) == params.tau_wheel_max
     assert saturated(cmd)[1] and saturated(cmd)[3]
     assert abs(cmd[0]) < params.tau_wheel_max
 
@@ -229,7 +231,7 @@ def test_singular_configuration_zeroes_command(params):
     loop = AttitudeControlLoop(ControllerConfig(), params, SubmovementParams(0.0, 0.0))
     loop.mode = ControllerMode.FREEFALL_STABILIZE
     cmd = loop.update(*reading(euler=(0.3, 0.1, 0.0)))
-    np.testing.assert_array_equal(cmd[:4], np.zeros(4))
+    np.testing.assert_array_equal(cmd[:2], np.zeros(2))
     assert saturated(cmd)[4]
 
 
@@ -239,14 +241,38 @@ def test_achievable_command_reproduces_demand(params):
     gains = ControllerGains(kp=[5.0, 5.0, 1.0], kd=[1.0, 1.0, 0.1])
     loop = AttitudeControlLoop(ControllerConfig(gains=gains), params, ISO)
     loop.mode = ControllerMode.FREEFALL_STABILIZE
-    t, euler, omega, accel = reading(euler=(0.2, -0.1, 0.05), omega=(0.1, 0.0, -0.2))
+    t, euler, omega, accel, wheel_speed = reading(
+        euler=(0.2, -0.1, 0.05), omega=(0.1, 0.0, -0.2)
+    )
     demand = pd_attitude(euler, omega, (0.0, 0.0, 0.0), gains)
-    cmd = loop.update(t, euler, omega, accel)
+    cmd = loop.update(t, euler, omega, accel, wheel_speed)
     assert not any(saturated(cmd))
-    body = map_wheel_to_body_torque((cmd[0], cmd[1], cmd[4]), ISO)
+    body = map_wheel_to_body_torque(cmd[:3], ISO)
     np.testing.assert_allclose(
         body.as_array(), np.array(demand), atol=1e-9
     )
+
+
+def test_command_holds_the_wheel_speed_limit(params):
+    # Wheel 3 at the limit, spinning the way -tau_1 pushes it: the 1-3
+    # pair loses its drive, the 2-4 pair and steering keep theirs.
+    loop = AttitudeControlLoop(ControllerConfig(), params, ISO)
+    loop.mode = ControllerMode.FREEFALL_STABILIZE
+    euler = (math.radians(16), math.radians(23), 0.1)
+    free = loop.update(*reading(euler=euler))
+    assert free[0] < 0.0
+    limit = params.wheel_speed_max
+    held = loop.update(*reading(euler=euler, wheel_speed=(0.0, 0.0, limit, 0.0)))
+    assert held == (0.0, *free[1:])
+
+
+def test_disabled_loop_commands_nothing(params):
+    # A disabled controller neither debounces nor leaves GroundTeleop.
+    loop = AttitudeControlLoop(ControllerConfig(enabled=False), params, ISO)
+    for tick in range(50):
+        cmd = loop.update(*reading(euler=(0.3, 0.2, 0.0), t=tick * 1e-3))
+        assert cmd == (0.0, 0.0, 0.0, 0)
+    assert loop.mode == ControllerMode.GROUND_TELEOP
 
 
 # --- linearized plant ----------------------------------------------------------
@@ -332,7 +358,7 @@ def test_loop_stays_in_freefall_stabilize_at_one_g(params):
         imu = reading(euler=(0.2, 0.1, 0), accel=(0, 0, 9.81), t=0.025 + i * 1e-3)
         cmd = loop.update(*imu)
         assert loop.mode == ControllerMode.FREEFALL_STABILIZE
-        assert np.abs(cmd[:4]).max() > 0.0
+        assert np.abs(cmd[:2]).max() > 0.0
 
 
 def test_controller_config_from_entries_roundtrip():

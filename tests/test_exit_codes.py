@@ -4,6 +4,7 @@ for a config error and 3 for a diverged simulation.  No input may raise
 out of ``cli.main``."""
 
 import contextlib
+import dataclasses
 import io
 import signal
 import tempfile
@@ -12,15 +13,34 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 from swervefall.cli import main as cli_main
-from swervefall.params import read_config_file
-from swervefall.scenario import resolve_config_path, sweepable_parameters
+from swervefall.params import RobotParams, read_config_file
+from swervefall.scenario import loaded_from_entries, resolve_config_path
+
+
+def loader_keys() -> list[str]:
+    """Every config key the loader reads.  The robot keys are the
+    dataclass fields; every other key is looked up with ``in`` before it
+    is taken, so a recording mapping sees it."""
+    class Recording(dict):
+        def __init__(self):
+            super().__init__()
+            self.asked = set()
+
+        def __contains__(self, key):
+            self.asked.add(key)
+            return super().__contains__(key)
+
+    entries = Recording()
+    loaded_from_entries(entries, name="defaults")
+    return sorted({f.name for f in dataclasses.fields(RobotParams)} | entries.asked)
+
 
 # drop_controlled at one physics step per control tick: a run is at most
 # t_max / dt_physics = 1000 steps unless the example changes those keys,
 # and the work budget bounds what they can ask for.
 BASE = dict(read_config_file(resolve_config_path("drop_controlled")),
             dt_physics="0.001")
-KEYS = sorted(sweepable_parameters() | {"seed", "controller_enabled"})
+KEYS = loader_keys()
 EXTREME_VALUES = [
     "0", "1e-300", "-1e-300", "1e308", "-1e308", "-1", "-0.5",
     str(10**30), str(-10**30), str(10**400),

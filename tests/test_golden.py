@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from swervefall import run_scenario, simulation
+from swervefall import controller, run_scenario, simulation
 from swervefall.params import read_config_file
 from swervefall.scenario import (
     loaded_from_entries,
@@ -49,7 +49,7 @@ def test_bundled_csv_matches_golden_hash(name, tmp_path):
 
 
 def test_noisy_clamped_csv_matches_golden_hash(tmp_path, monkeypatch):
-    limit = simulation.apply_wheel_speed_limit
+    limit = controller.apply_wheel_speed_limit
     clamped = []
 
     def counting_limit(command, *args):
@@ -57,7 +57,7 @@ def test_noisy_clamped_csv_matches_golden_hash(tmp_path, monkeypatch):
         clamped.append(tuple(limited) != tuple(command))
         return limited
 
-    monkeypatch.setattr(simulation, "apply_wheel_speed_limit", counting_limit)
+    monkeypatch.setattr(controller, "apply_wheel_speed_limit", counting_limit)
     entries = read_config_file(resolve_config_path("drop_controlled"))
     entries.update(NOISY_CLAMPED)
     loaded = loaded_from_entries(entries, name="noisy_clamped")

@@ -6,14 +6,18 @@ import pytest
 
 from swervefall import (
     BodyTorque,
+    ControllerConfig,
+    ScenarioConfig,
     SingularConfiguration,
     SubmovementParams,
     allocate_body_torque,
     jacobian_determinant,
     manipulability,
     map_wheel_to_body_torque,
+    simulate,
     steering_angles,
 )
+from swervefall.simulation import CSV_HEADER
 from swervefall.kinematics import SINGULARITY_TOL, _lapack_solve, torque_jacobian
 
 SQRT2 = math.sqrt(2.0)
@@ -177,9 +181,9 @@ def test_allocate_isotropic_pitch_demand(params):
     cmd = allocate_body_torque(
         BodyTorque(0.0, 2 * SQRT2, 0.0), torque_jacobian(ISO), params
     )
-    np.testing.assert_allclose(cmd[:4], [1.0, 1.0, -1.0, -1.0], atol=1e-12)
-    assert abs(cmd[4]) < 1e-15
-    assert cmd[5] == 0
+    np.testing.assert_allclose(cmd[:2], [1.0, 1.0], atol=1e-12)
+    assert abs(cmd[2]) < 1e-15
+    assert cmd[3] == 0
 
 
 def test_allocate_refuses_singular_configuration(params):
@@ -194,9 +198,9 @@ def test_allocate_refuses_singular_configuration(params):
 def test_allocate_clamps_and_flags(params):
     huge = BodyTorque(0.0, 1e4, 1e4)
     cmd = allocate_body_torque(huge, torque_jacobian(ISO), params)
-    assert np.abs(cmd[:4]).max() == params.tau_wheel_max
-    assert abs(cmd[4]) == params.tau_steer_max
-    sat_mask = cmd[5]
+    assert np.abs(cmd[:2]).max() == params.tau_wheel_max
+    assert abs(cmd[2]) == params.tau_steer_max
+    sat_mask = cmd[3]
     assert sat_mask & 1 and sat_mask & 2 and sat_mask & 16
 
 
@@ -216,11 +220,18 @@ def test_allocate_rejects_non_finite_demand(params, sub, demand):
 
 
 def test_allocate_expands_symmetric_pairs(params):
-    cmd = allocate_body_torque(
+    # The command carries the pair torques only; a run's telemetry
+    # records wheels 3 and 4 as driving their negatives.
+    tau_1, tau_2, tau_delta, sat_mask = allocate_body_torque(
         BodyTorque(1.0, 2.0, 0.4), torque_jacobian(ISO), params
     )
-    assert cmd[2] == -cmd[0]
-    assert cmd[3] == -cmd[1]
+    assert sat_mask == 0
+    scenario = ScenarioConfig(drop_height=0.3, euler0=(0.2, 0.3, 0.0), dt_physics=1e-3)
+    rows = simulate(scenario, ControllerConfig(), params).rows
+    column = CSV_HEADER.split(",").index
+    assert np.abs(rows[:, column("tau_1")]).max() > 0.0
+    assert (rows[:, column("tau_3")] == -rows[:, column("tau_1")]).all()
+    assert (rows[:, column("tau_4")] == -rows[:, column("tau_2")]).all()
 
 
 def test_allocate_map_round_trip_grid(params):
@@ -238,7 +249,7 @@ def test_allocate_map_round_trip_grid(params):
             back = allocate_body_torque(body, torque_jacobian(sub), params)
             assert abs(back[0] - base[0]) < 1e-9
             assert abs(back[1] - base[1]) < 1e-9
-            assert abs(back[4] - base[2]) < 1e-9
+            assert abs(back[2] - base[2]) < 1e-9
 
 
 def reference_allocation(demand, jac, limits):
@@ -251,7 +262,7 @@ def reference_allocation(demand, jac, limits):
     w, s = limits.tau_wheel_max, limits.tau_steer_max
     c1, c2, cd = max(-w, min(w, tau_1)), max(-w, min(w, tau_2)), max(-s, min(s, tau_delta))
     sat_mask = (5 if c1 != tau_1 else 0) | (10 if c2 != tau_2 else 0) | (16 if cd != tau_delta else 0)
-    return c1, c2, -c1, -c2, cd, sat_mask
+    return c1, c2, cd, sat_mask
 
 
 def test_direct_solve_matches_numpy_solve_bitwise(params, rng):
@@ -287,10 +298,10 @@ def test_direct_solve_matches_numpy_solve_bitwise(params, rng):
                     allocate_body_torque(demand, jac, params)
             else:
                 command = allocate_body_torque(demand, jac, params)
-                assert (np.array(command[:5]).tobytes()
-                        == np.array(reference[:5]).tobytes())
-                assert command[5] == reference[5]
+                assert (np.array(command[:3]).tobytes()
+                        == np.array(reference[:3]).tobytes())
+                assert command[3] == reference[3]
             seen.add("nan" if np.isnan(expected).any() else
                      "inf" if np.isinf(expected).any() else
-                     "clamped" if reference[5] else "free")
+                     "clamped" if reference[3] else "free")
     assert seen == {"nan", "inf", "clamped", "free"}

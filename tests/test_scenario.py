@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import math
 import os
@@ -30,7 +29,6 @@ from swervefall.scenario import (
     load_scenario_file,
     loaded_from_entries,
     resolve_config_path,
-    sweepable_parameters,
 )
 from swervefall.simulation import CSV_HEADER, SPIN_STEP_EXCEEDED
 
@@ -103,26 +101,6 @@ def test_simulate_refuses_what_the_loader_refuses(key, value, params, controller
     with pytest.raises(ConfigError) as library:
         simulate(ScenarioConfig(t_max=0.3, dt_physics=0.001), controller, params)
     assert str(library.value) == str(loader.value)
-
-
-def test_sweepable_parameters_are_the_float_keys_the_loader_reads():
-    # A float key a parser reads but the sweep list lacks (or the reverse)
-    # fails here.  The robot keys are matched against the dataclass; every
-    # other key is looked up with ``in`` before it is taken.
-    class Recording(dict):
-        def __init__(self):
-            super().__init__()
-            self.asked = set()
-
-        def __contains__(self, key):
-            self.asked.add(key)
-            return super().__contains__(key)
-
-    entries = Recording()
-    loaded_from_entries(entries, name="defaults")
-    robot = {f.name for f in dataclasses.fields(RobotParams)}
-    read = robot | entries.asked
-    assert read - {"seed", "controller_enabled"} == sweepable_parameters()
 
 
 def test_byte_order_mark_config_runs_as_without(tmp_path):
@@ -234,7 +212,7 @@ def test_sweep_single_value_matches_run(tmp_path):
 
 def test_sweep_unknown_parameter(tmp_path):
     config = write_config(tmp_path, QUICK)
-    with pytest.raises(ConfigError, match="unknown sweep parameter"):
+    with pytest.raises(ConfigError, match="unknown config keys: flux_capacitance"):
         sweep(config, "flux_capacitance", [1.0], tmp_path / "s")
 
 
@@ -417,7 +395,10 @@ def assert_sweep_matches_one_value_sweeps(extra: str, param: str, values: list[s
     # later in input order.
     ("", "velocity_x", ["1e308", "0.5"], 3),
     ("", "velocity_x", ["0.5", "-2", "1e308", "1"], 3),
-], ids=["t_max", "drop_height", "shared_divergence", "overflow_first", "overflow_later"])
+    # Each seed draws its own IMU noise, so each run is a group of its own.
+    ("noise_sigma_accel = 0.05\nnoise_sigma_omega = 0.01\n", "seed", ["1", "2"], 0),
+], ids=["t_max", "drop_height", "shared_divergence", "overflow_first", "overflow_later",
+        "seed"])
 def test_grouped_sweep_matches_one_value_sweeps(extra, param, values, code):
     grouped = assert_sweep_matches_one_value_sweeps(extra, param, values)
     assert grouped[0] == code
