@@ -4,56 +4,56 @@
     swervefall compare <config_a> <config_b> [-o DIR]
     swervefall sweep <config> --param NAME --values V1,V2,... [-o DIR]
 
-<config> is a path or a bundled scenario name (drop_controlled,
-drop_uncontrolled, ledge).  The default output directory comes from
-SWERVEFALL_OUTPUT_DIR, falling back to ./out; an empty -o or
-SWERVEFALL_OUTPUT_DIR counts as not given.  Every command makes its
-output directory before it simulates.
+<config> is a config file's path or a bundled scenario name
+(drop_controlled, drop_uncontrolled, ledge); a directory is not a config
+file, so `run ledge -o ledge` can be run again.  The default output
+directory comes from SWERVEFALL_OUTPUT_DIR, falling back to ./out; an
+empty -o or SWERVEFALL_OUTPUT_DIR counts as not given.  Every command
+makes its output directory before it simulates.
 
 Exit codes: 0 success, 2 config error, 3 simulation diverged.  Config
 errors include a run over the work budget of 10**6 physics steps
 (t_max / dt_physics; about 20 s of wall time at ten physics steps per
 control tick, 60 s at one), a dt_control / dt_physics ratio beyond the
-float range (dt_control = 1e308), a release spin past |omega| *
-dt_physics = 0.0719 rad, an IMU noise sigma above 180 deg, 100 rad/s
-or 1000 m/s^2, geometry that cannot place the robot at
-drop_height, a config file that is not UTF-8 (a leading byte-order
-mark is allowed), compare of two different config files with the same
-name (their outputs would overwrite each other), sweep values that
-print alike to 12 significant digits, and an output directory or file
-that cannot be created or written (-o naming an existing regular file;
-reported as "output error").  A --values
-list may start with a minus sign (--values -10,-20).  A simulation
-diverges when the integration leaves the finite range or when the
-controller's torque demand does (kd_roll = 1e308 with a nonzero
-omega_x) or its allocation does (kd_roll = kd_pitch = 1e307 with
-omega_x = omega_y = -15), and when the body rates grow in flight past
-the release spin bound (|omega| * dt_physics = 0.0719 rad at the start
-of a control tick); numpy prints no warning about it.  A reader
-that closes the output early (``| head``) ends the command with exit 0
-and no traceback: summaries are printed only after every run and file
-is complete.
+float range (dt_control = 1e308), a release whose ballistic path may
+leave the float range by t_max (velocity_x = 1e308 or drop_height =
+1e308), a release spin past |omega| * dt_physics = 0.0719 rad, an IMU
+noise sigma above 180 deg, 100 rad/s or 1000 m/s^2, geometry that
+cannot place the robot at drop_height, a config file that is not UTF-8
+(a leading byte-order mark is allowed), compare of two different config
+files with the same name, sweep values that print alike, and an output
+directory or file that cannot be created or written (-o naming a
+regular file; reported as "output error").  A simulation diverges when
+the attitude or the wheel speeds leave the finite range (a loaded
+release's translation cannot), when the controller's torque demand does
+(kd_roll = 1e308 with a nonzero omega_x) or its allocation does
+(kd_roll = kd_pitch = 1e307 with omega_x = omega_y = -15), and when the
+body rates grow in flight past the release spin bound; numpy prints no
+warning about it.  A reader that closes the output early (``| head``)
+ends the command with exit 0 and no traceback: summaries are printed
+only after every run and file is complete.
 
 The range checks of a parsed config are the ones library ``simulate``
 makes (``simulation.validate_run``), so ``simulate`` refuses the same
 input with the same message, as a ConfigError (a ValueError).
 
 sweep --param takes any config key, seed and controller_enabled
-included, and sets it as a config line would: an unknown key or a value
-the key does not take (a fractional seed) exits 2 before any output.
+included, and sets it as a config line would: a value that int() reads
+prints exactly (a seed of any length), any other to 12 significant
+digits; an unknown key or a value the key does not take (a fractional
+seed) exits 2 before any output.  --values may start with a minus sign.
 
 sweep and compare validate every config before the first run and group
 the runs that differ only in drop_height, velocity_x/y/z and t_max:
 each group integrates one attitude history for all of its runs.  The
-groups run in parallel: one forked worker process per CPU this process
-may use, no more than there are groups, so a one-group sweep runs in
-process.  The workers only simulate.  This process writes each
-telemetry CSV in input order as its result arrives, then the summaries
-and the sweep aggregate or compare delta file, so the output is
-byte-identical to one-value runs'; ``taskset -c 0 swervefall sweep
-...`` runs serially.  A run that diverges ends the command with exit 3
-and the message its one-value run prints, leaving the CSVs of the runs
-before it and no aggregate or delta file.
+groups run in forked worker processes, one per CPU this process may use
+and no more than there are groups (``taskset -c 0`` runs them serially,
+and a one-group sweep runs in process); the workers only simulate.
+This process writes each telemetry CSV in input order as its result
+arrives, then the summaries and the sweep aggregate or compare delta
+file, byte-identical to one-value runs'.  A run that diverges ends the
+command with exit 3 and the message its one-value run prints, leaving
+the CSVs of the runs before it and no aggregate or delta file.
 """
 
 from __future__ import annotations
@@ -74,6 +74,14 @@ EXIT_NONFINITE = 3
 def _default_output_dir() -> str:
     # An empty SWERVEFALL_OUTPUT_DIR counts as unset, as an empty -o does.
     return os.environ.get("SWERVEFALL_OUTPUT_DIR") or "out"
+
+
+def _sweep_value(token: str) -> int | float:
+    # An int where int() takes it, so a seed of any length stays exact.
+    try:
+        return int(token)
+    except ValueError:
+        return float(token)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
             print("\n".join(report))
         elif args.command == "sweep":
             try:
-                values = [float(v) for v in args.values.split(",") if v.strip()]
+                values = [_sweep_value(v) for v in args.values.split(",") if v.strip()]
             except ValueError as exc:
                 raise ConfigError(f"bad --values list: {exc}") from exc
             if not values:

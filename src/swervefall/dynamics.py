@@ -303,8 +303,6 @@ class FlightKernel:
         # an einsum would round differently).
         self._spin_stack = -_drive_torque_columns(sub)[None]
         self.accel = (params.g * GRAVITY_DIR).tolist()
-        # (dt, _gravity_stages(dt)) of the last step length asked for.
-        self._gravity = (None, None)
         self.centers = wheel_centers(params, sub)
         # The operand of each step's quaternion norm.
         self._norms = NormBuffer()
@@ -349,25 +347,6 @@ class FlightKernel:
         j = self.j_wyy
         self.tau_over_j = [tau_1 / j, tau_2 / j, -tau_1 / j, -tau_2 / j]
 
-    def _gravity_stages(self, dt: float) -> tuple[float, ...]:
-        """The translation constants of an RK4 step of length ``dt``:
-        gravity's velocity increments at the midpoint stages and the last
-        stage, three each, then its RK4 velocity sum, three floats.
-        Gravity is the velocity rate at every stage, so they are the same
-        at every step; they are formed once per step length."""
-        cached_dt, stages = self._gravity
-        if dt != cached_dt:
-            ax, ay, az = self.accel
-            half, sixth = 0.5 * dt, dt / 6.0
-            stages = (
-                half * ax, half * ay, half * az, dt * ax, dt * ay, dt * az,
-                sixth * (ax + 2.0 * ax + 2.0 * ax + ax),
-                sixth * (ay + 2.0 * ay + 2.0 * ay + ay),
-                sixth * (az + 2.0 * az + 2.0 * az + az),
-            )
-            self._gravity = (dt, stages)
-        return stages
-
     def _rotation_rates(self, qw, qx, qy, qz, ox, oy, oz):
         """(quat_dot, omega_dot) as seven floats at attitude quaternion
         (qw, qx, qy, qz) and body rates (ox, oy, oz)."""
@@ -387,11 +366,11 @@ class FlightKernel:
     def step(self, y, dt: float) -> list[float]:
         """One RK4 step of length ``dt`` from flat state ``y``:
         ``advance_lanes`` for one lane and one step.  Raises
-        NonFiniteState, with ``t`` = 0.0, if the step leaves the finite
-        range or degenerates the quaternion."""
+        NonFiniteState, with ``t`` = 0.0, if any of the 17 stepped values
+        leaves the finite range or the quaternion degenerates."""
         [(state, _, failure)] = self.advance_lanes([y], dt, 1)
-        if failure is not None:
-            raise NonFiniteState(failure, t=0.0)
+        if failure is not None or not all(map(math.isfinite, state)):
+            raise NonFiniteState(failure or NONFINITE_STEP, t=0.0)
         return state
 
     def advance_lanes(
@@ -400,20 +379,18 @@ class FlightKernel:
         """Up to ``steps`` RK4 steps of length ``dt`` for each flat state
         of ``ys``, renormalizing the quaternion after each.
 
-        The states are lanes: they share their attitude, body rates and
-        wheel speeds (``y[6:17]``) and differ at most in position and
-        velocity.  Translation is ballistic and feeds back into nothing,
-        so one attitude history serves every lane.  Returns one (state,
-        taken, failure) per lane, in order, each what the lane alone
-        would give:
+        The states are lanes: they share ``y[6:17]`` (attitude, body
+        rates, wheel speeds) and differ at most in position and velocity,
+        which feed back into nothing.  Returns one (state, taken,
+        failure) per lane, in order, each what the lane alone would give:
 
         - (state after ``steps`` steps, ``steps``, None);
         - with ``stop_at_ground``, (state, ``taken``, None) when a wheel
           is on or below the ground at the end of step ``taken`` + 1,
           the state being that step's pre-step state;
-        - (None, ``taken``, message) when the lane's state leaves the
-          finite range or the quaternion degenerates in step ``taken`` +
-          1, the earliest such step.
+        - (None, ``taken``, message) when the shared rates or wheel
+          speeds leave the finite range or the quaternion degenerates in
+          step ``taken`` + 1, the earliest such step.
 
         Three passes make the tick.  The attitude pass integrates the
         seven rotation states in scalar locals (one stage body,
@@ -425,11 +402,10 @@ class FlightKernel:
         as in a step-by-step run, and cuts the history at the first step
         whose wheel speeds leave the finite range.  The lane pass then
         steps each lane's position and velocity along the history, up to
-        its own first non-finite step, its first step that ends with a
-        wheel on the ground (the exact contact height is formed only
-        where ``may_touch_ground`` allows contact) or the end of the
-        history.  A lane that reaches a failing step reports its own
-        non-finite translation in it first.
+        its first step that ends with a wheel on the ground (the exact
+        contact height is formed only where ``may_touch_ground`` allows
+        contact) or the end of the history and its failing step, if any,
+        with no finiteness test: a lane is a validated release.
         """
         rates = self._rotation_rates
         quat, quat_square = self._norms.values, self._norms.square4
@@ -507,15 +483,21 @@ class FlightKernel:
                 break
             wheels.append((w1, w2, w3, w4))
 
-        hx, hy, hz, fx, fy, fz, dvx, dvy, dvz = self._gravity_stages(dt)
+        # Gravity is the velocity rate at every stage: its velocity
+        # increments at the midpoint stages and the last, and its RK4 sum.
+        ax, ay, az = self.accel
+        hx, hy, hz = half * ax, half * ay, half * az
+        fx, fy, fz = dt * ax, dt * ay, dt * az
+        dvx = sixth * (ax + 2.0 * ax + 2.0 * ax + ax)
+        dvy = sixth * (ay + 2.0 * ay + 2.0 * ay + ay)
+        dvz = sixth * (az + 2.0 * az + 2.0 * az + az)
         reach = self.contact_reach
-        # The steps in the history; with a failure, the lanes that get
-        # past them take the failing step too, for their own finiteness.
+        # The steps in the history; the failing step follows them, if any.
         recorded = len(attitudes) - 1
         results = []
         for y in ys:
             px, py, pz, vx, vy, vz = y[:6]
-            for i in range(recorded if failure is None else recorded + 1):
+            for i in range(recorded):
                 # Stages 2 and 3 share their velocity.
                 vx2, vy2, vz2 = vx + hx, vy + hy, vz + hz
                 vx4, vy4, vz4 = vx + fx, vy + fy, vz + fz
@@ -523,15 +505,6 @@ class FlightKernel:
                 py1 = py + sixth * (vy + 2.0 * vy2 + 2.0 * vy2 + vy4)
                 pz1 = pz + sixth * (vz + 2.0 * vz2 + 2.0 * vz2 + vz4)
                 vx1, vy1, vz1 = vx + dvx, vy + dvy, vz + dvz
-                if (
-                    px1 * 0.0 + py1 * 0.0 + pz1 * 0.0 + vx1 * 0.0 + vy1 * 0.0
-                    + vz1 * 0.0
-                ) != 0.0:
-                    results.append((None, i, NONFINITE_STEP))
-                    break
-                if i == recorded:
-                    results.append((None, i, failure))
-                    break
                 if stop_at_ground and pz1 <= reach:
                     base = (px1, py1, pz1, vx1, vy1, vz1, *attitudes[i + 1])
                     if self.may_touch_ground(base) and self.clearance(base) <= 0.0:
@@ -540,7 +513,8 @@ class FlightKernel:
                         break
                 px, py, pz, vx, vy, vz = px1, py1, pz1, vx1, vy1, vz1
             else:
-                results.append((
-                    [px, py, pz, vx, vy, vz, *attitudes[-1], *wheels[-1]], steps, None
-                ))
+                state = [px, py, pz, vx, vy, vz, *attitudes[-1], *wheels[-1]]
+                results.append(
+                    (state, steps, None) if failure is None else (None, recorded, failure)
+                )
         return results

@@ -97,9 +97,9 @@ class LoadedScenario:
 
 
 def resolve_config_path(ref: str | Path) -> Path:
-    """Accept a filesystem path or the name of a bundled scenario."""
+    """A config file's path, or a bundled scenario's name (a directory is no file)."""
     path = Path(ref)
-    if path.exists():
+    if path.exists() and not path.is_dir():
         return path
     if str(ref) in BUNDLED_SCENARIOS:
         packaged = resources.files("swervefall.configs") / f"{ref}.cfg"
@@ -377,24 +377,24 @@ def compare(
 def sweep(
     base_config: str | Path,
     parameter: str,
-    values: list[float],
+    values: list[int | float],
     output_dir: str | Path,
 ) -> list[RunSummary]:
     """Run the base scenario once per parameter value.
 
-    ``parameter`` is any config key the loader reads; it is set as the
-    base config would set it, so an unknown key or a value the key does
-    not take (a fractional ``seed``) is the loader's config error.  Each
-    run is named and configured by its value printed to 12 significant
-    digits; values that print alike are a config error.  The base config
-    is read once, and every value's scenario is validated before the
-    first run, so a bad value leaves no output behind.  Writes one
-    telemetry CSV per run plus an aggregated summary CSV.  The runs
-    execute in parallel worker processes and their files match a serial
-    run's byte for byte; a run that diverges leaves the CSVs of the runs
-    before it and no aggregate.
+    ``parameter`` is any config key the loader reads; it is set as the base
+    config would set it, so an unknown key or a value the key does not take
+    (a fractional ``seed``) is the loader's config error.  Each run is named
+    and configured by its value, an int printed exactly and a float to 12
+    significant digits; values that print alike are an error.  The base
+    config is read once, and every value's scenario is validated before the
+    first run, so a bad value leaves no output behind.  Writes one telemetry
+    CSV per run plus an aggregated summary CSV.  The runs execute in
+    parallel worker processes and their files match a serial run's byte for
+    byte; a run that diverges leaves the CSVs of the runs before it and no
+    aggregate.
     """
-    texts = [f"{value:.12g}" for value in values]
+    texts = [f"{v:d}" if isinstance(v, int) else f"{v:.12g}" for v in values]
     repeated = sorted({text for text in texts if texts.count(text) > 1})
     if repeated:
         raise ConfigError(f"duplicate sweep values: {', '.join(repeated)}")

@@ -72,6 +72,10 @@ SPIN_STEP_EXCEEDED = (
     f"body rates past the spin bound |omega| * dt_physics = {MAX_SPIN_STEP:.3g} rad"
 )
 
+# Largest |position| and RK4 stage sum of a release's ballistic path up
+# to t_max: 1/1024 of the largest float; g = 1e300 at t_max = 2 s loads.
+TRANSLATION_MAX = float(np.finfo(float).max) / 1024.0
+
 CSV_HEADER = (
     "t,phi,theta,psi,omega_x,omega_y,omega_z,"
     "tau_1,tau_2,tau_3,tau_4,tau_delta,"
@@ -280,9 +284,9 @@ class ScenarioConfig:
 
 def validate_run(scenario: ScenarioConfig, controller, params: RobotParams) -> int:
     """Check one run: the robot (``validate_params``), the controller's
-    freefall detection, the scenario, the work budget, the release spin
-    against the physics step (``MAX_SPIN_STEP``) and that the
-    control period is a whole number of physics steps, which it returns.
+    freefall detection, the scenario, the work budget, the release's
+    translation (``TRANSLATION_MAX``) and spin (``MAX_SPIN_STEP``) and
+    that the control period is a whole number of physics steps, which it returns.
     Raises ConfigError at the first violation.  ``initial_body_state``
     checks the placement at ``drop_height``."""
     violations = validate_params(params)
@@ -320,6 +324,19 @@ def validate_run(scenario: ScenarioConfig, controller, params: RobotParams) -> i
         raise ConfigError(
             f"t_max / dt_physics exceeds the work budget of "
             f"{MAX_PHYSICS_STEPS} physics steps (up to about a minute)"
+        )
+    # p0 + v0 t - g t^2 Z / 2 up to t_max axis by axis, p0 within reach of
+    # drop_height (docs/model.md, Release translation).
+    t, g = scenario.t_max, params.g
+    vx, vy, vz = map(abs, scenario.velocity)
+    reach = 0.5 * (params.a + params.b) + params.c + params.wheel_radius
+    height = scenario.drop_height + reach + vz * t + 0.5 * g * t * t
+    bound = max(vx * t, vy * t, height, 6.0 * max(vx, vy, vz + g * t, g))
+    if not bound <= TRANSLATION_MAX:
+        raise ConfigError(
+            f"release translation may leave the float range by t_max: |position| "
+            f"or 6 max(|velocity|, g) reaches {bound:.3g}, past {TRANSLATION_MAX:.3g}; "
+            f"lower drop_height, velocity_x/y/z, g or t_max"
         )
     # The comparison ``simulate_lanes`` makes on every tick, so a release
     # that passes it cannot fail it at t = 0.
@@ -405,20 +422,18 @@ def simulate_lanes(
     scenario.dt_physics with the control command held between ticks, the
     tick's RK4 steps in one ``FlightKernel.advance_lanes`` call.  Each
     tick reads the IMU through ``imu_reading`` under the next sample of
-    ``imu_stream``, whose noise is drawn ``IMU_BLOCK_TICKS`` ticks at a
-    time, holds the command of one ``AttitudeControlLoop.update`` call
-    (``-tau_1`` and ``-tau_2`` are the ``tau_3`` and ``tau_4`` columns)
-    and carries the controller mode as the int the telemetry records.  A
-    tick that starts with |omega| dt_physics past ``MAX_SPIN_STEP`` ends
-    every live lane with ``SPIN_STEP_EXCEEDED``.
-    Translation is ballistic and nothing reads it back: the IMU, the
-    freefall debounce, the controller, the wheel speeds and the events
-    are the same for every lane until the lane ends.  So the runs are
+    ``imu_stream``, holds the command of one ``AttitudeControlLoop.update``
+    call (``-tau_1`` and ``-tau_2`` are the ``tau_3`` and ``tau_4``
+    columns) and carries the controller mode as the int the telemetry
+    records.  A tick that starts with |omega| dt_physics past
+    ``MAX_SPIN_STEP`` ends every live lane with ``SPIN_STEP_EXCEEDED``.
+    Translation is ballistic and nothing reads it back, so the runs are
     lanes of one integration, each with its own position and velocity,
-    contact check, touchdown bisection, t_max end and divergence.
-    Returns, per scenario in order, its Trajectory or the NonFiniteState
-    (with the absolute time) that ends it, each bit for bit what the
-    scenario alone gives.
+    contact check, touchdown bisection and t_max end; a lane, a
+    validated release, diverges only with the shared history.  Returns,
+    per scenario in order, its Trajectory or the NonFiniteState (with
+    the absolute time) that ends it, each bit for bit what the scenario
+    alone gives.
     """
     if len({attitude_key(s, controller, params) for s in scenarios}) != 1:
         raise ValueError(f"lanes may differ only in {', '.join(LANE_FIELDS)}")

@@ -1,6 +1,7 @@
-"""Golden telemetry: the bundled scenarios must reproduce their CSVs
-byte for byte.  Any change to the physics, the controller or the CSV
-format that moves a single bit shows up here."""
+"""Golden telemetry: the bundled scenarios, a noisy clamped run and a
+drop_height sweep run as lanes must reproduce their CSVs byte for byte.
+Any change to the physics, the controller or the CSV format that moves
+a single bit shows up here."""
 
 import hashlib
 import sys
@@ -8,7 +9,8 @@ import threading
 
 import pytest
 
-from swervefall import controller, run_scenario, simulation
+from swervefall import controller, run_scenario, simulation, sweep
+from swervefall.cli import main as cli_main
 from swervefall.params import read_config_file
 from swervefall.scenario import (
     loaded_from_entries,
@@ -40,12 +42,48 @@ NOISY_CLAMPED_SHA256 = (
     "037cc8c864f41c688419a07b4e1daa06bc98a3f36b9068e1eb0da0de303d881b"
 )
 
+# A ledge drop_height sweep whose four runs share one attitude
+# integration as lanes: the run CSVs and the aggregate.
+LANES_SHA256 = {
+    "ledge_drop_height_0.3359.csv":
+        "1d7036d3b57768af053200ec5ee0db4d188fd4757b280857a812cc7703675706",
+    "ledge_drop_height_0.8549.csv":
+        "78c61da4c7586905431f3d20fdf557fb8da92cd27c7adeb7ab2cc97af6b1f5f9",
+    "ledge_drop_height_1.1985.csv":
+        "6280a0a790f67ce6ea0e546777b9be876c2688ebb530188ee54bcd431622c5bf",
+    "ledge_drop_height_1.594.csv":
+        "8daed18d28814af057a5a4707f3b4ca7f65dffd2425642def29765adc1fd06c6",
+    "sweep_drop_height.csv":
+        "4605a022d5e66b6ac3baf534f6d2b3c5ba538a7fa8e35eab87ba2712b77bc570",
+}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_bundled_csv_matches_golden_hash(name, tmp_path):
     run_scenario(name, tmp_path)
     data = (tmp_path / f"{name}.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256[name]
+
+
+def test_bundled_name_beside_a_directory_of_that_name(tmp_path, monkeypatch):
+    # ``run ledge -o ledge`` leaves a directory named ledge; the next
+    # ``run ledge`` there still runs the bundled scenario.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ledge").mkdir()
+    assert cli_main(["run", "ledge", "-o", "out"]) == 0
+    data = (tmp_path / "out" / "ledge.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256["ledge"]
+
+
+def test_drop_height_sweep_matches_golden_hashes(tmp_path):
+    # Four ledge drop heights run as lanes of one attitude integration;
+    # each lane ends at its own touchdown.
+    sweep("ledge", "drop_height", [0.3359, 0.8549, 1.1985, 1.594], tmp_path)
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+    }
+    assert digests == LANES_SHA256
 
 
 def test_noisy_clamped_csv_matches_golden_hash(tmp_path, monkeypatch):

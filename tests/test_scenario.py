@@ -391,17 +391,24 @@ def assert_sweep_matches_one_value_sweeps(extra: str, param: str, values: list[s
     # The PD demand overflows once freefall is detected (about 20 ms),
     # after the two lowest lanes have landed.
     ("kd_roll = 1e308\nomega_x = 2\n", "drop_height", ["0", "0.001", "0.2", "0.05"], 3),
-    # A lane whose own position overflows in its first step, first and
-    # later in input order.
-    ("", "velocity_x", ["1e308", "0.5"], 3),
-    ("", "velocity_x", ["0.5", "-2", "1e308", "1"], 3),
     # Each seed draws its own IMU noise, so each run is a group of its own.
     ("noise_sigma_accel = 0.05\nnoise_sigma_omega = 0.01\n", "seed", ["1", "2"], 0),
-], ids=["t_max", "drop_height", "shared_divergence", "overflow_first", "overflow_later",
-        "seed"])
+], ids=["t_max", "drop_height", "shared_divergence", "seed"])
 def test_grouped_sweep_matches_one_value_sweeps(extra, param, values, code):
     grouped = assert_sweep_matches_one_value_sweeps(extra, param, values)
     assert grouped[0] == code
+
+
+@pytest.mark.parametrize("values", [["1e308", "0.5"], ["0.5", "-2", "1e308", "1"]],
+                         ids=["overflow_first", "overflow_later"])
+def test_sweep_over_an_overflowing_release_writes_nothing(tmp_path, values):
+    # A release velocity whose ballistic path leaves the float range is a
+    # config error, first or later in input order, and the sweep refuses
+    # it before any run: a lane never diverges on its own.
+    config = write_config(tmp_path, QUICK)
+    code, out, err, files = cli_sweep(config, "velocity_x", values, tmp_path / "s")
+    assert (code, out, files) == (2, "", {})
+    assert err.startswith("config error: release translation may leave the float range")
 
 
 LANE_VALUES = {
@@ -424,8 +431,9 @@ LANE_VALUES = {
     param_values=st.sampled_from(sorted(LANE_VALUES)).flatmap(
         lambda param: st.tuples(
             st.just(param),
+            # "-0" is read as the int 0, so it and "0" are one value.
             st.lists(LANE_VALUES[param].map(lambda v: f"{v:.12g}"),
-                     min_size=2, max_size=4, unique=True),
+                     min_size=2, max_size=4, unique_by=float),
         )
     ),
 )
@@ -463,6 +471,23 @@ def test_cli_sweep_negative_values(tmp_path):
     assert code == 0
     assert list(output_files(out)) == [
         "quick_roll_deg_-10.csv", "quick_roll_deg_-20.csv", "sweep_roll_deg.csv"]
+
+
+def test_cli_sweep_keeps_long_integer_seeds(tmp_path, capsys):
+    # A seed of 13 digits reaches the config as written, not rounded to
+    # 12 significant digits, and names its run exactly.
+    noisy = QUICK.replace("seed = 5\n", "") + "noise_sigma_omega = 0.01\n"
+    config = write_config(tmp_path, noisy)
+    out = tmp_path / "seeds"
+    code = cli_main(["sweep", str(config), "--param", "seed",
+                     "--values", "1234567890123", "-o", str(out)])
+    assert code == 0, capsys.readouterr().err
+    direct = write_config(tmp_path, noisy + "seed = 1234567890123\n", "direct.cfg")
+    run_scenario(direct, tmp_path / "direct")
+    assert (out / "quick_seed_1234567890123.csv").read_bytes() == (
+        tmp_path / "direct" / "direct.csv").read_bytes()
+    assert (out / "sweep_seed.csv").read_text().splitlines()[1].startswith(
+        "seed,1234567890123,")
 
 
 def test_cli_compare_bad_second_config_writes_nothing(tmp_path, capsys):
@@ -681,15 +706,18 @@ wheel_speed_max = 1e12
     assert "RuntimeWarning" not in result.stderr
 
 
-def test_cli_translation_overflow_exit_3(tmp_path):
-    # A finite release velocity whose translation overflows in the first
-    # step diverges at t = 0; the overflow is reported once, as the
-    # divergence, not also as a numpy warning.
+def test_cli_translation_overflow_exit_2(tmp_path):
+    # A finite release velocity whose translation would overflow in the
+    # first step is refused when the config loads, before any output and
+    # without a numpy warning; it used to diverge at t = 0 (exit 3).
     config = write_config(tmp_path, QUICK + "velocity_x = 1e308\n")
     result = run_cli_process(["run", str(config), "-o", str(tmp_path / "o")])
-    assert result.returncode == 3
-    assert "simulation error: simulation diverged at t=0.000000 s" in result.stderr
+    assert result.returncode == 2
+    assert result.stderr.startswith(
+        "config error: release translation may leave the float range by t_max"
+    )
     assert "RuntimeWarning" not in result.stderr
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("extra", [

@@ -29,6 +29,7 @@ from swervefall.simulation import (
     MAX_SPIN_STEP,
     SPIN_ERROR_BUDGET,
     SPIN_STEP_EXCEEDED,
+    TRANSLATION_MAX,
     contact_height,
     imu_noise,
     imu_reading,
@@ -36,7 +37,7 @@ from swervefall.simulation import (
     initial_body_state,
     validate_run,
 )
-from swervefall.dynamics import FlightKernel
+from swervefall.dynamics import FlightKernel, NonFiniteState
 from swervefall.state import euler_angles, quat_multiply
 
 ISO = SubmovementParams(math.pi / 4, 0.0)
@@ -61,6 +62,14 @@ def test_rk4_rejects_nonpositive_dt(params):
     for dt in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             step_rk4(BodyState.at_rest(), ZERO, ISO, params, dt)
+
+
+def test_rk4_raises_on_translation_overflow(params):
+    # step_rk4 takes any state, not only a validated release, so it tests
+    # the stepped translation itself.
+    state = BodyState((1e308, 0.0, 0.0), (1e308, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), ZERO)
+    with pytest.raises(NonFiniteState, match="non-finite state after RK4 step"):
+        step_rk4(state, ZERO, ISO, params, 1e-3)
 
 
 def test_rk4_fourth_order_convergence(params):
@@ -390,6 +399,69 @@ def test_unrunnable_release_is_a_config_error(params, scenario, message):
     # them in math.cos, the placement check or numpy's seed handling.
     with pytest.raises(ConfigError, match=message):
         simulate(scenario, ControllerConfig(), params)
+
+
+# --- release translation bound ---------------------------------------------------
+
+# A config key, a t_max [s] and the largest value of the key that
+# TRANSLATION_MAX allows at that t_max on a level drop: the release
+# velocity, where the stage sum 6 |v| binds; the drop height, where the
+# height binds; g at 20 s, where g t^2 / 2 = 200 g binds; and g over a
+# short flight, where gravity's own stage sum 6 g binds.
+TRANSLATION_LIMITS = [
+    ("velocity_x", 0.05, TRANSLATION_MAX / 6.0),
+    ("drop_height", 0.05, TRANSLATION_MAX),
+    ("g", 20.0, TRANSLATION_MAX / 200.0),
+    ("g", 0.05, TRANSLATION_MAX / 6.0),
+]
+TRANSLATION_IDS = ["velocity", "drop_height", "g_t_squared", "g"]
+
+
+def translation_config(tmp_path, key, t_max, value):
+    path = tmp_path / f"{key}.cfg"
+    path.write_text(
+        f"dt_physics = 0.001\ndt_control = 0.001\nt_max = {t_max}\n{key} = {value!r}\n",
+        encoding="utf-8",
+    )
+    return path
+
+
+@pytest.mark.parametrize("key, t_max, limit", TRANSLATION_LIMITS, ids=TRANSLATION_IDS)
+def test_release_translation_just_inside_the_bound_runs(tmp_path, key, t_max, limit):
+    # The loader takes the release, and its run keeps every value finite.
+    config = translation_config(tmp_path, key, t_max, (1.0 - 1e-9) * limit)
+    loaded = load_scenario_file(config)
+    trajectory = simulate(loaded.scenario, loaded.controller, loaded.params)
+    assert len(trajectory.rows) and np.isfinite(trajectory.rows).all()
+
+
+@pytest.mark.parametrize("key, t_max, limit", TRANSLATION_LIMITS, ids=TRANSLATION_IDS)
+def test_release_translation_just_outside_the_bound_exits_2(
+    tmp_path, capsys, key, t_max, limit
+):
+    config = translation_config(tmp_path, key, t_max, (1.0 + 1e-9) * limit)
+    assert cli_main(["run", str(config), "-o", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: release translation may leave the float range by t_max"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_refuses_an_overflowing_release_as_the_loader_does(
+    tmp_path, capsys, params
+):
+    config = tmp_path / "fast.cfg"
+    config.write_text("velocity_x = 1e308\n", encoding="utf-8")
+    assert cli_main(["run", str(config), "-o", str(tmp_path / "o")]) == 2
+    with pytest.raises(ConfigError) as refused:
+        simulate(ScenarioConfig(velocity=(1e308, 0.0, 0.0)), ControllerConfig(), params)
+    assert capsys.readouterr().err == f"config error: {refused.value}\n"
+
+
+def test_huge_gravity_over_a_short_flight_loads(params):
+    # g = 1e300 at t_max = 2 s reaches stage sums of 1.2e301, well inside
+    # the bound.
+    validate_run(ScenarioConfig(t_max=2.0), ControllerConfig(), replace(params, g=1e300))
 
 
 def spin_up_config(tmp_path, kp):
