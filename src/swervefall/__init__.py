@@ -44,26 +44,17 @@ from .simulation import (
     simulate,
     step_rk4,
 )
-from .state import (
-    BodyState,
-    BodyTorque,
-    EulerAngles,
-    SubmovementParams,
-    euler_from_quaternion,
-    quat_from_euler,
-)
+from .state import BodyTorque, SubmovementParams, quat_from_euler
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttitudeControlLoop",
-    "BodyState",
     "BodyTorque",
     "ConfigError",
     "ControllerConfig",
     "ControllerGains",
     "ControllerMode",
-    "EulerAngles",
     "InertiaReflection",
     "LinearPlant",
     "ManipulabilityReport",
@@ -80,7 +71,6 @@ __all__ = [
     "allocate_body_torque",
     "angular_acceleration",
     "compare",
-    "euler_from_quaternion",
     "jacobian_determinant",
     "linearized_plant",
     "manipulability",

@@ -44,7 +44,7 @@ import numpy as np
 
 from .kinematics import steering_angles, torque_jacobian
 from .params import RobotParams
-from .state import BodyState, NormBuffer, SubmovementParams, quat_to_matrix
+from .state import NormBuffer, SubmovementParams, quat_to_matrix
 
 GRAVITY_DIR = np.array([0.0, 0.0, -1.0])
 
@@ -132,13 +132,11 @@ def _drive_torque_columns(sub: SubmovementParams) -> np.ndarray:
 
 
 def angular_acceleration(
-    state: BodyState,
-    sub: SubmovementParams,
-    command,
-    params: RobotParams,
+    state, sub: SubmovementParams, command, params: RobotParams
 ) -> np.ndarray:
-    """Closed-form body angular acceleration (Wx_dot, Wy_dot, Wz_dot)
-    under the flight command ``(tau_1, tau_2, tau_delta)``.
+    """Closed-form body angular acceleration (Wx_dot, Wy_dot, Wz_dot) of
+    the flat body state ``state`` under the flight command ``(tau_1,
+    tau_2, tau_delta)``.
 
     Assembles the input torque through the (alpha, beta) trig-identity
     Jacobian; the oracle instead sums per-wheel reaction directions in
@@ -147,7 +145,7 @@ def angular_acceleration(
     """
     kernel = FlightKernel(sub, params)
     kernel.set_command(*command)
-    rates = kernel._rotation_rates(*state.quat.tolist(), *state.omega.tolist())
+    rates = kernel._rotation_rates(*state[6:13])
     return np.array(rates[4:])
 
 
@@ -167,12 +165,10 @@ class ReactionLoads:
 
 
 def oracle_newton_euler(
-    state: BodyState,
-    sub: SubmovementParams,
-    command,
-    params: RobotParams,
+    state, sub: SubmovementParams, command, params: RobotParams
 ) -> tuple[np.ndarray, ReactionLoads]:
-    """Numerically assembled dynamics; the reference for the closed form.
+    """Numerically assembled dynamics of the flat body state ``state``;
+    the reference for the closed form.
 
     Expands the flight command ``(tau_1, tau_2, tau_delta)`` to the four
     wheel torques (tau_1, tau_2, -tau_1, -tau_2), builds the mass matrix
@@ -183,7 +179,7 @@ def oracle_newton_euler(
     """
     tau_1, tau_2, tau_delta = command
     tau = np.array([tau_1, tau_2, -tau_1, -tau_2], dtype=float)
-    omega = state.omega
+    omega = np.array(state[10:13], dtype=float)
 
     centers = wheel_centers(params, sub)
     # Parallel-axis reflection of the wheel masses, diagonal part.  The

@@ -40,7 +40,7 @@ from .simulation import (
     simulate_lanes,
     validate_run,
 )
-from .state import SubmovementParams, euler_from_quaternion
+from .state import SubmovementParams, euler_angles
 
 TAU_COLUMNS = tuple(CSV_HEADER.split(",").index(f"tau_{i}") for i in range(1, 5))
 # One CSV line: every value to 12 significant digits, the same text as
@@ -197,10 +197,10 @@ def summarize(name: str, trajectory: Trajectory) -> RunSummary:
 
     euler_td = None
     omega_td = None
-    if trajectory.touchdown_state is not None:
-        angles = euler_from_quaternion(trajectory.touchdown_state.quat)
-        euler_td = tuple(math.degrees(v) for v in (angles.phi, angles.theta, angles.psi))
-        omega_td = tuple(float(w) for w in trajectory.touchdown_state.omega)
+    y = trajectory.touchdown_state
+    if y is not None:
+        euler_td = tuple(math.degrees(v) for v in euler_angles(y[6:10]))
+        omega_td = tuple(y[10:13])
 
     values = trajectory.values
     n = max(1, len(values) // CSV_COLUMNS)

@@ -48,13 +48,7 @@ from .controller import AttitudeControlLoop, ControllerMode
 from .dynamics import FlightKernel, NonFiniteState, lowest_contact, wheel_centers
 from .kinematics import steering_angles
 from .params import ConfigError, RobotParams, validate_params
-from .state import (
-    BodyState,
-    NormBuffer,
-    SubmovementParams,
-    quat_from_euler,
-    unit_euler_angles,
-)
+from .state import NormBuffer, SubmovementParams, quat_from_euler, unit_euler_angles
 
 BISECTION_TOL = 1e-6
 # Largest t_max / dt_physics a scenario may ask for: about 20 s of wall
@@ -171,32 +165,25 @@ def imu_reading(euler, omega, sample_noise) -> tuple:
 
 
 def step_rk4(
-    state: BodyState,
-    command,
-    sub: SubmovementParams,
-    params: RobotParams,
-    dt: float,
-) -> BodyState:
-    """One classical fourth-order step under the flight command
-    ``(tau_1, tau_2, tau_delta)``; renormalizes the quaternion.
+    state, command, sub: SubmovementParams, params: RobotParams, dt: float
+) -> list[float]:
+    """One classical fourth-order step of the flat body state ``state``
+    (17 numbers, ``swervefall.state``) under the flight command
+    ``(tau_1, tau_2, tau_delta)``; renormalizes the quaternion after the
+    step and returns the stepped state as 17 floats.
 
-    Raises ValueError unless ``dt`` is positive and finite, and
-    NonFiniteState if any component leaves the finite range.
+    Raises ValueError unless ``state`` has 17 entries and ``dt`` is
+    positive and finite, and NonFiniteState if any component leaves the
+    finite range.
     """
+    y = [float(v) for v in state]
+    if len(y) != 17:
+        raise ValueError(f"a body state is 17 floats, not {len(y)}")
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
     kernel = FlightKernel(sub, params)
     kernel.set_command(*command)
-    return BodyState.from_flat(kernel.step(state.flat(), dt))
-
-
-def contact_height(
-    state: BodyState, sub: SubmovementParams, params: RobotParams
-) -> float:
-    """Height of the lowest wheel contact point above the ground plane."""
-    return lowest_contact(
-        state.r_ob[2], state.quat, wheel_centers(params, sub), params.wheel_radius
-    )
+    return kernel.step(y, dt)
 
 
 @dataclass
@@ -209,14 +196,16 @@ class Trajectory:
     events: (time, kind) with kind in {freefall_start, settled, touchdown}.
     max_specific_accel: largest accelerometer magnitude the IMU reported.
     touchdown_time/touchdown_state: bisection-refined terminal condition,
-    present when the run ended by ground contact rather than t_max.
+    present when the run ended by ground contact rather than t_max; the
+    state is the flat body state at touchdown, 17 floats (r_ob, v_ob,
+    quat, omega, wheel_speed).
     """
 
     values: array = field(default_factory=lambda: array("d"))
     events: list[tuple[float, str]] = field(default_factory=list)
     max_specific_accel: float = 0.0
     touchdown_time: float | None = None
-    touchdown_state: BodyState | None = None
+    touchdown_state: list[float] | None = None
 
     @property
     def rows(self) -> np.ndarray:
@@ -227,16 +216,16 @@ class Trajectory:
 
 def refine_touchdown(
     kernel: FlightKernel, y: list[float], dt: float, t0: float
-) -> tuple[float, BodyState]:
+) -> tuple[float, list[float]]:
     """Bisect the crossing time of the contact height within one step.
 
     ``kernel`` is the tick's flight kernel with its command set; ``y`` is
     the flat pre-step state at time t0 with positive clearance, and the
-    clearance at t0 + dt is non-positive.  Returns (t_touchdown, state at
-    touchdown) with the time bracketed to 1e-6 s.
+    clearance at t0 + dt is non-positive.  Returns (t_touchdown, flat
+    state at touchdown) with the time bracketed to 1e-6 s.
     """
     if kernel.clearance(y) <= 0.0:
-        return t0, BodyState.from_flat(y)
+        return t0, list(y)
     lo, hi = 0.0, dt
     y_hi = kernel.step(y, dt)
     while hi - lo > BISECTION_TOL:
@@ -246,7 +235,7 @@ def refine_touchdown(
             hi, y_hi = mid, y_mid
         else:
             lo = mid
-    return t0 + hi, BodyState.from_flat(y_hi)
+    return t0 + hi, y_hi
 
 
 # Largest IMU noise sigmas: a half turn for the angles, 100 rad/s for the
@@ -371,20 +360,23 @@ SETTLED_RATE_LIMIT = 0.5
 
 def initial_body_state(
     scenario: ScenarioConfig, sub: SubmovementParams, params: RobotParams
-) -> BodyState:
-    """Place the robot so the lowest contact point sits at drop_height;
-    raises ConfigError where the placed state misses it by over 1e-9 m."""
-    quat = quat_from_euler(*scenario.euler0)
-    probe = BodyState(np.zeros(3), scenario.velocity, quat, scenario.omega0)
-    z0 = scenario.drop_height - contact_height(probe, sub, params)
-    state = BodyState([0.0, 0.0, z0], scenario.velocity, quat, scenario.omega0)
-    placed = contact_height(state, sub, params)
+) -> list[float]:
+    """The release as a flat body state with its wheels still, placed so
+    the lowest contact point sits at drop_height; raises ConfigError
+    where the placed state misses it by over 1e-9 m."""
+    quat = NormBuffer().unit(quat_from_euler(*scenario.euler0))
+    centers, radius = wheel_centers(params, sub), params.wheel_radius
+    z0 = scenario.drop_height - lowest_contact(0.0, quat, centers, radius)
+    placed = lowest_contact(z0, quat, centers, radius)
     if not abs(placed - scenario.drop_height) <= 1e-9:
         raise ConfigError(
             f"cannot place the robot at drop_height {scenario.drop_height:g} m "
             f"(placed at {placed:g} m; check wheel_radius and the geometry)"
         )
-    return state
+    return [
+        0.0, 0.0, z0, *map(float, scenario.velocity), *quat,
+        *map(float, scenario.omega0), 0.0, 0.0, 0.0, 0.0,
+    ]
 
 
 def attitude_key(scenario: ScenarioConfig, controller, params: RobotParams) -> str:
@@ -425,8 +417,12 @@ def simulate_lanes(
     ``imu_stream``, holds the command of one ``AttitudeControlLoop.update``
     call (``-tau_1`` and ``-tau_2`` are the ``tau_3`` and ``tau_4``
     columns) and carries the controller mode as the int the telemetry
-    records.  A tick that starts with |omega| dt_physics past
-    ``MAX_SPIN_STEP`` ends every live lane with ``SPIN_STEP_EXCEEDED``.
+    records.  The tick that detects freefall swings the steering: it
+    rebuilds the kernel at the new effective inertia J* and, where an
+    axis's J* changes, rescales the body rates so each axis keeps its
+    momentum J* W (the tick's row keeps the rates the IMU read).  A tick
+    that starts with |omega| dt_physics past ``MAX_SPIN_STEP`` ends
+    every live lane with ``SPIN_STEP_EXCEEDED``.
     Translation is ballistic and nothing reads it back, so the runs are
     lanes of one integration, each with its own position and velocity,
     contact check, touchdown bisection and t_max end; a lane, a
@@ -456,7 +452,7 @@ def simulate_lanes(
     # The running lanes and their flat states, which agree in y[6:17]:
     # attitude, body rates and wheel speeds.
     live = list(range(len(scenarios)))
-    states = [initial_body_state(s, sub, params).flat() for s in scenarios]
+    states = [initial_body_state(s, sub, params) for s in scenarios]
     t_ends = [s.t_max + 1e-12 for s in scenarios]
     soonest_end = min(t_ends)
     max_accel = 0.0
@@ -493,8 +489,15 @@ def simulate_lanes(
             mode = int(loop.mode)
             for k in live:
                 results[k].events.append((t, "freefall_start"))
-            kernel = FlightKernel(loop.sub, params)
+            swung = FlightKernel(loop.sub, params)
             delta_deg = [math.degrees(d) for d in steering_angles(loop.sub)]
+            # The swing is internal: each axis keeps its momentum J* W.
+            rates = [
+                w if j == j_swung else j * w / j_swung
+                for w, j, j_swung in zip(omega, kernel.inertia, swung.inertia)
+            ]
+            states = [[*state[:10], *rates, *state[13:]] for state in states]
+            kernel = swung
 
         phi_deg, theta_deg, psi_deg = (
             math.degrees(phi), math.degrees(theta), math.degrees(psi)

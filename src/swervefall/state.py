@@ -1,5 +1,5 @@
-"""State representations: orientation, body state, steering coordinates
-and body torque.
+"""State representations: orientation, steering coordinates and body
+torque.
 
 Conventions:
     * Body frame: x forward, y left, z up (right-handed).  World frame has
@@ -14,9 +14,12 @@ Conventions:
       direction; the brackets of wheels 2 and 3 are mounted pi-rotated, so
       their frame angle is delta_i + pi.
 
-All types but ``NormBuffer``, a run's scratch buffer for numpy's dot,
-are frozen value objects; the array-valued ones hold read-only numpy
-arrays.
+A body state is a flat list of 17 floats: r_ob and v_ob, position and
+velocity of the base mass center in world axes; quat, the body-to-world
+unit quaternion (w, x, y, z); omega, the body rates in body axes
+[rad/s]; and wheel_speed, the wheel spin rates about their axles
+[rad/s].  Every other type but ``NormBuffer``, a run's scratch buffer
+for numpy's dot, is a frozen value object.
 """
 
 from __future__ import annotations
@@ -29,18 +32,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-GIMBAL_PROXIMITY_DEG = 89.0
-
 
 def wrap_angle(angle: float) -> float:
     """Wrap an angle to [-pi, pi)."""
     return float((angle + math.pi) % (2.0 * math.pi) - math.pi)
-
-
-def _frozen(values, shape) -> np.ndarray:
-    arr = np.array(values, dtype=float).reshape(shape)
-    arr.setflags(write=False)
-    return arr
 
 
 # --- quaternions ------------------------------------------------------------
@@ -87,10 +82,6 @@ class NormBuffer:
         return math.sqrt(self.square3())
 
 
-def quat_normalize(q: np.ndarray) -> np.ndarray:
-    return np.array(NormBuffer().unit(q))
-
-
 def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     w1, x1, y1, z1 = q1
     w2, x2, y2, z2 = q2
@@ -123,16 +114,6 @@ def quat_from_euler(phi: float, theta: float, psi: float) -> np.ndarray:
     return quat_multiply(quat_multiply(qz, qy), qx)
 
 
-@dataclass(frozen=True)
-class EulerAngles:
-    """Z-Y-X angles [rad] with a gimbal-proximity warning flag."""
-
-    phi: float
-    theta: float
-    psi: float
-    gimbal_proximity: bool = False
-
-
 def euler_angles(q) -> tuple[float, float, float]:
     """Z-Y-X angles (phi, theta, psi) as floats; theta is clamped to
     [-pi/2, pi/2]."""
@@ -149,17 +130,6 @@ def unit_euler_angles(w, x, y, z) -> tuple[float, float, float]:
     phi = math.atan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
     psi = math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
     return phi, theta, psi
-
-
-def euler_from_quaternion(q: np.ndarray) -> EulerAngles:
-    """Extract Z-Y-X angles (see ``euler_angles``).
-
-    Sets ``gimbal_proximity`` when |theta| exceeds 89 deg, where phi and
-    psi become ill-conditioned.
-    """
-    phi, theta, psi = euler_angles(q)
-    near_gimbal = abs(theta) > math.radians(GIMBAL_PROXIMITY_DEG)
-    return EulerAngles(phi, theta, psi, gimbal_proximity=near_gimbal)
 
 
 # --- steering coordinates ---------------------------------------------------
@@ -187,63 +157,3 @@ class BodyTorque(NamedTuple):
 
     def as_array(self) -> np.ndarray:
         return np.array([self.tau_x, self.tau_y, self.tau_z])
-
-
-@dataclass(frozen=True)
-class BodyState:
-    """Full kinematic state of the base plus wheel spin rates.
-
-    r_ob, v_ob: position/velocity of the base mass center in world frame.
-    quat: body-to-world unit quaternion (w, x, y, z), renormalized on
-    construction.  omega: body angular velocity in body axes [rad/s].
-    wheel_speed: wheel spin rates about their axles [rad/s].
-    """
-
-    r_ob: np.ndarray
-    v_ob: np.ndarray
-    quat: np.ndarray
-    omega: np.ndarray
-    wheel_speed: np.ndarray = None  # type: ignore[assignment]
-
-    def __init__(self, r_ob, v_ob, quat, omega, wheel_speed=None) -> None:
-        object.__setattr__(self, "r_ob", _frozen(r_ob, (3,)))
-        object.__setattr__(self, "v_ob", _frozen(v_ob, (3,)))
-        object.__setattr__(self, "quat", _frozen(quat_normalize(quat), (4,)))
-        object.__setattr__(self, "omega", _frozen(omega, (3,)))
-        if wheel_speed is None:
-            wheel_speed = np.zeros(4)
-        object.__setattr__(self, "wheel_speed", _frozen(wheel_speed, (4,)))
-
-    @staticmethod
-    def from_flat(y) -> "BodyState":
-        """Wrap a flat state (r_ob, v_ob, quat, omega, wheel_speed; 17
-        floats) whose quaternion the integrator has already normalized.
-
-        The quaternion is stored as given: normalizing it a second time
-        could move its last bits.
-        """
-        flat = _frozen(y, (17,))
-        state = BodyState.__new__(BodyState)
-        object.__setattr__(state, "r_ob", flat[0:3])
-        object.__setattr__(state, "v_ob", flat[3:6])
-        object.__setattr__(state, "quat", flat[6:10])
-        object.__setattr__(state, "omega", flat[10:13])
-        object.__setattr__(state, "wheel_speed", flat[13:17])
-        return state
-
-    def flat(self) -> list[float]:
-        """The 17 state floats in ``from_flat`` order."""
-        return [
-            *self.r_ob.tolist(), *self.v_ob.tolist(), *self.quat.tolist(),
-            *self.omega.tolist(), *self.wheel_speed.tolist(),
-        ]
-
-    @staticmethod
-    def at_rest(position=(0.0, 0.0, 0.0)) -> "BodyState":
-        return BodyState(position, np.zeros(3), np.array([1.0, 0, 0, 0]), np.zeros(3))
-
-    def rotation(self) -> np.ndarray:
-        return quat_to_matrix(self.quat)
-
-    def euler(self) -> EulerAngles:
-        return euler_from_quaternion(self.quat)

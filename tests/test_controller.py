@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from swervefall import (
     AttitudeControlLoop,
-    BodyState,
     ConfigError,
     ControllerConfig,
     ControllerGains,
@@ -20,6 +19,8 @@ from swervefall import (
 )
 from swervefall.controller import closed_loop_poles
 from swervefall.kinematics import torque_jacobian
+
+from conftest import body_state
 
 ISO = SubmovementParams(math.pi / 4, 0.0)
 
@@ -292,7 +293,7 @@ def test_plant_matches_finite_difference(params):
     # Central differences of the nonlinear dynamics wrt wheel torques,
     # composed with the inverse torque map, give diag(1/J) per axis.
     steering = ISO
-    state = BodyState.at_rest()
+    state = body_state()
     h = 1e-5
     sensitivity = np.zeros((3, 3))
     for j in range(3):

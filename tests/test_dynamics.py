@@ -7,7 +7,6 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from swervefall import (
-    BodyState,
     RobotParams,
     SubmovementParams,
     angular_acceleration,
@@ -27,7 +26,9 @@ from swervefall.dynamics import (
     wheel_centers,
 )
 from swervefall.kinematics import torque_jacobian
-from swervefall.state import quat_multiply
+from swervefall.state import quat_multiply, quat_to_matrix
+
+from conftest import body_state
 
 SQRT2 = math.sqrt(2.0)
 ISO = SubmovementParams(math.pi / 4, 0.0)
@@ -38,7 +39,7 @@ def random_symmetric_setup(rng):
     steering = SubmovementParams(*rng.uniform(-1.5, 1.5, 2))
     t1, t2 = rng.uniform(-8.0, 8.0, 2)
     cmd = (t1, t2, rng.uniform(-2.0, 2.0))
-    state = BodyState(
+    state = body_state(
         rng.uniform(-1, 1, 3),
         rng.uniform(-3, 3, 3),
         rng.normal(0, 1, 4),
@@ -102,13 +103,13 @@ def test_wheel_centers_cancel_in_pairs(params, rng):
 # --- angular acceleration ----------------------------------------------------
 
 def test_equilibrium_is_stationary(params):
-    state = BodyState.at_rest()
+    state = body_state()
     acc = angular_acceleration(state, ISO, ZERO, params)
     np.testing.assert_allclose(acc, np.zeros(3), atol=1e-15)
 
 
 def test_isotropic_opposing_torques_roll_only(params):
-    acc = angular_acceleration(BodyState.at_rest(), ISO, (-1.0, 1.0, 0.0), params)
+    acc = angular_acceleration(body_state(), ISO, (-1.0, 1.0, 0.0), params)
     refl = reflected_inertia(params, ISO)
     j_roll = params.j_bxx + refl.j_xx + 2 * SQRT2 * params.j_wxx
     assert math.isclose(acc[0], 2 * SQRT2 / j_roll, rel_tol=1e-12)
@@ -117,7 +118,7 @@ def test_isotropic_opposing_torques_roll_only(params):
 
 
 def test_pure_steering_torque_yaw_rate(params):
-    acc = angular_acceleration(BodyState.at_rest(), ISO, (0.0, 0.0, 1.0), params)
+    acc = angular_acceleration(body_state(), ISO, (0.0, 0.0, 1.0), params)
     assert math.isclose(acc[2], 4.0 / params.j_bzz, rel_tol=1e-14)
     assert abs(acc[0]) < 1e-15 and abs(acc[1]) < 1e-15
 
@@ -135,7 +136,7 @@ def test_oracle_reaction_forces_vanish_at_rest(params):
     # cmd = 0, Omega = 0: gravity and base acceleration cancel in every
     # wheel reaction force, so the loads and the acceleration are zero
     # even at a tilted attitude.
-    state = BodyState([0, 0, 2], [0, 0, 0], quat_from_euler(0.4, -0.3, 0.2), [0, 0, 0])
+    state = body_state([0, 0, 2], [0, 0, 0], quat_from_euler(0.4, -0.3, 0.2), [0, 0, 0])
     acc, loads = oracle_newton_euler(state, ISO, ZERO, params)
     np.testing.assert_allclose(acc, np.zeros(3), atol=1e-15)
     np.testing.assert_allclose(loads.f_b, np.zeros((4, 3)), atol=1e-15)
@@ -162,7 +163,7 @@ def test_effective_inertia_positive_over_configs(params, rng):
 # --- conservation ------------------------------------------------------------
 
 def run_torque_free(params, steering, omega0, duration, dt):
-    state = BodyState([0, 0, 100.0], [0, 0, 0], quat_from_euler(0.1, 0.2, -0.3), omega0)
+    state = body_state([0, 0, 100.0], [0, 0, 0], quat_from_euler(0.1, 0.2, -0.3), omega0)
     steps = int(round(duration / dt))
     inertia = effective_inertia(params, steering)
     states = [state]
@@ -173,17 +174,19 @@ def run_torque_free(params, steering, omega0, duration, dt):
 
 
 def angular_momentum_world(state, inertia):
-    return state.rotation() @ (inertia * state.omega)
+    return quat_to_matrix(state[6:10]) @ (inertia * np.array(state[10:13]))
 
 
 def test_torque_free_conservation(params):
     steering = SubmovementParams(0.55, 0.2)
     states, inertia = run_torque_free(params, steering, [0.9, -1.3, 0.7], 1.0, 1e-3)
     h0 = angular_momentum_world(states[0], inertia)
-    ke0 = 0.5 * float(states[0].omega @ (inertia * states[0].omega))
+    omega0 = np.array(states[0][10:13])
+    ke0 = 0.5 * float(omega0 @ (inertia * omega0))
     for state in states[::50]:
         h = angular_momentum_world(state, inertia)
-        ke = 0.5 * float(state.omega @ (inertia * state.omega))
+        omega = np.array(state[10:13])
+        ke = 0.5 * float(omega @ (inertia * omega))
         assert np.abs(h - h0).max() / np.linalg.norm(h0) < 1e-9
         assert abs(ke - ke0) / ke0 < 1e-8
 
@@ -194,12 +197,12 @@ def test_rest_state_falls_straight(params):
     # One step from rest: the base drops under gravity alone, without
     # turning or drifting sideways.
     dt = 1e-3
-    state = step_rk4(BodyState.at_rest(), ZERO, ISO, params, dt)
-    assert math.isclose(state.v_ob[2], -params.g * dt, rel_tol=1e-14)
-    assert math.isclose(state.r_ob[2], -0.5 * params.g * dt**2, rel_tol=1e-14)
-    assert state.r_ob[0] == state.r_ob[1] == state.v_ob[0] == state.v_ob[1] == 0.0
-    assert state.quat.tolist() == [1.0, 0.0, 0.0, 0.0]
-    assert state.omega.tolist() == [0.0, 0.0, 0.0]
+    state = step_rk4(body_state(), ZERO, ISO, params, dt)
+    assert math.isclose(state[5], -params.g * dt, rel_tol=1e-14)
+    assert math.isclose(state[2], -0.5 * params.g * dt**2, rel_tol=1e-14)
+    assert state[0] == state[1] == state[3] == state[4] == 0.0
+    assert state[6:10] == [1.0, 0.0, 0.0, 0.0]
+    assert state[10:13] == [0.0, 0.0, 0.0]
 
 
 def test_vertical_acceleration_independent_of_torque(params, rng):
@@ -210,21 +213,21 @@ def test_vertical_acceleration_independent_of_torque(params, rng):
         state, steering, cmd = random_symmetric_setup(rng)
         stepped = step_rk4(state, cmd, steering, params, dt)
         assert math.isclose(
-            stepped.v_ob[2] - state.v_ob[2], -params.g * dt, rel_tol=1e-12
+            stepped[5] - state[5], -params.g * dt, rel_tol=1e-12
         )
-        assert stepped.v_ob[0] == state.v_ob[0] and stepped.v_ob[1] == state.v_ob[1]
+        assert stepped[3] == state[3] and stepped[4] == state[4]
 
 
 def test_wheel_speed_integrates_drive_torque(params):
     # With the base pinned by a huge inertia, wheel speed is a pure
     # integrator of tau / j_wyy.
     heavy = dataclasses.replace(params, j_bxx=1e9, j_byy=1e9, j_bzz=1e9)
-    state = BodyState.at_rest((0, 0, 50))
+    state = body_state((0, 0, 50))
     dt, steps = 1e-3, 200
     for _ in range(steps):
         state = step_rk4(state, (2.0, -1.0, 0.0), ISO, heavy, dt)
     expected = np.array([2.0, -1.0, -2.0, 1.0]) * (dt * steps) / heavy.j_wyy
-    np.testing.assert_allclose(state.wheel_speed, expected, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(state[13:17], expected, rtol=1e-9, atol=1e-12)
 
 
 def test_wheel_acceleration_formula(params, rng):
@@ -241,7 +244,7 @@ def test_wheel_acceleration_formula(params, rng):
             - spin_axes @ angular_acceleration(state, steering, cmd, params)
         )
         stepped = step_rk4(state, cmd, steering, params, dt)
-        rate = (stepped.wheel_speed - state.wheel_speed) / dt
+        rate = (np.array(stepped[13:17]) - np.array(state[13:17])) / dt
         np.testing.assert_allclose(rate, expected, rtol=1e-6, atol=1e-4)
 
 
@@ -312,7 +315,7 @@ def test_derivative_matches_array_formulation_bitwise(params, rng):
     # omega_dot, bit for bit.
     for _ in range(50):
         state, steering, cmd = random_symmetric_setup(rng)
-        expected = reference_derivative(np.array(state.flat()), steering, cmd, params)
+        expected = reference_derivative(np.array(state), steering, cmd, params)
         got = angular_acceleration(state, steering, cmd, params)
         assert got.tobytes() == expected[10:13].tobytes()
 
@@ -322,11 +325,11 @@ def test_rk4_matches_array_formulation_bitwise(params, rng):
     # difference to surface.
     for _ in range(5):
         state, steering, cmd = random_symmetric_setup(rng)
-        y = np.array(state.flat())
+        y = np.array(state)
         for _ in range(200):
             state = step_rk4(state, cmd, steering, params, 1e-3)
             y = reference_rk4(y, steering, cmd, params, 1e-3)
-            assert state.flat() == y.tolist()
+            assert state == y.tolist()
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,7 +1,8 @@
 """Golden telemetry: the bundled scenarios, a noisy clamped run and a
-drop_height sweep run as lanes must reproduce their CSVs byte for byte.
-Any change to the physics, the controller or the CSV format that moves
-a single bit shows up here."""
+drop_height sweep run as lanes must reproduce their CSVs byte for byte,
+and the bundled scenarios their run summaries.  Any change to the
+physics, the controller or the CSV format that moves a single bit shows
+up here."""
 
 import hashlib
 import sys
@@ -25,6 +26,18 @@ GOLDEN_SHA256 = {
         "e516add2f8ac0badffe12c01b34736440ee7c1495e7b8fac47ad42b3e6107cce",
     "ledge":
         "ea05de7c5da5ee7669cc878241caf578ab7dd98747e84895b844cc4eadae03ac",
+}
+
+# The bundled scenarios' RunSummary reprs, which print every float
+# exactly: the touchdown attitude and rates come from the touchdown
+# state, which no CSV row holds.
+SUMMARY_SHA256 = {
+    "drop_controlled":
+        "13b1ae2a6ef487a763c1f70f8b216c5d738d5f6572d29c7afdfe59aa56df06ec",
+    "drop_uncontrolled":
+        "09c68d45e6941595c66bf1fa9d4db00c89c47bb02d4edd74d2bf0eeb6ef61e3b",
+    "ledge":
+        "dc3642e7661e84f979abc46cfeb8712ac30da645a750f80079873055a7671e3b",
 }
 
 # drop_controlled at one physics step per control tick, with IMU noise on
@@ -63,6 +76,12 @@ def test_bundled_csv_matches_golden_hash(name, tmp_path):
     run_scenario(name, tmp_path)
     data = (tmp_path / f"{name}.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARY_SHA256))
+def test_bundled_summary_matches_golden_hash(name, tmp_path):
+    summary = repr(run_scenario(name, tmp_path))
+    assert hashlib.sha256(summary.encode()).hexdigest() == SUMMARY_SHA256[name]
 
 
 def test_bundled_name_beside_a_directory_of_that_name(tmp_path, monkeypatch):

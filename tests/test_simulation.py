@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swervefall import (
-    BodyState,
     ConfigError,
     ControllerConfig,
     NoiseModel,
@@ -20,7 +19,11 @@ from swervefall import (
 from swervefall.cli import main as cli_main
 from swervefall.controller import apply_wheel_speed_limit
 from swervefall.params import read_config_file
-from swervefall.scenario import load_scenario_file, resolve_config_path
+from swervefall.scenario import (
+    load_scenario_file,
+    loaded_from_entries,
+    resolve_config_path,
+)
 from swervefall.simulation import (
     BISECTION_TOL,
     CSV_HEADER,
@@ -30,15 +33,16 @@ from swervefall.simulation import (
     SPIN_ERROR_BUDGET,
     SPIN_STEP_EXCEEDED,
     TRANSLATION_MAX,
-    contact_height,
     imu_noise,
     imu_reading,
     imu_stream,
     initial_body_state,
     validate_run,
 )
-from swervefall.dynamics import FlightKernel, NonFiniteState
-from swervefall.state import euler_angles, quat_multiply
+from swervefall.dynamics import FlightKernel, NonFiniteState, effective_inertia
+from swervefall.state import euler_angles, quat_multiply, quat_to_matrix
+
+from conftest import body_state
 
 ISO = SubmovementParams(math.pi / 4, 0.0)
 ZERO = (0.0, 0.0, 0.0)
@@ -49,25 +53,32 @@ ZERO = (0.0, 0.0, 0.0)
 def test_freefall_distance(params):
     # Ballistic fall of 0.85 m takes sqrt(2h/g); RK4 on constant
     # acceleration is exact to rounding.
-    state = BodyState.at_rest((0, 0, 0))
+    state = body_state((0, 0, 0))
     t_fall = math.sqrt(2 * 0.85 / params.g)
     dt = t_fall / 4163.0
     for _ in range(4163):
         state = step_rk4(state, ZERO, ISO, params, dt)
-    assert abs(state.r_ob[2] - (-0.85)) < 1e-6
+    assert abs(state[2] - (-0.85)) < 1e-6
 
 
 def test_rk4_rejects_nonpositive_dt(params):
     # NaN and inf too: each used to end in NonFiniteState at t=nan.
     for dt in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
-            step_rk4(BodyState.at_rest(), ZERO, ISO, params, dt)
+            step_rk4(body_state(), ZERO, ISO, params, dt)
+
+
+def test_rk4_refuses_a_state_of_other_than_17_floats(params):
+    for size in (16, 18):
+        with pytest.raises(ValueError, match="17 floats"):
+            step_rk4([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0] + [0.0] * (size - 7),
+                     ZERO, ISO, params, 1e-3)
 
 
 def test_rk4_raises_on_translation_overflow(params):
     # step_rk4 takes any state, not only a validated release, so it tests
     # the stepped translation itself.
-    state = BodyState((1e308, 0.0, 0.0), (1e308, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), ZERO)
+    state = body_state((1e308, 0.0, 0.0), (1e308, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), ZERO)
     with pytest.raises(NonFiniteState, match="non-finite state after RK4 step"):
         step_rk4(state, ZERO, ISO, params, 1e-3)
 
@@ -81,8 +92,8 @@ def test_rk4_fourth_order_convergence(params):
     kernel.set_command(0.0, 0.0, 0.5)
 
     def integrate(dt, t_end=0.2):
-        state = BodyState([0, 0, 10], [0, 0, 0], [1, 0, 0, 0], omega0)
-        [(y, _, _)] = kernel.advance_lanes([state.flat()], dt, int(round(t_end / dt)))
+        state = body_state([0, 0, 10], [0, 0, 0], [1, 0, 0, 0], omega0)
+        [(y, _, _)] = kernel.advance_lanes([state], dt, int(round(t_end / dt)))
         return np.array(y[10:13])
 
     # Reference step is 200x finer than the probes, so its own error is
@@ -97,26 +108,26 @@ def test_rk4_fourth_order_convergence(params):
 def test_quiescent_rotation_state_unchanged(params):
     # No torque, no rotation: attitude, rates, and wheel speeds hold
     # exactly while the body falls.
-    state = BodyState.at_rest((0, 0, 5))
+    state = body_state((0, 0, 5))
     stepped = step_rk4(state, ZERO, ISO, params, 1e-3)
-    np.testing.assert_allclose(stepped.quat, state.quat, atol=1e-15)
-    np.testing.assert_allclose(stepped.omega, np.zeros(3), atol=1e-15)
-    np.testing.assert_allclose(stepped.wheel_speed, np.zeros(4), atol=1e-15)
+    np.testing.assert_allclose(stepped[6:10], state[6:10], atol=1e-15)
+    np.testing.assert_allclose(stepped[10:13], np.zeros(3), atol=1e-15)
+    np.testing.assert_allclose(stepped[13:17], np.zeros(4), atol=1e-15)
 
 
 def test_quaternion_stays_normalized(params, rng):
-    state = BodyState([0, 0, 10], [0, 0, 0], rng.normal(0, 1, 4), rng.uniform(-2, 2, 3))
+    state = body_state([0, 0, 10], [0, 0, 0], rng.normal(0, 1, 4), rng.uniform(-2, 2, 3))
     for _ in range(500):
         state = step_rk4(state, ZERO, ISO, params, 1e-3)
-    assert abs(np.linalg.norm(state.quat) - 1.0) < 1e-9
+    assert abs(np.linalg.norm(state[6:10]) - 1.0) < 1e-9
 
 
 # --- IMU ---------------------------------------------------------------------
 
 def test_imu_ballistic_reads_zero(params):
-    state = BodyState([0, 0, 3], [1, 0, -2], quat_from_euler(0.4, 0.2, -1.0), [1, 2, 3])
-    truth = euler_angles(state.quat)
-    euler, omega, accel = imu_reading(truth, state.omega.tolist(),
+    state = body_state([0, 0, 3], [1, 0, -2], quat_from_euler(0.4, 0.2, -1.0), [1, 2, 3])
+    truth = euler_angles(state[6:10])
+    euler, omega, accel = imu_reading(truth, state[10:13],
                                       next(imu_stream(NoiseModel(), 0)))
     assert abs(accel) <= 1e-12
     np.testing.assert_allclose(omega, [1, 2, 3], atol=1e-15)
@@ -239,7 +250,7 @@ def test_wheel_speed_limit_checks_trailing_wheel(params):
 def test_initial_state_sets_contact_clearance(params):
     scenario = ScenarioConfig(drop_height=0.85, euler0=(0.3, -0.4, 0.0))
     state = initial_body_state(scenario, ISO, params)
-    assert abs(contact_height(state, ISO, params) - 0.85) < 1e-12
+    assert abs(FlightKernel(ISO, params).clearance(state) - 0.85) < 1e-12
 
 
 @settings(max_examples=300, deadline=None)
@@ -258,9 +269,9 @@ def test_contact_bound_never_skips_a_touching_wheel(alpha, beta, quat, height):
     params = RobotParams()
     steering = SubmovementParams(alpha, beta)
     kernel = FlightKernel(steering, params)
-    state = BodyState([0, 0, height * kernel.contact_reach], [0, 0, 0], quat, [0, 0, 0])
-    if not kernel.may_touch_ground(state.flat()):
-        assert contact_height(state, steering, params) > 0.0
+    state = body_state([0, 0, height * kernel.contact_reach], [0, 0, 0], quat, [0, 0, 0])
+    if not kernel.may_touch_ground(state):
+        assert kernel.clearance(state) > 0.0
 
 
 def test_simulate_zero_t_max_single_sample(params):
@@ -303,6 +314,38 @@ def test_event_ordering(params):
         assert times["freefall_start"] <= times["settled"] <= times["touchdown"]
     sample_times = [row[0] for row in trajectory.rows]
     assert all(b > a for a, b in zip(sample_times, sample_times[1:]))
+
+
+def test_steering_swing_conserves_angular_momentum():
+    # A ledge release spinning at (2, 3, 0) rad/s with zero gains: the
+    # swing from alpha = 0 to 45 deg at freefall entry changes J* from
+    # (0.862, 0.736, 0.316) to (0.767, 0.970, 0.316) kg m^2, and no torque
+    # acts, so the world momentum R(q) J* W on the ticks either side of the
+    # swing tick agrees; keeping W across the swing would take |H| from
+    # 2.80 to 3.29 N m s.  The swing tick's row holds the rates the IMU
+    # read, before the swing.
+    entries = read_config_file(resolve_config_path("ledge"))
+    entries.update(omega_x="2", omega_y="3", kp_roll="0", kp_pitch="0",
+                   kd_roll="0", kd_pitch="0")
+    loaded = loaded_from_entries(entries, name="spinning_ledge")
+    trajectory = simulate(loaded.scenario, loaded.controller, loaded.params)
+    [swing_t] = [t for t, kind in trajectory.events if kind == "freefall_start"]
+    col = CSV_HEADER.split(",").index
+    rows = trajectory.rows
+    [swing] = np.flatnonzero(rows[:, col("t")] == swing_t)
+    beta = loaded.scenario.beta0
+
+    def momentum(row, alpha):
+        attitude = quat_from_euler(*np.radians(row[col("phi"):col("psi") + 1]))
+        inertia = effective_inertia(loaded.params, SubmovementParams(alpha, beta))
+        return quat_to_matrix(attitude) @ (inertia * row[col("omega_x"):col("omega_z") + 1])
+
+    before = momentum(rows[swing - 1], loaded.scenario.alpha0)
+    size = np.linalg.norm(before)
+    for row, alpha in ((rows[swing], loaded.scenario.alpha0), (rows[swing + 1], math.pi / 4)):
+        after = momentum(row, alpha)
+        assert abs(np.linalg.norm(after) - size) <= 1e-12 * size
+        assert np.abs(after - before).max() <= 1e-12 * size
 
 
 # --- step convergence --------------------------------------------------------
@@ -369,7 +412,7 @@ def test_spin_inside_the_bound_tracks_the_exact_spin(params, axis):
     half_turn = 0.5 * scenario.omega0[axis] * t
     undo_exact = np.zeros(4)
     undo_exact[0], undo_exact[1 + axis] = math.cos(half_turn), -math.sin(half_turn)
-    miss = quat_multiply(undo_exact, trajectory.touchdown_state.quat)
+    miss = quat_multiply(undo_exact, trajectory.touchdown_state[6:10])
     error = 2.0 * math.atan2(float(np.linalg.norm(miss[1:])), abs(miss[0]))
     share = SPIN_ERROR_BUDGET * (t / scenario.dt_physics) / MAX_PHYSICS_STEPS
     assert 0.9 * share <= error <= share
