@@ -38,6 +38,7 @@ matrix rather than iterating).
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,6 @@ import numpy as np
 from .kinematics import steering_angles, torque_jacobian
 from .params import RobotParams
 from .state import NormBuffer, SubmovementParams, quat_to_matrix
-
-GRAVITY_DIR = np.array([0.0, 0.0, -1.0])
 
 # Wheels 2 and 3 are bracket-mounted pi-rotated; their frame sign is -1.
 FRAME_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
@@ -145,8 +144,16 @@ def angular_acceleration(
     """
     kernel = FlightKernel(sub, params)
     kernel.set_command(*command)
-    rates = kernel._rotation_rates(*state[6:13])
-    return np.array(rates[4:])
+    # The last three of ``FlightKernel.advance_lanes``' stage rates.
+    ix, iy, iz = kernel.inertia
+    tx, ty, tz = kernel.torque
+    ox, oy, oz = state[10:13]
+    mx, my, mz = ix * ox, iy * oy, iz * oz
+    return np.array([
+        (tx - (oy * mz - oz * my)) / ix,
+        (ty - (oz * mx - ox * mz)) / iy,
+        (tz - (ox * my - oy * mx)) / iz,
+    ])
 
 
 @dataclass(frozen=True)
@@ -237,6 +244,9 @@ def torque_jacobian_reaction(sub: SubmovementParams) -> np.ndarray:
     return out
 
 
+# The IEEE bits of a step's seven rotation floats (quat, omega).
+_ROTATION_BITS = struct.Struct("7d").pack
+
 NONFINITE_STEP = "non-finite state after RK4 step"
 DEGENERATE_STEP = "quaternion degenerated during RK4 step"
 
@@ -275,8 +285,11 @@ class FlightKernel:
     flat states of 17 floats (r_ob, v_ob, quat, omega, wheel_speed) that
     differ only in r_ob and v_ob through all of the tick's classical RK4
     steps in one call: the attitude once, then the wheel speeds, then
-    each state's position and velocity along that history.  ``step`` is
-    ``advance_lanes`` for one state and one step.
+    each state's position and velocity along that history.  When the
+    tick's first step leaves the attitude as it was, bit for bit, every
+    later step is that step again, so a held attitude is integrated
+    once per tick.  ``step`` is ``advance_lanes`` for one state and one
+    step.
 
     The scalar arithmetic repeats the array formulation operation for
     operation (``np.cross`` order for the gyroscopic term, the
@@ -298,7 +311,9 @@ class FlightKernel:
         # ``spin_axes @ omega_dot`` (a flattened ``spin_axes @ od.T`` or
         # an einsum would round differently).
         self._spin_stack = -_drive_torque_columns(sub)[None]
-        self.accel = (params.g * GRAVITY_DIR).tolist()
+        # Gravity's vertical part; it has no horizontal one, which the
+        # lane pass of ``advance_lanes`` relies on.
+        self.accel_z = -params.g
         self.centers = wheel_centers(params, sub)
         # The operand of each step's quaternion norm.
         self._norms = NormBuffer()
@@ -343,22 +358,6 @@ class FlightKernel:
         j = self.j_wyy
         self.tau_over_j = [tau_1 / j, tau_2 / j, -tau_1 / j, -tau_2 / j]
 
-    def _rotation_rates(self, qw, qx, qy, qz, ox, oy, oz):
-        """(quat_dot, omega_dot) as seven floats at attitude quaternion
-        (qw, qx, qy, qz) and body rates (ox, oy, oz)."""
-        ix, iy, iz = self.inertia
-        tx, ty, tz = self.torque
-        hx, hy, hz = ix * ox, iy * oy, iz * oz
-        return (
-            0.5 * (qw * 0.0 - qx * ox - qy * oy - qz * oz),
-            0.5 * (qw * ox + qx * 0.0 + qy * oz - qz * oy),
-            0.5 * (qw * oy - qx * oz + qy * 0.0 + qz * ox),
-            0.5 * (qw * oz + qx * oy - qy * ox + qz * 0.0),
-            (tx - (oy * hz - oz * hy)) / ix,
-            (ty - (oz * hx - ox * hz)) / iy,
-            (tz - (ox * hy - oy * hx)) / iz,
-        )
-
     def step(self, y, dt: float) -> list[float]:
         """One RK4 step of length ``dt`` from flat state ``y``:
         ``advance_lanes`` for one lane and one step.  Raises
@@ -389,45 +388,86 @@ class FlightKernel:
           step ``taken`` + 1, the earliest such step.
 
         Three passes make the tick.  The attitude pass integrates the
-        seven rotation states in scalar locals (one stage body,
-        ``_rotation_rates``) through every step of the tick and records
-        them after each, up to the first step whose rates leave the
-        finite range or whose quaternion degenerates.  The wheel pass
-        forms the wheel rates of every stage of every recorded step in
-        one stacked product, accumulates the wheel speeds step after step
-        as in a step-by-step run, and cuts the history at the first step
-        whose wheel speeds leave the finite range.  The lane pass then
-        steps each lane's position and velocity along the history, up to
-        its first step that ends with a wheel on the ground (the exact
+        seven rotation states in scalar locals, the four stage
+        evaluations written out in the loop, through every step of the
+        tick and records them after each, up to the first step whose
+        rates leave the finite range or whose quaternion degenerates.  A
+        held attitude ends it early: when the first step leaves the seven
+        floats bit for bit as they were, every later step is the same
+        function of the same operands under the same command, so the pass
+        repeats that step's result and stage rates instead of recomputing
+        them.  The wheel pass forms the wheel rates of every stage of
+        every recorded step in one stacked product (of the one step, when
+        held), accumulates the wheel speeds step after step as in a
+        step-by-step run, and cuts the history at the first step whose
+        wheel speeds leave the finite range.  The lane pass then steps
+        each lane's position and velocity along the history, up to its
+        first step that ends with a wheel on the ground (the exact
         contact height is formed only where ``may_touch_ground`` allows
         contact) or the end of the history and its failing step, if any,
-        with no finiteness test: a lane is a validated release.
+        with no finiteness test: a lane is a validated release.  Gravity
+        has no horizontal part, so each step adds one constant to x and
+        to y.
         """
-        rates = self._rotation_rates
+        ix, iy, iz = self.inertia
+        tx, ty, tz = self.torque
         quat, quat_square = self._norms.values, self._norms.square4
         half = 0.5 * dt
         sixth = dt / 6.0
         # (qw, qx, qy, qz, ox, oy, oz) at the start of each step and after
         # the last; ``failure`` is the message of the step after them, if
         # that step failed.
-        attitudes = [ys[0][6:13]]
-        qw, qx, qy, qz, ox, oy, oz = attitudes[0]
+        start = tuple(ys[0][6:13])
+        attitudes = [start]
+        qw, qx, qy, qz, ox, oy, oz = start
         omega_dots = []
+        # How often the wheel pass repeats the recorded stage rates:
+        # ``steps`` times when the first step holds the attitude.
+        repeats = 1
         failure = None
-        for _ in range(steps):
-            a1, b1, c1, d1, e1, f1, g1 = rates(qw, qx, qy, qz, ox, oy, oz)
-            a2, b2, c2, d2, e2, f2, g2 = rates(
-                qw + half * a1, qx + half * b1, qy + half * c1, qz + half * d1,
-                ox + half * e1, oy + half * f1, oz + half * g1,
-            )
-            a3, b3, c3, d3, e3, f3, g3 = rates(
-                qw + half * a2, qx + half * b2, qy + half * c2, qz + half * d2,
-                ox + half * e2, oy + half * f2, oz + half * g2,
-            )
-            a4, b4, c4, d4, e4, f4, g4 = rates(
-                qw + dt * a3, qx + dt * b3, qy + dt * c3, qz + dt * d3,
-                ox + dt * e3, oy + dt * f3, oz + dt * g3,
-            )
+        for step in range(steps):
+            # The stage rates (quat_dot, omega_dot) as letters a to g,
+            # stage number last, each the ``quat_multiply`` and
+            # ``np.cross`` arithmetic at the stage's point (sw, sx, sy, sz,
+            # rx, ry, rz) with angular momentum (mx, my, mz).
+            mx, my, mz = ix * ox, iy * oy, iz * oz
+            a1 = 0.5 * (qw * 0.0 - qx * ox - qy * oy - qz * oz)
+            b1 = 0.5 * (qw * ox + qx * 0.0 + qy * oz - qz * oy)
+            c1 = 0.5 * (qw * oy - qx * oz + qy * 0.0 + qz * ox)
+            d1 = 0.5 * (qw * oz + qx * oy - qy * ox + qz * 0.0)
+            e1 = (tx - (oy * mz - oz * my)) / ix
+            f1 = (ty - (oz * mx - ox * mz)) / iy
+            g1 = (tz - (ox * my - oy * mx)) / iz
+            sw, sx, sy, sz = qw + half * a1, qx + half * b1, qy + half * c1, qz + half * d1
+            rx, ry, rz = ox + half * e1, oy + half * f1, oz + half * g1
+            mx, my, mz = ix * rx, iy * ry, iz * rz
+            a2 = 0.5 * (sw * 0.0 - sx * rx - sy * ry - sz * rz)
+            b2 = 0.5 * (sw * rx + sx * 0.0 + sy * rz - sz * ry)
+            c2 = 0.5 * (sw * ry - sx * rz + sy * 0.0 + sz * rx)
+            d2 = 0.5 * (sw * rz + sx * ry - sy * rx + sz * 0.0)
+            e2 = (tx - (ry * mz - rz * my)) / ix
+            f2 = (ty - (rz * mx - rx * mz)) / iy
+            g2 = (tz - (rx * my - ry * mx)) / iz
+            sw, sx, sy, sz = qw + half * a2, qx + half * b2, qy + half * c2, qz + half * d2
+            rx, ry, rz = ox + half * e2, oy + half * f2, oz + half * g2
+            mx, my, mz = ix * rx, iy * ry, iz * rz
+            a3 = 0.5 * (sw * 0.0 - sx * rx - sy * ry - sz * rz)
+            b3 = 0.5 * (sw * rx + sx * 0.0 + sy * rz - sz * ry)
+            c3 = 0.5 * (sw * ry - sx * rz + sy * 0.0 + sz * rx)
+            d3 = 0.5 * (sw * rz + sx * ry - sy * rx + sz * 0.0)
+            e3 = (tx - (ry * mz - rz * my)) / ix
+            f3 = (ty - (rz * mx - rx * mz)) / iy
+            g3 = (tz - (rx * my - ry * mx)) / iz
+            sw, sx, sy, sz = qw + dt * a3, qx + dt * b3, qy + dt * c3, qz + dt * d3
+            rx, ry, rz = ox + dt * e3, oy + dt * f3, oz + dt * g3
+            mx, my, mz = ix * rx, iy * ry, iz * rz
+            a4 = 0.5 * (sw * 0.0 - sx * rx - sy * ry - sz * rz)
+            b4 = 0.5 * (sw * rx + sx * 0.0 + sy * rz - sz * ry)
+            c4 = 0.5 * (sw * ry - sx * rz + sy * 0.0 + sz * rx)
+            d4 = 0.5 * (sw * rz + sx * ry - sy * rx + sz * 0.0)
+            e4 = (tx - (ry * mz - rz * my)) / ix
+            f4 = (ty - (rz * mx - rx * mz)) / iy
+            g4 = (tz - (rx * my - ry * mx)) / iz
             qw1 = qw + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
             qx1 = qx + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             qy1 = qy + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
@@ -452,7 +492,19 @@ class FlightKernel:
             qw, qx, qy, qz = (
                 qw1 / quat_norm, qx1 / quat_norm, qy1 / quat_norm, qz1 / quat_norm
             )
-            attitudes.append((qw, qx, qy, qz, ox, oy, oz))
+            attitude = (qw, qx, qy, qz, ox, oy, oz)
+            attitudes.append(attitude)
+            # A held attitude: == first, which is fast and refuses NaN,
+            # then the bits, which tell -0.0 from 0.0.
+            if (
+                step == 0
+                and steps > 1
+                and attitude == start
+                and _ROTATION_BITS(*attitude) == _ROTATION_BITS(*start)
+            ):
+                attitudes += [attitude] * (steps - 1)
+                repeats = steps
+                break
 
         # spin_axes @ omega_dot of each stage, stage after stage; each
         # stage's wheel rate is tau / j_wyy minus its product.  ``wheels``
@@ -460,7 +512,7 @@ class FlightKernel:
         # last.
         spin = np.matmul(
             self._spin_stack, np.array(omega_dots).reshape(-1, 3, 1)
-        ).ravel().tolist()
+        ).ravel().tolist() * repeats
         j1, j2, j3, j4 = self.tau_over_j
         wheels = [ys[0][13:17]]
         w1, w2, w3, w4 = wheels[0]
@@ -479,13 +531,11 @@ class FlightKernel:
                 break
             wheels.append((w1, w2, w3, w4))
 
-        # Gravity is the velocity rate at every stage: its velocity
-        # increments at the midpoint stages and the last, and its RK4 sum.
-        ax, ay, az = self.accel
-        hx, hy, hz = half * ax, half * ay, half * az
-        fx, fy, fz = dt * ax, dt * ay, dt * az
-        dvx = sixth * (ax + 2.0 * ax + 2.0 * ax + ax)
-        dvy = sixth * (ay + 2.0 * ay + 2.0 * ay + ay)
+        # Gravity is the vertical velocity rate at every stage: its
+        # velocity increments at the midpoint stages and the last, and its
+        # RK4 sum.
+        az = self.accel_z
+        hz, fz = half * az, dt * az
         dvz = sixth * (az + 2.0 * az + 2.0 * az + az)
         reach = self.contact_reach
         # The steps in the history; the failing step follows them, if any.
@@ -493,21 +543,25 @@ class FlightKernel:
         results = []
         for y in ys:
             px, py, pz, vx, vy, vz = y[:6]
+            # With no horizontal gravity every stage's x velocity is
+            # vx + 0.0, which is vx but for -0.0, and so is vx after a
+            # step; each step adds its RK4 sum cx to px.  Likewise for y.
+            ux, uy = vx + 0.0, vy + 0.0
+            cx = sixth * (ux + 2.0 * ux + 2.0 * ux + ux)
+            cy = sixth * (uy + 2.0 * uy + 2.0 * uy + uy)
             for i in range(recorded):
                 # Stages 2 and 3 share their velocity.
-                vx2, vy2, vz2 = vx + hx, vy + hy, vz + hz
-                vx4, vy4, vz4 = vx + fx, vy + fy, vz + fz
-                px1 = px + sixth * (vx + 2.0 * vx2 + 2.0 * vx2 + vx4)
-                py1 = py + sixth * (vy + 2.0 * vy2 + 2.0 * vy2 + vy4)
-                pz1 = pz + sixth * (vz + 2.0 * vz2 + 2.0 * vz2 + vz4)
-                vx1, vy1, vz1 = vx + dvx, vy + dvy, vz + dvz
+                vz2 = vz + hz
+                px1, py1 = px + cx, py + cy
+                pz1 = pz + sixth * (vz + 2.0 * vz2 + 2.0 * vz2 + (vz + fz))
+                vz1 = vz + dvz
                 if stop_at_ground and pz1 <= reach:
-                    base = (px1, py1, pz1, vx1, vy1, vz1, *attitudes[i + 1])
+                    base = (px1, py1, pz1, ux, uy, vz1, *attitudes[i + 1])
                     if self.may_touch_ground(base) and self.clearance(base) <= 0.0:
                         state = [px, py, pz, vx, vy, vz, *attitudes[i], *wheels[i]]
                         results.append((state, i, None))
                         break
-                px, py, pz, vx, vy, vz = px1, py1, pz1, vx1, vy1, vz1
+                px, py, pz, vx, vy, vz = px1, py1, pz1, ux, uy, vz1
             else:
                 state = [px, py, pz, vx, vy, vz, *attitudes[-1], *wheels[-1]]
                 results.append(

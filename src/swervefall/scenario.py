@@ -267,7 +267,8 @@ def _simulate_in_order(runs: list[LoadedScenario]) -> Iterator[Trajectory]:
     form one group, simulated as lanes of one attitude integration
     (``simulate_lanes``).  With more than one group and more than one
     worker the groups execute in a pool of forked processes, which
-    inherit the imported package; each trajectory is yielded once its
+    inherit the imported package and are each bound to a CPU of their
+    own (``_bind_to_cpu``); each trajectory is yielded once its
     group and the groups of every run before it are done, and a run's
     NonFiniteState is raised at that run's turn.  With one group or one
     worker, in a process that runs other threads (forking it could copy
@@ -288,8 +289,29 @@ def _simulate_in_order(runs: list[LoadedScenario]) -> Iterator[Trajectory]:
     from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+    with ProcessPoolExecutor(
+        workers, mp_context=context,
+        initializer=_bind_to_cpu, initargs=(context.Value("i", 0),),
+    ) as pool:
         yield from _in_order(indices, pool.map(_simulate_group, groups))
+
+
+def _bind_to_cpu(taken) -> None:
+    """Pool initializer: bind this forked worker to the next of the CPUs
+    it inherited, so that a scheduler which does not balance load cannot
+    leave two workers on one CPU while another idles.  ``taken`` counts
+    the workers bound so far.  A worker that cannot be bound runs where
+    the scheduler puts it."""
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    with taken.get_lock():
+        index = taken.value
+        taken.value += 1
+    cpus = sorted(os.sched_getaffinity(0))
+    try:
+        os.sched_setaffinity(0, {cpus[index % len(cpus)]})
+    except OSError:
+        pass
 
 
 def _in_order(indices: list[list[int]], results) -> Iterator[Trajectory]:

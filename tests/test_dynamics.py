@@ -16,7 +16,6 @@ from swervefall import (
     quat_from_euler,
 )
 from swervefall.dynamics import (
-    GRAVITY_DIR,
     FlightKernel,
     NonFiniteState,
     _drive_torque_columns,
@@ -263,7 +262,7 @@ def reference_derivative(y, steering, cmd, params):
     spin_axes = -_drive_torque_columns(steering)
     wheel_accel = np.array([t1, t2, -t1, -t2]) / params.j_wyy - spin_axes @ omega_dot
     return np.concatenate(
-        [y[3:6], params.g * GRAVITY_DIR, quat_dot, omega_dot, wheel_accel]
+        [y[3:6], [0.0, 0.0, -params.g], quat_dot, omega_dot, wheel_accel]
     )
 
 
@@ -366,6 +365,31 @@ def test_rk4_matches_array_formulation_bitwise(params, rng):
          rates=(0.0, 0.0, 0.0), height=1.0, velocity=(0.0, 0.0, -1.0),
          wheels=(0.0, 0.0, 0.0, 0.0), dt=5e-4, steps=10, stop_at_ground=False,
          event="wheels", event_step=5)
+# At rest under the zero command for ten steps: the first step turns each
+# -0.0 into 0.0, so it does not hold the attitude bit for bit though it
+# compares equal.
+@example(alpha=0.7, beta=0.0, torques=(0.0, 0.0, 0.0), quat=(1.0, 0.0, -0.0, 0.0),
+         rates=(0.0, -0.0, 0.0), height=1.0, velocity=(0.0, 0.0, -1.0),
+         wheels=(1.0, 2.0, 3.0, 4.0), dt=1e-4, steps=10, stop_at_ground=True,
+         event=None, event_step=0)
+# At rest with no -0.0: the first step holds the attitude, and the later
+# ones repeat it up to a touchdown in step 7.
+@example(alpha=0.7, beta=0.0, torques=(0.0, 0.0, 0.0), quat=(1.0, 0.0, 0.0, 0.0),
+         rates=(0.0, 0.0, 0.0), height=0.1716, velocity=(0.5, -0.0, -1.0),
+         wheels=(1.0, 2.0, 3.0, 4.0), dt=1e-3, steps=10, stop_at_ground=True,
+         event=None, event_step=0)
+# Zero rates under a torque: the first step spins the body up, so the
+# attitude is not held.
+@example(alpha=0.7, beta=0.0, torques=(1.0, -2.0, 0.5), quat=(1.0, 0.0, 0.0, 0.0),
+         rates=(0.0, 0.0, 0.0), height=1.0, velocity=(0.0, 0.0, -1.0),
+         wheels=(1.0, 2.0, 3.0, 4.0), dt=1e-4, steps=10, stop_at_ground=True,
+         event=None, event_step=0)
+# Touchdown in the only step hands back the release velocity, -0.0
+# included.
+@example(alpha=0.0, beta=0.0, torques=(0.0, 0.0, 0.0), quat=(0.0, 0.0, 0.0, 1.0),
+         rates=(0.0, 0.0, 0.0), height=0.0, velocity=(0.0, -0.0, -1.0),
+         wheels=(0.0, 0.0, 0.0, 0.0), dt=0.00390625, steps=1, stop_at_ground=True,
+         event=None, event_step=0)
 def test_tick_matches_reference_steps_bitwise(
     alpha, beta, torques, quat, rates, height, velocity, wheels, dt, steps,
     stop_at_ground, event, event_step,
@@ -462,6 +486,14 @@ def test_tick_matches_reference_steps_bitwise(
 @example(alpha=0.7, torques=(0.0, 0.0, 0.0), quat=(1.0, 0.0, 0.0, 0.0),
          rates=(2.08, 1.04, -3.12), lanes=[((0.0, 0.0, -20.0), 8)],
          dt=2e-3, steps=10, stop_at_ground=True, event="base", event_step=9)
+# A held attitude under -0.0 and nonzero horizontal velocities: one lane
+# touches down in step 1 with its release velocity, one in step 5, and
+# one lives through the tick.
+@example(alpha=0.7, torques=(0.0, 0.0, 0.0), quat=(1.0, 0.0, 0.0, 0.0),
+         rates=(0.0, 0.0, 0.0),
+         lanes=[((-0.0, 1.5, -10.0), 0), ((1.25, -0.0, -3.0), 4),
+                ((-2.0, -0.75, -0.5), 12)],
+         dt=1e-3, steps=10, stop_at_ground=True, event=None, event_step=0)
 def test_lanes_match_lone_runs_bitwise(
     alpha, torques, quat, rates, lanes, dt, steps, stop_at_ground, event, event_step,
 ):

@@ -58,12 +58,15 @@ def test_model_doc_package_names_resolve():
         module = importlib.import_module(f"swervefall.{info.name}")
         namespace.update(vars(module))
         namespace[info.name] = module
+    # A name is missing when a part is absent, not when its value is None
+    # (a dataclass field's default, say).
+    absent = object()
     missing = []
     for name in names:
         root, *rest = name.split(".")
-        obj = namespace.get(root)
+        obj = namespace.get(root, absent)
         for part in rest:
-            obj = getattr(obj, part, None)
-        if obj is None:
+            obj = getattr(obj, part, absent)
+        if obj is absent:
             missing.append(name)
     assert missing == []

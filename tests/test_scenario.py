@@ -275,6 +275,32 @@ def simulating_pids(tmp_path, monkeypatch):
     return take
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_pool_binds_each_worker_to_a_cpu_of_its_own(tmp_path, monkeypatch):
+    # A scheduler that does not balance load can leave two unbound workers
+    # on one CPU while another idles.
+    log = tmp_path / "cpus"
+    real_simulate = scenario.simulate_lanes
+
+    def logged_simulate(*args):
+        with log.open("a", encoding="utf-8") as out:
+            out.write(f"{os.getpid()} {' '.join(map(str, os.sched_getaffinity(0)))}\n")
+        return real_simulate(*args)
+
+    monkeypatch.setattr(scenario, "simulate_lanes", logged_simulate)
+    use_workers(monkeypatch, 2)
+    available = os.sched_getaffinity(0)
+    sweep(write_config(tmp_path, QUICK), "roll_deg", [0.3, 0.2, 0.25, 0.35], tmp_path / "out")
+    # Each worker's CPUs, by process id.
+    bound = {}
+    for line in log.read_text(encoding="utf-8").splitlines():
+        pid, *cpus = map(int, line.split())
+        bound[pid] = cpus
+    assert all(len(cpus) == 1 and cpus[0] in available for cpus in bound.values())
+    assert len({cpus[0] for cpus in bound.values()}) == min(len(bound), len(available))
+    assert os.sched_getaffinity(0) == available
+
+
 def test_parallel_sweep_and_compare_match_serial(tmp_path, monkeypatch, simulating_pids):
     # Every roll_deg value changes the attitude, so each run is a group of
     # its own and the sweep's four groups go to the workers.
