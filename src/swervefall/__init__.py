@@ -10,7 +10,6 @@ with reference drop and ledge configurations.
 from .controller import (
     AttitudeControlLoop,
     ControllerConfig,
-    ControllerGains,
     ControllerMode,
     LinearPlant,
     linearized_plant,
@@ -53,7 +52,6 @@ __all__ = [
     "BodyTorque",
     "ConfigError",
     "ControllerConfig",
-    "ControllerGains",
     "ControllerMode",
     "InertiaReflection",
     "LinearPlant",

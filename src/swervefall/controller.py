@@ -6,8 +6,8 @@ keeps only the time the current run of under-threshold readings began,
 a reading at or over the threshold clears it, and detection fires once
 that time lies a full window back.  The machine then moves to
 FreefallStabilize, swings the steering to the isotropic
-alpha = pi/4 (equal roll and pitch authority), latches the yaw setpoint,
-and runs the PD law
+alpha = pi/4, beta = 0 (equal roll and pitch authority, no products of
+inertia), latches the yaw setpoint, and runs the PD law
 
     tau_body = K_P (q_desired - q) - K_D q_dot
 
@@ -24,7 +24,7 @@ torque.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -34,42 +34,17 @@ from .kinematics import (
     allocate_body_torque,
     torque_jacobian,
 )
-from .params import ConfigError, RobotParams, take_bool, take_float
+from .params import RobotParams
 from .state import SubmovementParams, wrap_angle
 
-FLIGHT_ALPHA = math.pi / 4.0
+# The steering configuration the freefall swing goes to.
+FLIGHT = SubmovementParams(alpha=math.pi / 4.0, beta=0.0)
 
 # (tau_1, tau_2, tau_delta, sat_mask) of a silent controller.
 ZERO_COMMAND = (0.0, 0.0, 0.0, 0)
 # The command of a singular steering configuration: no torque, steering
 # saturation flag (bit 4) raised.
 SINGULAR_COMMAND = (0.0, 0.0, 0.0, 0b10000)
-
-
-@dataclass(frozen=True)
-class ControllerGains:
-    """Diagonal PD gains per Euler axis (roll, pitch, yaw), each a tuple
-    of three floats.
-
-    Entries must be finite and non-negative; zeroing an axis disables it
-    (the yaw channel ships disabled).
-    """
-
-    kp: tuple[float, float, float]
-    kd: tuple[float, float, float]
-
-    def __init__(self, kp, kd) -> None:
-        kp = tuple(np.asarray(kp, dtype=float).reshape(3).tolist())
-        kd = tuple(np.asarray(kd, dtype=float).reshape(3).tolist())
-        # "not 0 <= g < inf" refuses NaN as well.
-        if not all(0.0 <= g < math.inf for g in kp + kd):
-            raise ConfigError("gains must be non-negative and finite")
-        object.__setattr__(self, "kp", kp)
-        object.__setattr__(self, "kd", kd)
-
-    @staticmethod
-    def default() -> "ControllerGains":
-        return ControllerGains(kp=[75.0, 75.0, 0.0], kd=[12.0, 12.0, 0.0])
 
 
 class ControllerMode(IntEnum):
@@ -101,15 +76,14 @@ def apply_wheel_speed_limit(command, wheel_speed, params: RobotParams):
     return tau_1, tau_2, tau_delta, sat_mask
 
 
-def pd_attitude(
-    q, q_dot, q_desired, gains: ControllerGains
-) -> tuple[float, float, float]:
+def pd_attitude(q, q_dot, q_desired, kp, kd) -> tuple[float, float, float]:
     """PD law on wrapped Euler errors.
 
     ``q``, ``q_dot`` and ``q_desired`` are (roll, pitch, yaw) triples of
-    floats; returns the body-torque demand (tau_x, tau_y, tau_z).
+    floats, and ``kp`` and ``kd`` the diagonal gains per axis; returns
+    the body-torque demand (tau_x, tau_y, tau_z).
     """
-    (kp_x, kp_y, kp_z), (kd_x, kd_y, kd_z) = gains.kp, gains.kd
+    (kp_x, kp_y, kp_z), (kd_x, kd_y, kd_z) = kp, kd
     return (
         kp_x * wrap_angle(q_desired[0] - q[0]) - kd_x * q_dot[0],
         kp_y * wrap_angle(q_desired[1] - q[1]) - kd_y * q_dot[1],
@@ -156,38 +130,20 @@ def closed_loop_poles(inertia: float, kp: float, kd: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Gains, detection thresholds, and loop timing."""
+    """Gains, detection thresholds, and loop timing.
 
-    gains: ControllerGains = field(default_factory=ControllerGains.default)
+    ``kp`` and ``kd`` are the diagonal PD gains per Euler axis (roll,
+    pitch, yaw), three floats each; zeroing an axis disables it (the yaw
+    channel ships disabled).  ``simulation.validate_run`` checks the
+    gains, the detection thresholds and the control period.
+    """
+
+    kp: tuple[float, float, float] = (75.0, 75.0, 0.0)
+    kd: tuple[float, float, float] = (12.0, 12.0, 0.0)
     freefall_accel_threshold: float = 2.0
     freefall_debounce: float = 0.020
     dt_control: float = 1e-3
     enabled: bool = True
-
-    @staticmethod
-    def from_entries(entries: dict[str, str]) -> "ControllerConfig":
-        base = ControllerConfig()
-        kp = [
-            take_float(entries, "kp_roll", base.gains.kp[0]),
-            take_float(entries, "kp_pitch", base.gains.kp[1]),
-            take_float(entries, "kp_yaw", base.gains.kp[2]),
-        ]
-        kd = [
-            take_float(entries, "kd_roll", base.gains.kd[0]),
-            take_float(entries, "kd_pitch", base.gains.kd[1]),
-            take_float(entries, "kd_yaw", base.gains.kd[2]),
-        ]
-        return ControllerConfig(
-            gains=ControllerGains(kp=kp, kd=kd),
-            freefall_accel_threshold=take_float(
-                entries, "freefall_accel_threshold", base.freefall_accel_threshold
-            ),
-            freefall_debounce=take_float(
-                entries, "freefall_debounce", base.freefall_debounce
-            ),
-            dt_control=take_float(entries, "dt_control", base.dt_control),
-            enabled=take_bool(entries, "controller_enabled", base.enabled),
-        )
 
 
 class AttitudeControlLoop:
@@ -198,8 +154,8 @@ class AttitudeControlLoop:
     flight command as plain numbers (see ``allocate_body_torque``).  The
     loop starts in GroundTeleop and switches once, on freefall detection;
     nothing leaves FreefallStabilize, so detection runs only before that
-    switch.  Entering FreefallStabilize swings alpha to pi/4 (beta
-    preserved) and latches the yaw setpoint at the current heading with
+    switch.  Entering FreefallStabilize swings the steering to ``FLIGHT``
+    and latches the yaw setpoint at the current heading with
     zero desired roll and pitch.  The allocation Jacobian is built for
     the current ``sub`` and rebuilt only when ``sub`` changes.  Setting
     ``mode`` to FreefallStabilize by hand runs the flight branch on the
@@ -237,10 +193,12 @@ class AttitudeControlLoop:
             if not self._detect(t, accel):
                 return ZERO_COMMAND
             self.mode = ControllerMode.FREEFALL_STABILIZE
-            self.sub = SubmovementParams(alpha=FLIGHT_ALPHA, beta=self.sub.beta)
+            self.sub = FLIGHT
             self.jacobian = torque_jacobian(self.sub)
             self.q_desired = (0.0, 0.0, euler[2])
-        demand = pd_attitude(euler, omega, self.q_desired, self.config.gains)
+        demand = pd_attitude(
+            euler, omega, self.q_desired, self.config.kp, self.config.kd
+        )
         try:
             command = allocate_body_torque(demand, self.jacobian, self.params)
         except SingularConfiguration:

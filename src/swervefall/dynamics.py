@@ -319,7 +319,7 @@ class FlightKernel:
         self._norms = NormBuffer()
         self.j_wyy = params.j_wyy
         self.wheel_radius = params.wheel_radius
-        self.center_reach = float(np.linalg.norm(self.centers, axis=1).max())
+        self.center_reach = max(math.hypot(*c) for c in self.centers.tolist())
         # No attitude brings a wheel to the ground while the base is
         # higher than this; the relative margin covers the rounding of
         # the exact contact-height arithmetic.

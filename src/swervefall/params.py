@@ -1,4 +1,5 @@
-"""Physical parameters, validation, and the flat key-value config format.
+"""Physical parameters, their validation, and the flat key-value config
+format.
 
 Units are SI throughout (kg, m, s, rad, N·m).  The body frame is
 right-handed with x forward, y left, z up; gravity acts along world -Z.
@@ -6,13 +7,15 @@ right-handed with x forward, y left, z up; gravity acts along world -Z.
 Default inertia values are estimates, not measured quantities: the base is
 approximated as a homogeneous box over the chassis footprint, and each wheel
 as a solid disk.  Both are configurable and documented in the bundled config
-files.
+files.  One place decides which config keys exist and what they set,
+``scenario.loaded_from_entries``; this module parses the file format and
+converts one value at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 
@@ -20,8 +23,8 @@ class ConfigError(ValueError):
     """Raised for unparseable, unknown, or out-of-range config entries."""
 
 
-# Total platform mass 23.59 kg split as base + 4 wheels.
-_DEFAULT_BASE_MASS = 12.39
+# Four 2.8 kg hub wheels and a 12.39 kg base make the platform's 23.59 kg;
+# the model never reads the base mass, since translation is ballistic.
 _DEFAULT_WHEEL_MASS = 2.8
 
 # Homogeneous-box estimate over a 0.42 x 0.36 m footprint, 0.24 m tall.
@@ -44,11 +47,12 @@ class RobotParams:
         c: steering-axis to wheel-center offset along the wheel axle [m]
 
     Inertias are diagonal: ``j_b*`` for the base about its mass center in
-    body axes, ``j_w*`` for one wheel about its own center in wheel axes
-    (``j_wyy`` is the spin axis).
+    body axes, ``j_w*`` for one wheel about its own center in wheel axes.
+    The wheel is axisymmetric about its spin axis, ``j_wyy``, so its
+    inertia about the steering axis equals ``j_wxx``; the model books yaw
+    on the base alone and never reads it.
     """
 
-    base_mass: float = _DEFAULT_BASE_MASS
     wheel_mass: float = _DEFAULT_WHEEL_MASS
     a: float = 0.42
     b: float = 0.36
@@ -58,16 +62,11 @@ class RobotParams:
     j_bzz: float = _DEFAULT_J_BZZ
     j_wxx: float = _DEFAULT_J_WXX
     j_wyy: float = _DEFAULT_J_WYY
-    j_wzz: float = _DEFAULT_J_WXX
     tau_wheel_max: float = 10.0
     tau_steer_max: float = 2.5
     wheel_speed_max: float = 120.0
     wheel_radius: float = 0.1651
     g: float = 9.81
-
-    @property
-    def total_mass(self) -> float:
-        return self.base_mass + 4.0 * self.wheel_mass
 
 
 # (moment, other, other) triplets for the triangle feasibility check.
@@ -75,9 +74,9 @@ _INERTIA_TRIPLES = (
     ("j_bxx", "j_byy", "j_bzz"),
     ("j_byy", "j_bxx", "j_bzz"),
     ("j_bzz", "j_bxx", "j_byy"),
-    ("j_wxx", "j_wyy", "j_wzz"),
-    ("j_wyy", "j_wxx", "j_wzz"),
-    ("j_wzz", "j_wxx", "j_wyy"),
+    # The wheel's j_zz is j_wxx, so of its three triplets only the spin
+    # axis's can fail: j_wyy <= 2 j_wxx.
+    ("j_wyy", "j_wxx", "j_wxx"),
 )
 
 
@@ -172,16 +171,3 @@ def take_bool(entries: dict[str, str], key: str, default: bool) -> bool:
         return False
     raise ConfigError(f"key '{key}': not a boolean: '{raw}'")
 
-
-_ROBOT_KEYS = {f.name for f in fields(RobotParams)}
-
-
-def robot_params_from_entries(entries: dict[str, str]) -> RobotParams:
-    """Consume robot keys from a parsed config, leaving other keys in place."""
-    params = RobotParams()
-    overrides = {}
-    for key in sorted(_ROBOT_KEYS & entries.keys()):
-        overrides[key] = take_float(entries, key, getattr(params, key))
-    if overrides:
-        params = replace(params, **overrides)
-    return params

@@ -2,7 +2,8 @@
 
 A scenario file is one flat key-value config carrying robot parameters,
 controller gains, and initial conditions together (see the bundled
-``drop_controlled``, ``drop_uncontrolled``, and ``ledge`` files).  Every
+``drop_controlled``, ``drop_uncontrolled``, and ``ledge`` files);
+``loaded_from_entries`` is the one reader of its keys.  Every
 run writes one telemetry CSV and returns a RunSummary.  The CSV holds
 the simulator's per-tick rows as they are, under its ``CSV_HEADER``,
 with every value printed to 12 significant digits.
@@ -14,7 +15,7 @@ import math
 import os
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .params import (
     ConfigError,
     RobotParams,
     read_config_file,
-    robot_params_from_entries,
+    take_bool,
     take_float,
     take_int,
 )
@@ -52,40 +53,9 @@ CSV_CHUNK_ROWS = 32
 
 BUNDLED_SCENARIOS = ("drop_controlled", "drop_uncontrolled", "ledge")
 
-
-def scenario_config_from_entries(entries: dict[str, str]) -> ScenarioConfig:
-    base = ScenarioConfig()
-    noise = NoiseModel(
-        sigma_euler=math.radians(
-            take_float(entries, "noise_sigma_euler_deg", 0.0)
-        ),
-        sigma_omega=take_float(entries, "noise_sigma_omega", 0.0),
-        sigma_accel=take_float(entries, "noise_sigma_accel", 0.0),
-    )
-    return ScenarioConfig(
-        drop_height=take_float(entries, "drop_height", base.drop_height),
-        velocity=(
-            take_float(entries, "velocity_x", 0.0),
-            take_float(entries, "velocity_y", 0.0),
-            take_float(entries, "velocity_z", 0.0),
-        ),
-        euler0=(
-            math.radians(take_float(entries, "roll_deg", 0.0)),
-            math.radians(take_float(entries, "pitch_deg", 0.0)),
-            math.radians(take_float(entries, "yaw_deg", 0.0)),
-        ),
-        omega0=(
-            take_float(entries, "omega_x", 0.0),
-            take_float(entries, "omega_y", 0.0),
-            take_float(entries, "omega_z", 0.0),
-        ),
-        alpha0=math.radians(take_float(entries, "alpha_deg", 45.0)),
-        beta0=math.radians(take_float(entries, "beta_deg", 0.0)),
-        t_max=take_float(entries, "t_max", base.t_max),
-        seed=take_int(entries, "seed", base.seed),
-        dt_physics=take_float(entries, "dt_physics", base.dt_physics),
-        noise=noise,
-    )
+# The Euler axes as config keys name them: the gains kp_<axis> and
+# kd_<axis>, and the release attitude <axis>_deg.
+AXES = ("roll", "pitch", "yaw")
 
 
 @dataclass(frozen=True)
@@ -117,13 +87,51 @@ def load_scenario_file(ref: str | Path) -> LoadedScenario:
 def loaded_from_entries(entries: dict[str, str], name: str) -> LoadedScenario:
     """Validate parsed config entries into one runnable scenario.
 
-    Consumes every key; anything left over is an unknown key and a hard
-    error.  Then the run must pass ``simulate``'s own checks:
-    ``validate_run`` and the placement in ``initial_body_state``.
+    Every config key is read here, and only here: each robot parameter
+    under its ``RobotParams`` field name, then the controller keys, then
+    the scenario keys, angles in degrees.  Consumes every key; anything
+    left over is an unknown key and a hard error.  Then the run must pass
+    ``simulate``'s own checks: ``validate_run`` and the placement in
+    ``initial_body_state``.
     """
-    params = robot_params_from_entries(entries)
-    controller = ControllerConfig.from_entries(entries)
-    scenario = scenario_config_from_entries(entries)
+    params = RobotParams(**{
+        field.name: take_float(entries, field.name, field.default)
+        for field in fields(RobotParams)
+    })
+    base = ControllerConfig()
+    controller = ControllerConfig(
+        kp=tuple(take_float(entries, f"kp_{axis}", k) for axis, k in zip(AXES, base.kp)),
+        kd=tuple(take_float(entries, f"kd_{axis}", k) for axis, k in zip(AXES, base.kd)),
+        freefall_accel_threshold=take_float(
+            entries, "freefall_accel_threshold", base.freefall_accel_threshold
+        ),
+        freefall_debounce=take_float(
+            entries, "freefall_debounce", base.freefall_debounce
+        ),
+        dt_control=take_float(entries, "dt_control", base.dt_control),
+        enabled=take_bool(entries, "controller_enabled", base.enabled),
+    )
+    release = ScenarioConfig()
+    scenario = ScenarioConfig(
+        drop_height=take_float(entries, "drop_height", release.drop_height),
+        velocity=tuple(take_float(entries, f"velocity_{x}", 0.0) for x in "xyz"),
+        euler0=tuple(
+            math.radians(take_float(entries, f"{axis}_deg", 0.0)) for axis in AXES
+        ),
+        omega0=tuple(take_float(entries, f"omega_{x}", 0.0) for x in "xyz"),
+        alpha0=math.radians(take_float(entries, "alpha_deg", 45.0)),
+        beta0=math.radians(take_float(entries, "beta_deg", 0.0)),
+        t_max=take_float(entries, "t_max", release.t_max),
+        seed=take_int(entries, "seed", release.seed),
+        dt_physics=take_float(entries, "dt_physics", release.dt_physics),
+        noise=NoiseModel(
+            sigma_euler=math.radians(
+                take_float(entries, "noise_sigma_euler_deg", 0.0)
+            ),
+            sigma_omega=take_float(entries, "noise_sigma_omega", 0.0),
+            sigma_accel=take_float(entries, "noise_sigma_accel", 0.0),
+        ),
+    )
     if entries:
         unknown = ", ".join(sorted(entries))
         raise ConfigError(f"unknown config keys: {unknown}")

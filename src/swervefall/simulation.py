@@ -21,13 +21,12 @@ controller saw).
 steering).
 
 Determinism: given identical configs and seed, every run produces
-bit-identical trajectories on a given numpy/OpenBLAS build and CPU.  Six
+bit-identical trajectories on a given numpy/OpenBLAS build and CPU.  Five
 numpy calls round as the build's kernels do: the kernel's quaternion
-``dot`` after each RK4 step, the ``dot`` of the tick's Euler readout
-(and of the settled check's rate norm), the stacked wheel product, the
-kernel's ``full @ pair``, the allocation's LAPACK ``dgesv`` and the
-IMU's stacked accelerometer ``matmul``; ``docs/model.md`` records how
-they round on the reference machine.  IMU noise, when enabled, draws
+``dot`` after each RK4 step, the ``dot`` of the tick's Euler readout,
+the stacked wheel product, the kernel's ``full @ pair`` and the
+allocation's LAPACK ``dgesv``; ``docs/model.md`` records how they round
+on the reference machine.  IMU noise, when enabled, draws
 from a dedicated seeded generator in a fixed per-tick order, a block of
 ticks per call (``imu_stream``).  Runs that differ only in
 ``LANE_FIELDS`` can share one attitude integration as lanes
@@ -44,8 +43,14 @@ from itertools import chain, count, repeat
 
 import numpy as np
 
-from .controller import AttitudeControlLoop, ControllerMode
-from .dynamics import FlightKernel, NonFiniteState, lowest_contact, wheel_centers
+from .controller import FLIGHT, AttitudeControlLoop, ControllerMode
+from .dynamics import (
+    FlightKernel,
+    NonFiniteState,
+    effective_inertia,
+    lowest_contact,
+    wheel_centers,
+)
 from .kinematics import steering_angles
 from .params import ConfigError, RobotParams, validate_params
 from .state import NormBuffer, SubmovementParams, quat_from_euler, unit_euler_angles
@@ -116,9 +121,7 @@ def imu_noise(noise: NoiseModel, rng: np.random.Generator, ticks: int) -> list:
     draws, each sample's three values per channel in a fixed order:
     angles, rates, accelerometer.  Each value is scaled as
     ``0.0 + sigma * z``, numpy's own ``normal(0.0, sigma)`` arithmetic.
-    The magnitudes come from one stacked ``(ticks, 1, 3) @ (ticks, 3, 1)``
-    product, which numpy forms with the dot of each sample's own
-    ``specific.dot(specific)``, then a square root.
+    Each magnitude is ``sqrt(x*x + y*y + z*z)`` in float arithmetic.
     """
     sigmas = [s for s in (noise.sigma_euler, noise.sigma_omega, noise.sigma_accel) if s > 0]
     z = rng.standard_normal(3 * len(sigmas) * ticks).reshape(ticks, len(sigmas), 3)
@@ -127,8 +130,7 @@ def imu_noise(noise: NoiseModel, rng: np.random.Generator, ticks: int) -> list:
     euler = next(channels).tolist() if noise.sigma_euler > 0 else [None] * ticks
     omega = next(channels).tolist() if noise.sigma_omega > 0 else [None] * ticks
     if noise.sigma_accel > 0:
-        specific = next(channels)
-        accel = np.sqrt(specific[:, None, :] @ specific[:, :, None]).ravel().tolist()
+        accel = [math.sqrt(x * x + y * y + z * z) for x, y, z in next(channels).tolist()]
     else:
         accel = [0.0] * ticks
     return list(zip(euler, omega, accel))
@@ -273,7 +275,8 @@ class ScenarioConfig:
 
 def validate_run(scenario: ScenarioConfig, controller, params: RobotParams) -> int:
     """Check one run: the robot (``validate_params``), the controller's
-    freefall detection, the scenario, the work budget, the release's
+    gains and freefall detection, the scenario, the effective inertia
+    at the release and flight steering, the work budget, the release's
     translation (``TRANSLATION_MAX``) and spin (``MAX_SPIN_STEP``) and
     that the control period is a whole number of physics steps, which it returns.
     Raises ConfigError at the first violation.  ``initial_body_state``
@@ -282,6 +285,9 @@ def validate_run(scenario: ScenarioConfig, controller, params: RobotParams) -> i
     if violations:
         raise ConfigError("invalid robot parameters: " + "; ".join(violations))
     # Each "not x >= bound" refuses NaN as well.
+    kp, kd = controller.kp, controller.kd
+    if not (len(kp) == len(kd) == 3 and all(0.0 <= g < math.inf for g in (*kp, *kd))):
+        raise ConfigError("gains must be non-negative and finite")
     if not controller.freefall_accel_threshold > 0.0:
         raise ConfigError("freefall_accel_threshold must be positive")
     if not controller.freefall_debounce >= 0.0:
@@ -292,6 +298,18 @@ def validate_run(scenario: ScenarioConfig, controller, params: RobotParams) -> i
         raise ConfigError("velocity must be finite")
     if not all(map(math.isfinite, (*scenario.euler0, scenario.alpha0, scenario.beta0))):
         raise ConfigError("release attitude and steering angles must be finite")
+    # The diagonal model needs a positive J* on every axis; the axle
+    # terms of a steering far from flight can outweigh the rest.  Huge
+    # parameters overflow to inf or NaN, which the comparison judges.
+    for sub in (SubmovementParams(scenario.alpha0, scenario.beta0), FLIGHT):
+        with np.errstate(over="ignore", invalid="ignore"):
+            inertia = effective_inertia(params, sub).tolist()
+        if not all(j > 0.0 for j in inertia):
+            raise ConfigError(
+                f"effective inertia J* = ({', '.join(f'{j:.4g}' for j in inertia)}) "
+                f"kg m^2 is not positive at alpha_deg = {math.degrees(sub.alpha):g}, "
+                f"beta_deg = {math.degrees(sub.beta):g}"
+            )
     if not scenario.t_max >= 0.0:
         raise ConfigError("t_max must be non-negative")
     # The noise generator takes only integer seeds.
@@ -445,7 +463,7 @@ def simulate_lanes(
     # (``MAX_SPIN_STEP``); a product, since a square may overflow.
     spin_top = MAX_SPIN_STEP / dt
     max_spin_squared = spin_top * spin_top
-    # The norms of the Euler readout and the settled check.
+    # The norm of the Euler readout.
     norms = NormBuffer()
 
     results: list[Trajectory | NonFiniteState] = [Trajectory() for _ in scenarios]
@@ -467,7 +485,8 @@ def simulate_lanes(
         y = states[0]
         omega = y[10:13]
         ox, oy, oz = omega
-        if ox * ox + oy * oy + oz * oz > max_spin_squared:
+        spin_squared = ox * ox + oy * oy + oz * oz
+        if spin_squared > max_spin_squared:
             for k in live:
                 results[k] = NonFiniteState(SPIN_STEP_EXCEEDED, t=t)
             break
@@ -514,7 +533,7 @@ def simulate_lanes(
             and mode == freefall
             and abs(phi) < SETTLED_ANGLE_LIMIT
             and abs(theta) < SETTLED_ANGLE_LIMIT
-            and norms.norm3(omega) < SETTLED_RATE_LIMIT
+            and spin_squared < SETTLED_RATE_LIMIT**2
         ):
             for k in live:
                 results[k].events.append((t, "settled"))

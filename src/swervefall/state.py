@@ -41,28 +41,26 @@ def wrap_angle(angle: float) -> float:
 # --- quaternions ------------------------------------------------------------
 
 class NormBuffer:
-    """Euclidean norms of three and four floats by numpy's dot, formed on
-    a buffer the object owns.
+    """Unit quaternions by numpy's dot, formed on a buffer the object
+    owns.
 
     A float vector's ``np.linalg.norm`` is ``sqrt(x.dot(x))``, and a sum
     of squares in Python can differ from that dot in the last bit; but
     building an array for each vector costs more than the dot itself.
     ``values`` is an ``array('d')`` of four floats that numpy views, and
-    ``square4()`` and ``square3()`` are the dot of the view of all four,
-    or of the first three, with itself: the same BLAS call on the same
-    operands, so the same bits.  Write the vector into ``values``, then
-    call.  The buffer is never resized (a live view forbids it).  A run
-    builds its own, so runs in concurrent threads never share operands.
+    ``square4()`` is the dot of the view with itself: the same BLAS call
+    on the same operands, so the same bits.  Write the vector into
+    ``values``, then call.  The buffer is never resized (a live view
+    forbids it).  A run builds its own, so runs in concurrent threads
+    never share operands.
     """
 
-    __slots__ = ("values", "square4", "square3")
+    __slots__ = ("values", "square4")
 
     def __init__(self) -> None:
         self.values = array("d", bytes(32))
         four = np.frombuffer(self.values)
-        three = four[:3]
         self.square4 = partial(four.dot, four)
-        self.square3 = partial(three.dot, three)
 
     def unit(self, q) -> tuple[float, float, float, float]:
         """The quaternion ``q``, four numbers, divided by its norm."""
@@ -74,12 +72,6 @@ class NormBuffer:
         # Spelled out: a comprehension costs more than four divisions.
         w, x, y, z = values
         return w / norm, x / norm, y / norm, z / norm
-
-    def norm3(self, v) -> float:
-        """The norm of three floats ``v``, bit for bit ``np.linalg.norm(v)``."""
-        values = self.values
-        values[0], values[1], values[2] = v
-        return math.sqrt(self.square3())
 
 
 def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:

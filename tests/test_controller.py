@@ -9,9 +9,9 @@ from swervefall import (
     AttitudeControlLoop,
     ConfigError,
     ControllerConfig,
-    ControllerGains,
     ControllerMode,
     RobotParams,
+    ScenarioConfig,
     SubmovementParams,
     linearized_plant,
     pd_attitude,
@@ -19,6 +19,8 @@ from swervefall import (
 )
 from swervefall.controller import closed_loop_poles
 from swervefall.kinematics import torque_jacobian
+from swervefall.scenario import loaded_from_entries
+from swervefall.simulation import validate_run
 
 from conftest import body_state
 
@@ -133,27 +135,25 @@ def test_loop_debounce_matches_windowed_rule(runs, dt, debounce, threshold):
 # --- PD law --------------------------------------------------------------------
 
 def test_proportional_term():
-    gains = ControllerGains(kp=[75, 75, 0], kd=[12, 12, 0])
     tau_x, tau_y, tau_z = pd_attitude(
         q=(-0.1, 0.0, 0.0), q_dot=(0.0, 0.0, 0.0),
-        q_desired=(0.0, 0.0, 0.0), gains=gains,
+        q_desired=(0.0, 0.0, 0.0), kp=(75, 75, 0), kd=(12, 12, 0),
     )
     assert math.isclose(tau_x, 7.5, rel_tol=1e-12)
     assert tau_y == 0.0 and tau_z == 0.0
 
 
 def test_equilibrium_gives_zero_torque():
-    gains = ControllerGains.default()
+    config = ControllerConfig()
     zero = (0.0, 0.0, 0.0)
-    tau_x, tau_y, tau_z = pd_attitude(zero, zero, zero, gains)
+    tau_x, tau_y, tau_z = pd_attitude(zero, zero, zero, config.kp, config.kd)
     assert tau_x == tau_y == tau_z == 0.0
 
 
 def test_derivative_term():
-    gains = ControllerGains(kp=[75, 75, 0], kd=[12, 12, 0])
     tau_x, tau_y, _ = pd_attitude(
         q=(0.0, 0.0, 0.0), q_dot=(0.0, 1.0, 0.0),
-        q_desired=(0.0, 0.0, 0.0), gains=gains,
+        q_desired=(0.0, 0.0, 0.0), kp=(75, 75, 0), kd=(12, 12, 0),
     )
     assert math.isclose(tau_y, -12.0, rel_tol=1e-12)
     assert tau_x == 0.0
@@ -162,7 +162,6 @@ def test_derivative_term():
 def test_error_wraps_across_seam():
     from swervefall.state import wrap_angle
 
-    gains = ControllerGains(kp=[0, 0, 10.0], kd=np.zeros(3))
     psi = math.pi - 0.05
     # Sweep the desired heading through the -pi/pi seam: the commanded
     # torque must stay continuous (no 2*pi*K_P jump) and take the short
@@ -174,7 +173,7 @@ def test_error_wraps_across_seam():
             q=(0.0, 0.0, psi),
             q_dot=(0.0, 0.0, 0.0),
             q_desired=(0.0, 0.0, wrap_angle(psi_d)),
-            gains=gains,
+            kp=(0.0, 0.0, 10.0), kd=(0.0, 0.0, 0.0),
         )
         torques.append(tau_z)
         assert abs(tau_z) <= 10.0 * (abs(psi_d - psi) + 1e-12)
@@ -183,19 +182,24 @@ def test_error_wraps_across_seam():
     assert jumps.max() <= 10.0 * step + 1e-9
 
 
+def refuse_gains(kp, kd):
+    """``validate_run`` on default robot and scenario with these gains."""
+    with pytest.raises(ConfigError, match="gains must be non-negative and finite"):
+        validate_run(ScenarioConfig(), ControllerConfig(kp=kp, kd=kd), RobotParams())
+
+
 def test_gains_must_be_nonnegative():
-    with pytest.raises(ValueError):
-        ControllerGains(kp=[-1, 0, 0], kd=[0, 0, 0])
+    refuse_gains((-1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    # A gain triple has three entries.
+    refuse_gains((75.0, 75.0), (12.0, 12.0, 0.0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_gains_must_be_finite(bad):
-    # Refused where negative gains are, as the ConfigError the loader
+    # Refused where negative gains are, with the ConfigError the loader
     # raises for them; NaN used to pass and end a run as NonFiniteState.
-    with pytest.raises(ConfigError, match="finite"):
-        ControllerGains(kp=[bad, 75.0, 0.0], kd=[12.0, 12.0, 0.0])
-    with pytest.raises(ConfigError, match="finite"):
-        ControllerGains(kp=[75.0, 75.0, 0.0], kd=[12.0, bad, 0.0])
+    refuse_gains((bad, 75.0, 0.0), (12.0, 12.0, 0.0))
+    refuse_gains((75.0, 75.0, 0.0), (12.0, bad, 0.0))
 
 
 # --- flight command ----------------------------------------------------------
@@ -239,13 +243,13 @@ def test_singular_configuration_zeroes_command(params):
 def test_achievable_command_reproduces_demand(params):
     from swervefall.kinematics import map_wheel_to_body_torque
 
-    gains = ControllerGains(kp=[5.0, 5.0, 1.0], kd=[1.0, 1.0, 0.1])
-    loop = AttitudeControlLoop(ControllerConfig(gains=gains), params, ISO)
+    config = ControllerConfig(kp=(5.0, 5.0, 1.0), kd=(1.0, 1.0, 0.1))
+    loop = AttitudeControlLoop(config, params, ISO)
     loop.mode = ControllerMode.FREEFALL_STABILIZE
     t, euler, omega, accel, wheel_speed = reading(
         euler=(0.2, -0.1, 0.05), omega=(0.1, 0.0, -0.2)
     )
-    demand = pd_attitude(euler, omega, (0.0, 0.0, 0.0), gains)
+    demand = pd_attitude(euler, omega, (0.0, 0.0, 0.0), config.kp, config.kd)
     cmd = loop.update(t, euler, omega, accel, wheel_speed)
     assert not any(saturated(cmd))
     body = map_wheel_to_body_torque(cmd[:3], ISO)
@@ -344,8 +348,8 @@ def test_loop_switches_to_isotropic_alpha_and_latches_yaw(params):
     loop = make_loop(params, sub=SubmovementParams(0.0, 0.1))
     feed_freefall(loop, ticks=25, yaw=0.25)
     assert loop.mode == ControllerMode.FREEFALL_STABILIZE
-    assert math.isclose(loop.sub.alpha, math.pi / 4, rel_tol=1e-12)
-    assert math.isclose(loop.sub.beta, 0.1, rel_tol=1e-12)  # beta preserved
+    # beta swings to 0 as well, where the diagonal inertia is exact.
+    assert loop.sub == SubmovementParams(math.pi / 4, 0.0)
     np.testing.assert_allclose(loop.q_desired, [0.0, 0.0, 0.25], atol=1e-12)
 
 
@@ -367,9 +371,9 @@ def test_controller_config_from_entries_roundtrip():
         "kp_roll": "60", "kd_roll": "10", "controller_enabled": "false",
         "freefall_debounce": "0.05",
     }
-    config = ControllerConfig.from_entries(entries)
+    config = loaded_from_entries(entries, name="x").controller
     assert entries == {}
-    assert config.gains.kp[0] == 60.0
-    assert config.gains.kp[1] == 75.0
-    assert not config.enabled
-    assert config.freefall_debounce == 0.05
+    assert config == ControllerConfig(
+        kp=(60.0, 75.0, 0.0), kd=(10.0, 12.0, 0.0), enabled=False,
+        freefall_debounce=0.05,
+    )

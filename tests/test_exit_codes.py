@@ -10,6 +10,7 @@ import signal
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from swervefall.cli import main as cli_main
@@ -144,3 +145,23 @@ def test_compare_exit_code_is_documented(config_a, config_b):
     code, err = run_cli("compare", [config_a, config_b])
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
+
+
+def test_negative_effective_inertia_exit_2():
+    # At alpha = 180 deg the axle terms outweigh the rest of Jx*: J* is
+    # (-3.617, 0.736, 0.316) kg m^2 at release.  The run used to exit 0,
+    # and the momentum rescale at the swing flipped the roll rate from 1
+    # to -1.0253 rad/s.
+    overrides = {"alpha_deg": "180", "j_wxx": "1", "j_wyy": "1", "omega_x": "1"}
+    code, err = run_cli("run", [overrides])
+    assert code == 2
+    assert err.startswith("config error: effective inertia J* = (-3.617, ")
+
+
+@pytest.mark.parametrize("key", ["base_mass", "j_wzz"])
+def test_retired_robot_keys_exit_2(key):
+    # Neither key entered a run: translation is ballistic and yaw books
+    # the base alone.
+    code, err = run_cli("run", [{key: "1.0"}])
+    assert code == 2
+    assert err == f"config error: unknown config keys: {key}\n"

@@ -4,21 +4,12 @@ import math
 import pytest
 
 from swervefall import ConfigError, RobotParams, validate_params
-from swervefall.params import (
-    parse_flat_config,
-    robot_params_from_entries,
-    take_bool,
-    take_float,
-)
+from swervefall.params import parse_flat_config, take_bool, take_float
 from swervefall.scenario import loaded_from_entries
 
 
 def test_default_params_pass_validation(params):
     assert validate_params(params) == ()
-
-
-def test_default_total_mass(params):
-    assert math.isclose(params.total_mass, 23.59, rel_tol=1e-12)
 
 
 def test_zero_wheel_mass_rejected(params):
@@ -36,9 +27,14 @@ def test_inertia_feasibility_violation(params):
 
 
 def test_thin_disk_wheel_is_feasible(params):
-    # A disk sits exactly on the j_yy = j_xx + j_zz boundary.
-    assert math.isclose(params.j_wyy, params.j_wxx + params.j_wzz, rel_tol=1e-9)
+    # A disk sits exactly on the j_yy = j_xx + j_zz boundary, and the
+    # axisymmetric wheel's j_zz is j_xx.
+    assert math.isclose(params.j_wyy, 2.0 * params.j_wxx, rel_tol=1e-9)
     assert validate_params(params) == ()
+    wider = dataclasses.replace(params, j_wyy=2.0 * params.j_wxx * (1.0 + 1e-9))
+    assert validate_params(wider) == (
+        "inertia feasibility: j_wyy exceeds j_wxx + j_wxx",
+    )
 
 
 def test_negative_limit_rejected(params):
@@ -50,11 +46,11 @@ def test_parse_flat_config_basics():
     entries = parse_flat_config(
         """
         # comment line
-        base_mass = 10.0
+        wheel_mass = 10.0
         a = 0.5   # trailing comment
         """
     )
-    assert entries == {"base_mass": "10.0", "a": "0.5"}
+    assert entries == {"wheel_mass": "10.0", "a": "0.5"}
 
 
 def test_parse_rejects_duplicate_key():
@@ -64,7 +60,7 @@ def test_parse_rejects_duplicate_key():
 
 def test_parse_rejects_missing_equals():
     with pytest.raises(ConfigError, match="expected"):
-        parse_flat_config("base_mass 10.0\n")
+        parse_flat_config("wheel_mass 10.0\n")
 
 
 def test_take_float_rejects_garbage():
@@ -80,11 +76,13 @@ def test_take_bool_parses_common_forms():
 
 
 def test_robot_params_from_entries_overrides_and_pops():
-    entries = {"base_mass": "11.0", "drop_height": "0.5"}
-    params = robot_params_from_entries(entries)
-    assert params.base_mass == 11.0
-    assert "base_mass" not in entries
-    assert "drop_height" in entries  # non-robot keys left for other consumers
+    # The loader reads each robot key under its RobotParams field name and
+    # consumes it; the others keep their defaults.
+    entries = {"wheel_mass": "3.0", "drop_height": "0.5"}
+    loaded = loaded_from_entries(entries, name="x")
+    assert loaded.params == RobotParams(wheel_mass=3.0)
+    assert loaded.scenario.drop_height == 0.5
+    assert entries == {}
 
 
 def test_robot_params_from_entries_validates():

@@ -25,6 +25,7 @@ from swervefall import (
     sweep,
 )
 from swervefall.cli import main as cli_main
+from swervefall.params import read_config_file
 from swervefall.scenario import (
     load_scenario_file,
     loaded_from_entries,
@@ -70,6 +71,20 @@ def test_bundled_names_resolve():
         resolve_config_path("no_such_scenario")
 
 
+@pytest.mark.parametrize("name", scenario.BUNDLED_SCENARIOS)
+def test_bundled_config_serves_as_benchmark_input(name):
+    # The benchmark builds its coarse_step_noisy inputs from a bundled
+    # config's text after the header, the block before its first blank
+    # line, which it drops.  So that block holds comments only, and the
+    # loader reads every key of the config.
+    path = resolve_config_path(name)
+    header = path.read_text(encoding="utf-8").split("\n\n", 1)[0]
+    assert all(line.startswith("#") for line in header.splitlines())
+    entries = read_config_file(path)
+    loaded_from_entries(entries, name=name)
+    assert entries == {}
+
+
 def test_unknown_key_is_hard_error(tmp_path):
     path = write_config(tmp_path, QUICK + "warp_drive = 9\n")
     with pytest.raises(ConfigError, match="warp_drive"):
@@ -86,12 +101,13 @@ def test_bad_timing_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("key, value, params, controller", [
     ("j_bxx", "-1.0", RobotParams(j_bxx=-1.0), ControllerConfig()),
-    ("j_wzz", "1.0", RobotParams(j_wzz=1.0), ControllerConfig()),
+    ("j_wyy", "1.0", RobotParams(j_wyy=1.0), ControllerConfig()),
     ("wheel_radius", "1e20", RobotParams(wheel_radius=1e20), ControllerConfig()),
     ("freefall_debounce", "-1.0", RobotParams(),
      ControllerConfig(freefall_debounce=-1.0)),
     ("freefall_accel_threshold", "0.0", RobotParams(),
      ControllerConfig(freefall_accel_threshold=0.0)),
+    ("kd_yaw", "-1.0", RobotParams(), ControllerConfig(kd=(12.0, 12.0, -1.0))),
 ])
 def test_simulate_refuses_what_the_loader_refuses(key, value, params, controller):
     # Library simulate runs the loader's checks: the same input fails
@@ -718,9 +734,7 @@ j_byy = 1e-6
 j_bzz = 1e-6
 j_wxx = 1e-9
 j_wyy = 1e-9
-j_wzz = 1e-9
 wheel_mass = 1e-6
-base_mass = 1e-3
 tau_wheel_max = 1e9
 tau_steer_max = 1e9
 wheel_speed_max = 1e12

@@ -17,7 +17,8 @@ from swervefall import (
     quat_from_euler,
 )
 from swervefall.cli import main as cli_main
-from swervefall.controller import apply_wheel_speed_limit
+from swervefall.controller import FLIGHT, apply_wheel_speed_limit
+from swervefall.kinematics import steering_angles
 from swervefall.params import read_config_file
 from swervefall.scenario import (
     load_scenario_file,
@@ -163,8 +164,8 @@ def per_tick_imu_sample(euler, omega, noise, rng):
     if s_omega > 0:
         omega = [w + (0.0 + s_omega * z) for w, z in zip(omega, draws)]
     if s_accel > 0:
-        specific = np.array([0.0 + s_accel * z for z in draws])
-        accel = math.sqrt(specific.dot(specific))
+        x, y, z = (0.0 + s_accel * z for z in draws)
+        accel = math.sqrt(x * x + y * y + z * z)
     return euler, omega, accel
 
 
@@ -317,33 +318,43 @@ def test_event_ordering(params):
 
 
 def test_steering_swing_conserves_angular_momentum():
+    for beta_deg in ("0", "10"):
+        check_swing_momentum(beta_deg)
+
+
+def check_swing_momentum(beta_deg):
     # A ledge release spinning at (2, 3, 0) rad/s with zero gains: the
     # swing from alpha = 0 to 45 deg at freefall entry changes J* from
     # (0.862, 0.736, 0.316) to (0.767, 0.970, 0.316) kg m^2, and no torque
     # acts, so the world momentum R(q) J* W on the ticks either side of the
     # swing tick agrees; keeping W across the swing would take |H| from
     # 2.80 to 3.29 N m s.  The swing tick's row holds the rates the IMU
-    # read, before the swing.
+    # read, before the swing.  A release at beta = 10 deg swings to
+    # beta = 0 as well, where the diagonal J* is exact.
     entries = read_config_file(resolve_config_path("ledge"))
     entries.update(omega_x="2", omega_y="3", kp_roll="0", kp_pitch="0",
-                   kd_roll="0", kd_pitch="0")
+                   kd_roll="0", kd_pitch="0", beta_deg=beta_deg)
     loaded = loaded_from_entries(entries, name="spinning_ledge")
     trajectory = simulate(loaded.scenario, loaded.controller, loaded.params)
     [swing_t] = [t for t, kind in trajectory.events if kind == "freefall_start"]
     col = CSV_HEADER.split(",").index
     rows = trajectory.rows
     [swing] = np.flatnonzero(rows[:, col("t")] == swing_t)
-    beta = loaded.scenario.beta0
+    release = SubmovementParams(loaded.scenario.alpha0, loaded.scenario.beta0)
+    deltas = rows[:, col("delta_1"):col("delta_4") + 1]
+    # The swing tick's row shows the swung steering.
+    assert (deltas[:swing] == [math.degrees(d) for d in steering_angles(release)]).all()
+    assert (deltas[swing:] == [45.0, -45.0, 45.0, -45.0]).all()
 
-    def momentum(row, alpha):
+    def momentum(row, sub):
         attitude = quat_from_euler(*np.radians(row[col("phi"):col("psi") + 1]))
-        inertia = effective_inertia(loaded.params, SubmovementParams(alpha, beta))
+        inertia = effective_inertia(loaded.params, sub)
         return quat_to_matrix(attitude) @ (inertia * row[col("omega_x"):col("omega_z") + 1])
 
-    before = momentum(rows[swing - 1], loaded.scenario.alpha0)
+    before = momentum(rows[swing - 1], release)
     size = np.linalg.norm(before)
-    for row, alpha in ((rows[swing], loaded.scenario.alpha0), (rows[swing + 1], math.pi / 4)):
-        after = momentum(row, alpha)
+    for row, sub in ((rows[swing], release), (rows[swing + 1], FLIGHT)):
+        after = momentum(row, sub)
         assert abs(np.linalg.norm(after) - size) <= 1e-12 * size
         assert np.abs(after - before).max() <= 1e-12 * size
 
