@@ -5,15 +5,15 @@ under a threshold for a full debounce window it is in freefall: the loop
 keeps only the time the current run of under-threshold readings began,
 a reading at or over the threshold clears it, and detection fires once
 that time lies a full window back.  The machine then moves to
-FreefallStabilize, swings the steering to the isotropic
+FreefallStabilize, where the run swings the steering to the isotropic
 alpha = pi/4, beta = 0 (equal roll and pitch authority, no products of
 inertia), latches the yaw setpoint, and runs the PD law
 
     tau_body = K_P (q_desired - q) - K_D q_dot
 
 with angle errors wrapped to [-pi, pi).  The body-torque demand is
-allocated to wheel torques by inverting the configuration Jacobian and
-clamping per channel, then held to the wheel-speed limit.  The
+allocated to wheel torques by inverting that configuration's Jacobian
+and clamping per channel, then held to the wheel-speed limit.  The
 derivative term feeds the gyro rates directly instead of differentiated
 Euler angles; at small angles the two coincide and the gyro path avoids
 differentiation noise.  No transition leaves FreefallStabilize: the run
@@ -29,22 +29,17 @@ from enum import IntEnum
 
 import numpy as np
 
-from .kinematics import (
-    SingularConfiguration,
-    allocate_body_torque,
-    torque_jacobian,
-)
+from .kinematics import allocate_body_torque, torque_jacobian
 from .params import RobotParams
 from .state import SubmovementParams, wrap_angle
 
-# The steering configuration the freefall swing goes to.
+# The steering configuration the freefall swing goes to, and the one
+# Jacobian the loop allocates with: |det N| = sin(pi/2) = 1 there.
 FLIGHT = SubmovementParams(alpha=math.pi / 4.0, beta=0.0)
+FLIGHT_JACOBIAN = torque_jacobian(FLIGHT)
 
 # (tau_1, tau_2, tau_delta, sat_mask) of a silent controller.
 ZERO_COMMAND = (0.0, 0.0, 0.0, 0)
-# The command of a singular steering configuration: no torque, steering
-# saturation flag (bit 4) raised.
-SINGULAR_COMMAND = (0.0, 0.0, 0.0, 0b10000)
 
 
 class ControllerMode(IntEnum):
@@ -147,28 +142,25 @@ class ControllerConfig:
 
 
 class AttitudeControlLoop:
-    """Stateful per-run controller: freefall debounce, mode, latched
-    setpoints, and the commanded steering configuration.
+    """Stateful per-run controller: freefall debounce, mode and latched
+    setpoints.
 
     ``update`` consumes one IMU reading per control tick and returns the
     flight command as plain numbers (see ``allocate_body_torque``).  The
     loop starts in GroundTeleop and switches once, on freefall detection;
     nothing leaves FreefallStabilize, so detection runs only before that
-    switch.  Entering FreefallStabilize swings the steering to ``FLIGHT``
-    and latches the yaw setpoint at the current heading with
-    zero desired roll and pitch.  The allocation Jacobian is built for
-    the current ``sub`` and rebuilt only when ``sub`` changes.  Setting
+    switch.  Entering FreefallStabilize, where the run swings the
+    steering to ``FLIGHT``, latches the yaw setpoint at the current
+    heading with zero desired roll and pitch.  The loop allocates only
+    in FreefallStabilize, so always with ``FLIGHT_JACOBIAN``.  Setting
     ``mode`` to FreefallStabilize by hand runs the flight branch on the
-    current ``sub`` and setpoints from the next ``update`` on.
+    current setpoints from the next ``update`` on.
     """
 
-    def __init__(self, config: ControllerConfig, params: RobotParams,
-                 initial_sub: SubmovementParams):
+    def __init__(self, config: ControllerConfig, params: RobotParams):
         self.config = config
         self.params = params
         self.mode = ControllerMode.GROUND_TELEOP
-        self.sub = initial_sub
-        self.jacobian = torque_jacobian(initial_sub)
         self.q_desired = (0.0, 0.0, 0.0)
         self._below_since: float | None = None
 
@@ -183,9 +175,8 @@ class AttitudeControlLoop:
         the reading only feeds the freefall debounce and the command is
         ``ZERO_COMMAND``; from the tick that detects freefall on, it is
         the PD demand, allocated, clamped and held to the wheel-speed
-        limit, or ``SINGULAR_COMMAND`` in a singular steering
-        configuration.  Raises ValueError, as ``allocate_body_torque``
-        does, when the demand or its solve is not finite.
+        limit.  Raises ValueError, as ``allocate_body_torque`` does, when
+        the demand or its solve is not finite.
         """
         if not self.config.enabled:
             return ZERO_COMMAND
@@ -193,16 +184,11 @@ class AttitudeControlLoop:
             if not self._detect(t, accel):
                 return ZERO_COMMAND
             self.mode = ControllerMode.FREEFALL_STABILIZE
-            self.sub = FLIGHT
-            self.jacobian = torque_jacobian(self.sub)
             self.q_desired = (0.0, 0.0, euler[2])
         demand = pd_attitude(
             euler, omega, self.q_desired, self.config.kp, self.config.kd
         )
-        try:
-            command = allocate_body_torque(demand, self.jacobian, self.params)
-        except SingularConfiguration:
-            return SINGULAR_COMMAND
+        command = allocate_body_torque(demand, FLIGHT_JACOBIAN, self.params)
         return apply_wheel_speed_limit(command, wheel_speed, self.params)
 
     def _detect(self, t: float, magnitude: float) -> bool:

@@ -45,7 +45,7 @@ import numpy as np
 
 from .kinematics import steering_angles, torque_jacobian
 from .params import RobotParams
-from .state import NormBuffer, SubmovementParams, quat_to_matrix
+from .state import NormBuffer, SubmovementParams
 
 # Wheels 2 and 3 are bracket-mounted pi-rotated; their frame sign is -1.
 FRAME_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
@@ -265,14 +265,17 @@ class NonFiniteState(Exception):
         return type(self), (self.message, self.t)
 
 
-def lowest_contact(
-    z: float, quat, centers: np.ndarray, wheel_radius: float
-) -> float:
+def lowest_contact(z: float, quat, centers, wheel_radius: float) -> float:
     """Height above the ground plane of the lowest wheel contact point of
-    a base at height ``z`` and attitude ``quat`` with body-frame wheel
-    ``centers``."""
-    centers_world_z = z + (quat_to_matrix(quat) @ centers.T)[2]
-    return float(centers_world_z.min() - wheel_radius)
+    a base at height ``z`` and unit attitude ``quat`` (taken as given),
+    with body-frame wheel ``centers`` as (x, y, z) rows in the body x-y
+    plane: each center against the third row of R(q), in plain floats.
+    Rounding is monotone, so ``z`` plus the least offset is the least
+    per-wheel height."""
+    qw, qx, qy, qz = quat
+    up_x = 2.0 * (qx * qz - qw * qy)
+    up_y = 2.0 * (qy * qz + qw * qx)
+    return (z + min([up_x * cx + up_y * cy for cx, cy, _ in centers])) - wheel_radius
 
 
 class FlightKernel:
@@ -280,7 +283,8 @@ class FlightKernel:
 
     Built once per steering configuration, it holds the effective
     inertia, the full torque Jacobian, the wheel spin axes, gravity and
-    the body-frame wheel centers.  ``set_command`` fixes the command held
+    the body-frame wheel centers, the last as plain floats for
+    ``lowest_contact``.  ``set_command`` fixes the command held
     over a control tick as plain floats; ``advance_lanes`` then takes
     flat states of 17 floats (r_ob, v_ob, quat, omega, wheel_speed) that
     differ only in r_ob and v_ob through all of the tick's classical RK4
@@ -303,7 +307,8 @@ class FlightKernel:
 
     def __init__(self, sub: SubmovementParams, params: RobotParams):
         self.inertia = effective_inertia(params, sub).tolist()
-        # The Jacobian the controller allocates with.
+        # The torque map; at FLIGHT, the Jacobian the controller allocates
+        # with.
         self.full = torque_jacobian(sub).full
         # The wheel spin axes, the negated drive-reaction directions, as
         # a stack of one: one matmul then forms the products of any number
@@ -314,36 +319,16 @@ class FlightKernel:
         # Gravity's vertical part; it has no horizontal one, which the
         # lane pass of ``advance_lanes`` relies on.
         self.accel_z = -params.g
-        self.centers = wheel_centers(params, sub)
+        self.centers = wheel_centers(params, sub).tolist()
         # The operand of each step's quaternion norm.
         self._norms = NormBuffer()
         self.j_wyy = params.j_wyy
         self.wheel_radius = params.wheel_radius
-        self.center_reach = max(math.hypot(*c) for c in self.centers.tolist())
         # No attitude brings a wheel to the ground while the base is
-        # higher than this; the relative margin covers the rounding of
-        # the exact contact-height arithmetic.
-        self.contact_reach = (self.center_reach + params.wheel_radius) * (1.0 + 1e-9)
-
-    def may_touch_ground(self, y) -> bool:
-        """False when no wheel of flat state ``y`` can reach the ground, so
-        the exact contact height need not be formed.
-
-        The wheel centers lie in the body x-y plane, so none sits lower
-        than the base by more than sin(tilt) times the largest center
-        distance, sin(tilt) being the length of the body x-y part of the
-        world vertical (the third row of R(q)).  Margins as for
-        ``contact_reach``.
-        """
-        z = y[2]
-        if z > self.contact_reach:
-            return False
-        qw, qx, qy, qz = y[6], y[7], y[8], y[9]
-        up_x = 2.0 * (qx * qz - qw * qy)
-        up_y = 2.0 * (qy * qz + qw * qx)
-        sin_tilt = math.sqrt(up_x * up_x + up_y * up_y)
-        reach = sin_tilt * self.center_reach + self.wheel_radius
-        return z - reach <= 1e-9 * (abs(z) + reach)
+        # higher than the farthest wheel center plus the wheel radius; the
+        # relative margin covers the rounding of the contact height.
+        center_reach = max(math.hypot(*c) for c in self.centers)
+        self.contact_reach = (center_reach + params.wheel_radius) * (1.0 + 1e-9)
 
     def clearance(self, y) -> float:
         """Height of the lowest wheel contact point of flat state ``y``
@@ -402,9 +387,10 @@ class FlightKernel:
         step-by-step run, and cuts the history at the first step whose
         wheel speeds leave the finite range.  The lane pass then steps
         each lane's position and velocity along the history, up to its
-        first step that ends with a wheel on the ground (the exact
-        contact height is formed only where ``may_touch_ground`` allows
-        contact) or the end of the history and its failing step, if any,
+        first step that ends with a wheel on the ground (the contact
+        height, ``lowest_contact``, is formed only once the base is
+        within ``contact_reach`` of the ground) or the end of the history
+        and its failing step, if any,
         with no finiteness test: a lane is a validated release.  Gravity
         has no horizontal part, so each step adds one constant to x and
         to y.
@@ -537,7 +523,7 @@ class FlightKernel:
         az = self.accel_z
         hz, fz = half * az, dt * az
         dvz = sixth * (az + 2.0 * az + 2.0 * az + az)
-        reach = self.contact_reach
+        reach, centers, radius = self.contact_reach, self.centers, self.wheel_radius
         # The steps in the history; the failing step follows them, if any.
         recorded = len(attitudes) - 1
         results = []
@@ -552,16 +538,16 @@ class FlightKernel:
             for i in range(recorded):
                 # Stages 2 and 3 share their velocity.
                 vz2 = vz + hz
-                px1, py1 = px + cx, py + cy
                 pz1 = pz + sixth * (vz + 2.0 * vz2 + 2.0 * vz2 + (vz + fz))
-                vz1 = vz + dvz
-                if stop_at_ground and pz1 <= reach:
-                    base = (px1, py1, pz1, ux, uy, vz1, *attitudes[i + 1])
-                    if self.may_touch_ground(base) and self.clearance(base) <= 0.0:
-                        state = [px, py, pz, vx, vy, vz, *attitudes[i], *wheels[i]]
-                        results.append((state, i, None))
-                        break
-                px, py, pz, vx, vy, vz = px1, py1, pz1, ux, uy, vz1
+                if (
+                    stop_at_ground
+                    and pz1 <= reach
+                    and lowest_contact(pz1, attitudes[i + 1][:4], centers, radius) <= 0.0
+                ):
+                    state = [px, py, pz, vx, vy, vz, *attitudes[i], *wheels[i]]
+                    results.append((state, i, None))
+                    break
+                px, py, pz, vx, vy, vz = px + cx, py + cy, pz1, ux, uy, vz + dvz
             else:
                 state = [px, py, pz, vx, vy, vz, *attitudes[-1], *wheels[-1]]
                 results.append(

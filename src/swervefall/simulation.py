@@ -275,7 +275,8 @@ class ScenarioConfig:
 
 def validate_run(scenario: ScenarioConfig, controller, params: RobotParams) -> int:
     """Check one run: the robot (``validate_params``), the controller's
-    gains and freefall detection, the scenario, the effective inertia
+    gains and freefall detection, the scenario (``beta0`` = 0 when the
+    controller is disabled, which never swings), the effective inertia
     at the release and flight steering, the work budget, the release's
     translation (``TRANSLATION_MAX``) and spin (``MAX_SPIN_STEP``) and
     that the control period is a whole number of physics steps, which it returns.
@@ -298,6 +299,11 @@ def validate_run(scenario: ScenarioConfig, controller, params: RobotParams) -> i
         raise ConfigError("velocity must be finite")
     if not all(map(math.isfinite, (*scenario.euler0, scenario.alpha0, scenario.beta0))):
         raise ConfigError("release attitude and steering angles must be finite")
+    # Only the freefall swing takes beta to 0, where the diagonal model
+    # is exact, and a disabled controller never swings.
+    if not controller.enabled and scenario.beta0 != 0.0:
+        raise ConfigError("controller_enabled = false needs beta_deg = 0: the steering "
+                          "never swings, and the model drops J_xy at beta != 0")
     # The diagonal model needs a positive J* on every axis; the axle
     # terms of a steering far from flight can outweigh the rest.  Huge
     # parameters overflow to inf or NaN, which the comparison judges.
@@ -383,7 +389,7 @@ def initial_body_state(
     the lowest contact point sits at drop_height; raises ConfigError
     where the placed state misses it by over 1e-9 m."""
     quat = NormBuffer().unit(quat_from_euler(*scenario.euler0))
-    centers, radius = wheel_centers(params, sub), params.wheel_radius
+    centers, radius = wheel_centers(params, sub).tolist(), params.wheel_radius
     z0 = scenario.drop_height - lowest_contact(0.0, quat, centers, radius)
     placed = lowest_contact(z0, quat, centers, radius)
     if not abs(placed - scenario.drop_height) <= 1e-9:
@@ -457,7 +463,7 @@ def simulate_lanes(
     dt = first.dt_physics
     sub = SubmovementParams(alpha=first.alpha0, beta=first.beta0)
     kernel = FlightKernel(sub, params)
-    loop = AttitudeControlLoop(controller, params, sub)
+    loop = AttitudeControlLoop(controller, params)
     imu = imu_stream(first.noise, first.seed)
     # |omega|^2 past which the step no longer resolves the spin
     # (``MAX_SPIN_STEP``); a product, since a square may overflow.
@@ -508,8 +514,8 @@ def simulate_lanes(
             mode = int(loop.mode)
             for k in live:
                 results[k].events.append((t, "freefall_start"))
-            swung = FlightKernel(loop.sub, params)
-            delta_deg = [math.degrees(d) for d in steering_angles(loop.sub)]
+            swung = FlightKernel(FLIGHT, params)
+            delta_deg = [math.degrees(d) for d in steering_angles(FLIGHT)]
             # The swing is internal: each axis keeps its momentum J* W.
             rates = [
                 w if j == j_swung else j * w / j_swung

@@ -17,8 +17,13 @@ from swervefall import (
     pd_attitude,
     angular_acceleration,
 )
-from swervefall.controller import closed_loop_poles
-from swervefall.kinematics import torque_jacobian
+from swervefall.controller import (
+    FLIGHT,
+    FLIGHT_JACOBIAN,
+    apply_wheel_speed_limit,
+    closed_loop_poles,
+)
+from swervefall.kinematics import allocate_body_torque, torque_jacobian
 from swervefall.scenario import loaded_from_entries
 from swervefall.simulation import validate_run
 
@@ -77,7 +82,7 @@ def loop_first_detection(params, magnitudes, dt, threshold=2.0, debounce=0.02):
     """First tick at which AttitudeControlLoop enters FreefallStabilize."""
     config = ControllerConfig(freefall_accel_threshold=threshold,
                               freefall_debounce=debounce, dt_control=dt)
-    loop = AttitudeControlLoop(config, params, ISO)
+    loop = AttitudeControlLoop(config, params)
     for tick, magnitude in enumerate(magnitudes):
         loop.update(*reading(accel=(0, 0, magnitude), t=tick * dt))
         if loop.mode == ControllerMode.FREEFALL_STABILIZE:
@@ -205,7 +210,7 @@ def test_gains_must_be_finite(bad):
 # --- flight command ----------------------------------------------------------
 
 def test_zero_error_zero_command(params):
-    loop = AttitudeControlLoop(ControllerConfig(), params, ISO)
+    loop = AttitudeControlLoop(ControllerConfig(), params)
     loop.mode = ControllerMode.FREEFALL_STABILIZE
     cmd = loop.update(*reading())
     np.testing.assert_allclose(cmd[:2], np.zeros(2), atol=1e-15)
@@ -213,7 +218,7 @@ def test_zero_error_zero_command(params):
 
 def test_ground_mode_emits_nothing(params):
     # On the ground at 1 g the loop only debounces: no torque, no switch.
-    loop = AttitudeControlLoop(ControllerConfig(), params, ISO)
+    loop = AttitudeControlLoop(ControllerConfig(), params)
     cmd = loop.update(*reading(euler=(0.5, -0.4, 0.2), omega=(1, 1, 1),
                                accel=(0, 0, 9.81)))
     assert loop.mode == ControllerMode.GROUND_TELEOP
@@ -224,7 +229,7 @@ def test_ground_mode_emits_nothing(params):
 def test_drop_attitude_saturates_wheels_two_and_four(params):
     # Release disturbance (roll 16 deg, pitch 23 deg nose-down): the
     # demand concentrates on the 2-4 diagonal, which clips at the limit.
-    loop = AttitudeControlLoop(ControllerConfig(), params, ISO)
+    loop = AttitudeControlLoop(ControllerConfig(), params)
     loop.mode = ControllerMode.FREEFALL_STABILIZE
     cmd = loop.update(*reading(euler=(math.radians(16), math.radians(23), 0.0)))
     assert abs(cmd[1]) == params.tau_wheel_max
@@ -232,19 +237,19 @@ def test_drop_attitude_saturates_wheels_two_and_four(params):
     assert abs(cmd[0]) < params.tau_wheel_max
 
 
-def test_singular_configuration_zeroes_command(params):
-    loop = AttitudeControlLoop(ControllerConfig(), params, SubmovementParams(0.0, 0.0))
-    loop.mode = ControllerMode.FREEFALL_STABILIZE
-    cmd = loop.update(*reading(euler=(0.3, 0.1, 0.0)))
-    np.testing.assert_array_equal(cmd[:2], np.zeros(2))
-    assert saturated(cmd)[4]
+def test_flight_jacobian_is_far_from_singular():
+    # The loop allocates only after the swing to FLIGHT, where |det N| =
+    # sin(pi/2) = 1, so allocate_body_torque's singular guard
+    # (|det| < 1e-6) never fires on a run.
+    assert FLIGHT_JACOBIAN.alpha == FLIGHT.alpha and FLIGHT_JACOBIAN.beta == FLIGHT.beta
+    assert abs(FLIGHT_JACOBIAN.det - 1.0) < 1e-15
 
 
 def test_achievable_command_reproduces_demand(params):
     from swervefall.kinematics import map_wheel_to_body_torque
 
     config = ControllerConfig(kp=(5.0, 5.0, 1.0), kd=(1.0, 1.0, 0.1))
-    loop = AttitudeControlLoop(config, params, ISO)
+    loop = AttitudeControlLoop(config, params)
     loop.mode = ControllerMode.FREEFALL_STABILIZE
     t, euler, omega, accel, wheel_speed = reading(
         euler=(0.2, -0.1, 0.05), omega=(0.1, 0.0, -0.2)
@@ -261,7 +266,7 @@ def test_achievable_command_reproduces_demand(params):
 def test_command_holds_the_wheel_speed_limit(params):
     # Wheel 3 at the limit, spinning the way -tau_1 pushes it: the 1-3
     # pair loses its drive, the 2-4 pair and steering keep theirs.
-    loop = AttitudeControlLoop(ControllerConfig(), params, ISO)
+    loop = AttitudeControlLoop(ControllerConfig(), params)
     loop.mode = ControllerMode.FREEFALL_STABILIZE
     euler = (math.radians(16), math.radians(23), 0.1)
     free = loop.update(*reading(euler=euler))
@@ -273,7 +278,7 @@ def test_command_holds_the_wheel_speed_limit(params):
 
 def test_disabled_loop_commands_nothing(params):
     # A disabled controller neither debounces nor leaves GroundTeleop.
-    loop = AttitudeControlLoop(ControllerConfig(enabled=False), params, ISO)
+    loop = AttitudeControlLoop(ControllerConfig(enabled=False), params)
     for tick in range(50):
         cmd = loop.update(*reading(euler=(0.3, 0.2, 0.0), t=tick * 1e-3))
         assert cmd == (0.0, 0.0, 0.0, 0)
@@ -323,8 +328,8 @@ def test_closed_loop_poles_stable(params):
 
 # --- runtime loop --------------------------------------------------------------
 
-def make_loop(params, sub=SubmovementParams(0.0, 0.0)):
-    return AttitudeControlLoop(ControllerConfig(), params, sub)
+def make_loop(params):
+    return AttitudeControlLoop(ControllerConfig(), params)
 
 
 def feed_freefall(loop, ticks, yaw=0.25, t0=0.0):
@@ -345,12 +350,16 @@ def test_loop_detects_after_debounce(params):
 
 
 def test_loop_switches_to_isotropic_alpha_and_latches_yaw(params):
-    loop = make_loop(params, sub=SubmovementParams(0.0, 0.1))
-    feed_freefall(loop, ticks=25, yaw=0.25)
+    loop = make_loop(params)
+    cmd = feed_freefall(loop, ticks=25, yaw=0.25)
     assert loop.mode == ControllerMode.FREEFALL_STABILIZE
-    # beta swings to 0 as well, where the diagonal inertia is exact.
-    assert loop.sub == SubmovementParams(math.pi / 4, 0.0)
     np.testing.assert_allclose(loop.q_desired, [0.0, 0.0, 0.25], atol=1e-12)
+    # The command is allocated at alpha = pi/4 and beta = 0, where the
+    # diagonal inertia is exact.
+    demand = pd_attitude((0.1, -0.2, 0.25), (0.0, 0.0, 0.0), loop.q_desired,
+                         loop.config.kp, loop.config.kd)
+    expected = allocate_body_torque(demand, torque_jacobian(ISO), params)
+    assert cmd == apply_wheel_speed_limit(expected, (0.0,) * 4, params)
 
 
 def test_loop_stays_in_freefall_stabilize_at_one_g(params):

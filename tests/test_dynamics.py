@@ -1,11 +1,19 @@
+import ctypes
 import dataclasses
+import glob
+import hashlib
 import math
+import os
 import pickle
+import struct
+import subprocess
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import swervefall
 from swervefall import (
     RobotParams,
     SubmovementParams,
@@ -548,3 +556,78 @@ def test_nonfinite_state_survives_pickling():
     assert isinstance(error, NonFiniteState)
     assert str(error) == "simulation diverged at t=0.250000 s"
     assert error.t == 0.25
+
+
+# --- contact height ------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha=st.floats(-1.5, 1.5),
+    beta=st.floats(-1.5, 1.5),
+    quat=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda q: sum(c * c for c in q) > 0.01
+    ),
+    z=st.floats(0.0, 1.0),
+)
+def test_lowest_contact_matches_the_rotation_matrix(alpha, beta, quat, z):
+    # The plain-float height against the rotated wheel centers it stands
+    # for, min(z + (R(q) @ centers.T)[2]) - wheel_radius.
+    params = RobotParams()
+    centers = wheel_centers(params, SubmovementParams(alpha, beta))
+    unit = body_state(quat=quat)[6:10]
+    reference = float((z + (quat_to_matrix(unit) @ centers.T)[2]).min() - params.wheel_radius)
+    got = lowest_contact(z, unit, centers.tolist(), params.wheel_radius)
+    assert type(got) is float
+    assert abs(got - reference) <= 1e-15
+
+
+def contact_height_digest(count: int = 5000) -> str:
+    """SHA-256 of ``count`` seeded contact heights over random unit
+    quaternions, steering and base heights.  The inputs are formed in
+    plain floats, so they are the same bits on every BLAS kernel."""
+    params = RobotParams()
+    rng = np.random.default_rng(24)
+    values = []
+    for w, x, y, z, alpha, beta, height in rng.uniform(-1.0, 1.0, (count, 7)).tolist():
+        norm = math.sqrt(w * w + x * x + y * y + z * z)
+        centers = wheel_centers(params, SubmovementParams(1.5 * alpha, 1.5 * beta))
+        values.append(lowest_contact(
+            height, (w / norm, x / norm, y / norm, z / norm), centers, params.wheel_radius,
+        ))
+    return hashlib.sha256(struct.pack(f"{count}d", *values)).hexdigest()
+
+
+def openblas_core(library: str) -> str:
+    """The name of the kernel set that OpenBLAS ``library`` chose."""
+    core = ctypes.CDLL(library).scipy_openblas_get_corename64_
+    core.argtypes = []
+    core.restype = ctypes.c_char_p
+    return core().decode()
+
+
+def test_contact_height_holds_on_another_blas_kernel():
+    # Release placement and touchdown read the contact height, so it must
+    # not depend on the kernels OpenBLAS picks for the CPU.  The library
+    # is found as the CI workflow finds it.
+    found = glob.glob(os.path.join(
+        os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so"
+    ))
+    if len(found) != 1:
+        pytest.skip("numpy's bundled OpenBLAS library not found")
+    [library] = found
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(swervefall.__file__)))
+    script = (
+        "import sys\n"
+        "from test_dynamics import contact_height_digest, openblas_core\n"
+        "print(openblas_core(sys.argv[1]), contact_height_digest())\n"
+    )
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join([tests, src]))
+    core, digest = subprocess.run(
+        [sys.executable, "-c", script, library],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.split()
+    if core == openblas_core(library):
+        pytest.skip(f"OPENBLAS_CORETYPE left OpenBLAS on the {core} kernels")
+    assert digest == contact_height_digest()

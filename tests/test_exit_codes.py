@@ -165,3 +165,17 @@ def test_retired_robot_keys_exit_2(key):
     code, err = run_cli("run", [{key: "1.0"}])
     assert code == 2
     assert err == f"config error: unknown config keys: {key}\n"
+
+
+def test_disabled_controller_off_flight_beta_exit_2():
+    # Only the freefall swing takes beta to 0, and a disabled controller
+    # never swings, so this run used to exit 0 with the diagonal model
+    # missing J_xy on all 395 rows (delta_1, delta_2 = 55, -35; mode 0).
+    overrides = {"controller_enabled": "false", "beta_deg": "10",
+                 "omega_x": "1", "t_max": "0.5"}
+    code, err = run_cli("run", [overrides])
+    assert code == 2
+    assert err.startswith("config error: controller_enabled = false needs beta_deg = 0")
+    # beta = 0 stays a valid disabled run, as drop_uncontrolled is.
+    code, err = run_cli("run", [dict(overrides, beta_deg="0")])
+    assert code == 0, err

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swervefall import (
     ConfigError,
@@ -261,18 +261,19 @@ def test_initial_state_sets_contact_clearance(params):
     quat=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
         lambda q: sum(c * c for c in q) > 0.01
     ),
-    height=st.floats(0.0, 1.1),
+    excess=st.floats(0.0, 0.1),
 )
-def test_contact_bound_never_skips_a_touching_wheel(alpha, beta, quat, height):
-    # The flight loop forms the exact contact height only where the
-    # kernel's tilt bound says a wheel may touch; elsewhere every wheel
-    # must clear the ground.
+# Rolled a quarter turn: the wheels on one side hang straight down.
+@example(alpha=math.pi / 4, beta=0.0, quat=(1.0, 1.0, 0.0, 0.0), excess=0.0)
+def test_contact_reach_never_skips_a_touching_wheel(alpha, beta, quat, excess):
+    # The flight loop forms the contact height only once the base is
+    # within the kernel's contact_reach of the ground; above it every
+    # wheel must clear the ground at any attitude.
     params = RobotParams()
-    steering = SubmovementParams(alpha, beta)
-    kernel = FlightKernel(steering, params)
-    state = body_state([0, 0, height * kernel.contact_reach], [0, 0, 0], quat, [0, 0, 0])
-    if not kernel.may_touch_ground(state):
-        assert kernel.clearance(state) > 0.0
+    kernel = FlightKernel(SubmovementParams(alpha, beta), params)
+    z = math.nextafter(kernel.contact_reach, math.inf) * (1.0 + excess)
+    state = body_state([0, 0, z], [0, 0, 0], quat, [0, 0, 0])
+    assert kernel.clearance(state) > 0.0
 
 
 def test_simulate_zero_t_max_single_sample(params):
