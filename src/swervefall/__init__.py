@@ -11,12 +11,10 @@ from .controller import (
     AttitudeControlLoop,
     ControllerConfig,
     ControllerMode,
-    LinearPlant,
     linearized_plant,
     pd_attitude,
 )
 from .dynamics import (
-    InertiaReflection,
     ReactionLoads,
     angular_acceleration,
     oracle_newton_euler,
@@ -43,18 +41,15 @@ from .simulation import (
     simulate,
     step_rk4,
 )
-from .state import BodyTorque, SubmovementParams, quat_from_euler
+from .state import SubmovementParams, quat_from_euler
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttitudeControlLoop",
-    "BodyTorque",
     "ConfigError",
     "ControllerConfig",
     "ControllerMode",
-    "InertiaReflection",
-    "LinearPlant",
     "ManipulabilityReport",
     "NoiseModel",
     "NonFiniteState",

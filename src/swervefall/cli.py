@@ -18,18 +18,19 @@ control tick, 60 s at one), a dt_control / dt_physics ratio beyond the
 float range (dt_control = 1e308), a release whose ballistic path may
 leave the float range by t_max (velocity_x = 1e308 or drop_height =
 1e308), a release spin past |omega| * dt_physics = 0.0719 rad, an IMU
-noise sigma above 180 deg, 100 rad/s or 1000 m/s^2, geometry that
-cannot place the robot at drop_height, a config file that is not UTF-8
-(a leading byte-order mark is allowed), compare of two different config
-files with the same name, sweep values that print alike, and an output
-directory or file that cannot be created or written (-o naming a
-regular file; reported as "output error").  A simulation diverges when
-the attitude or the wheel speeds leave the finite range (a loaded
-release's translation cannot), when the controller's torque demand does
-(kd_roll = 1e308 with a nonzero omega_x) or its allocation does
-(kd_roll = kd_pitch = 1e307 with omega_x = omega_y = -15), and when the
-body rates grow in flight past the release spin bound; numpy prints no
-warning about it.  A reader that closes the output early (``| head``)
+noise sigma above 180 deg, 100 rad/s or 1000 m/s^2, an effective inertia
+that is not positive or overflows to inf (a = 1e300, b = 1e200 or
+c = 1e160), geometry that cannot place the robot at drop_height, a
+config file that is not UTF-8 (a leading byte-order mark is allowed),
+compare of two different config files with the same name, sweep values
+that print alike, and an output directory or file that cannot be
+created or written (-o naming a regular file; reported as "output
+error").  A simulation diverges when the attitude or the wheel speeds
+leave the finite range (a loaded release's translation cannot), when
+the controller's torque demand does (kd_roll = 1e308 with a nonzero
+omega_x) or its allocation does (kd_roll = kd_pitch = 1e307 with
+omega_x = omega_y = -15), and when the body rates grow in flight past
+the release spin bound; numpy prints no warning about it.  A reader that closes the output early (``| head``)
 ends the command with exit 0 and no traceback: summaries are printed
 only after every run and file is complete.
 

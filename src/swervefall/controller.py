@@ -86,21 +86,10 @@ def pd_attitude(q, q_dot, q_desired, kp, kd) -> tuple[float, float, float]:
     )
 
 
-@dataclass(frozen=True)
-class LinearPlant:
-    """Double-integrator inertias 1/(J s^2) per axis at the isotropic
-    configuration."""
-
-    j_roll: float
-    j_pitch: float
-    j_yaw: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.j_roll, self.j_pitch, self.j_yaw])
-
-
-def linearized_plant(params: RobotParams) -> LinearPlant:
-    """Effective inertias about the flight equilibrium (alpha = pi/4).
+def linearized_plant(params: RobotParams) -> tuple[float, float, float]:
+    """Effective inertias about the flight equilibrium (alpha = pi/4),
+    (j_roll, j_pitch, j_yaw): the double-integrator plants 1/(J s^2) per
+    axis, in the (roll, pitch, yaw) order of ``ControllerConfig.kp``.
 
     Matches a central-difference linearization of the nonlinear dynamics
     at that configuration; the reflected wheel mass evaluates there and
@@ -111,10 +100,10 @@ def linearized_plant(params: RobotParams) -> LinearPlant:
     jm_xx = 4.0 * m * (b2 + c * half) ** 2
     jm_yy = 4.0 * m * (a2 + c * half) ** 2
     axle = 2.0 * math.sqrt(2.0) * params.j_wxx
-    return LinearPlant(
-        j_roll=params.j_bxx + jm_xx + axle,
-        j_pitch=params.j_byy + jm_yy + axle,
-        j_yaw=params.j_bzz,
+    return (
+        params.j_bxx + jm_xx + axle,
+        params.j_byy + jm_yy + axle,
+        params.j_bzz,
     )
 
 

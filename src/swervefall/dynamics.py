@@ -82,26 +82,22 @@ def wheel_centers(params: RobotParams, sub: SubmovementParams) -> np.ndarray:
     return steer_points(params) + wheel_offsets(params, sub)
 
 
-@dataclass(frozen=True)
-class InertiaReflection:
-    """Wheel masses reflected to the base inertia [kg·m²]; functions of
-    the steering configuration.  Planar mass layout gives
-    j_zz = j_xx + j_yy."""
+def reflected_inertia(
+    params: RobotParams, sub: SubmovementParams
+) -> tuple[float, float, float]:
+    """The four wheel masses reflected to the base inertia, (j_xx, j_yy,
+    j_zz) [kg·m²], at a steering configuration.
 
-    j_xx: float
-    j_yy: float
-    j_zz: float
-
-
-def reflected_inertia(params: RobotParams, sub: SubmovementParams) -> InertiaReflection:
-    """Closed-form reflection of the four wheel masses; the pair structure
-    collapses the four-wheel sum onto delta_1 and delta_2."""
+    Closed form: the pair structure collapses the four-wheel sum onto
+    delta_1 and delta_2, and the planar mass layout gives
+    j_zz = j_xx + j_yy.
+    """
     d1, d2, _, _ = steering_angles(sub)
     m = params.wheel_mass
     a2, b2, c = params.a / 2.0, params.b / 2.0, params.c
     j_xx = 2.0 * m * ((b2 + c * np.cos(d1)) ** 2 + (b2 + c * np.cos(d2)) ** 2)
     j_yy = 2.0 * m * ((a2 + c * np.sin(d1)) ** 2 + (a2 - c * np.sin(d2)) ** 2)
-    return InertiaReflection(j_xx=float(j_xx), j_yy=float(j_yy), j_zz=float(j_xx + j_yy))
+    return float(j_xx), float(j_yy), float(j_xx + j_yy)
 
 
 def _wheel_axle_weights(sub: SubmovementParams) -> tuple[float, float]:
@@ -112,11 +108,11 @@ def _wheel_axle_weights(sub: SubmovementParams) -> tuple[float, float]:
 
 def effective_inertia(params: RobotParams, sub: SubmovementParams) -> np.ndarray:
     """Diagonal model inertia (Jx*, Jy*, Jz*) at a steering configuration."""
-    refl = reflected_inertia(params, sub)
+    j_xx, j_yy, _ = reflected_inertia(params, sub)
     w_x, w_y = _wheel_axle_weights(sub)
     return np.array([
-        params.j_bxx + refl.j_xx + params.j_wxx * w_x,
-        params.j_byy + refl.j_yy + params.j_wxx * w_y,
+        params.j_bxx + j_xx + params.j_wxx * w_x,
+        params.j_byy + j_yy + params.j_wxx * w_y,
         params.j_bzz,
     ])
 

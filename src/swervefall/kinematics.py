@@ -42,7 +42,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _lapack_solve
 
 from .params import RobotParams
-from .state import BodyTorque, SubmovementParams, wrap_angle
+from .state import SubmovementParams, wrap_angle
 
 # Manipulability reports singular, and allocation refuses, below this
 # |det N|; inverting closer to the singularity amplifies wheel torques
@@ -66,18 +66,17 @@ def steering_angles(sub: SubmovementParams) -> tuple[float, float, float, float]
 class TorqueJacobian:
     """Configuration-dependent torque maps for one (alpha, beta).
 
-    full: 3x3 map (tau_1, tau_2, tau_delta) -> (tau_x, tau_y, tau_z).
-    roll_pitch: its upper-left 2x2 block.
+    full: 3x3 map (tau_1, tau_2, tau_delta) -> (tau_x, tau_y, tau_z);
+        its upper-left 2x2 block is the roll/pitch map.
     direction: the per-pair normalized direction matrix N with
-        det N = sin(2 alpha); relates to the block by a row swap and a
-        factor 2 (N = roll_pitch[[1, 0], :] / 2).
+        det N = sin(2 alpha); relates to that block by a row swap and a
+        factor 2 (N = full[[1, 0], :2] / 2).
     det: det N evaluated numerically; allocation refuses near zero.
     """
 
     alpha: float
     beta: float
     full: np.ndarray
-    roll_pitch: np.ndarray
     direction: np.ndarray
     det: float
 
@@ -102,7 +101,6 @@ def torque_jacobian(sub: SubmovementParams) -> TorqueJacobian:
         alpha=a,
         beta=b,
         full=full,
-        roll_pitch=full[:2, :2].copy(),
         direction=direction,
         det=float(np.linalg.det(direction)),
     )
@@ -147,11 +145,14 @@ def manipulability(sub: SubmovementParams) -> ManipulabilityReport:
     )
 
 
-def map_wheel_to_body_torque(command, sub: SubmovementParams) -> BodyTorque:
+def map_wheel_to_body_torque(
+    command, sub: SubmovementParams
+) -> tuple[float, float, float]:
     """Forward map: the flight command ``(tau_1, tau_2, tau_delta)``,
-    wheels 3 and 4 driving -tau_1 and -tau_2, to net base torque."""
+    wheels 3 and 4 driving -tau_1 and -tau_2, to the net base torque
+    (tau_x, tau_y, tau_z) in body axes."""
     body = torque_jacobian(sub).full @ np.array(command, dtype=float)
-    return BodyTorque(*body.tolist())
+    return tuple(body.tolist())
 
 
 def allocate_body_torque(
@@ -159,9 +160,10 @@ def allocate_body_torque(
 ) -> tuple[float, float, float, int]:
     """Invert the torque map and clamp each channel to its limit.
 
-    ``demand`` is the body-torque demand (tau_x, tau_y, tau_z), such as a
-    ``BodyTorque``; ``jac`` is the Jacobian of the commanded steering
-    configuration, built once per configuration with ``torque_jacobian``.
+    ``demand`` is the body-torque demand (tau_x, tau_y, tau_z), any three
+    numbers, such as ``map_wheel_to_body_torque`` returns; ``jac`` is the
+    Jacobian of the commanded steering configuration, built once per
+    configuration with ``torque_jacobian``.
     Returns the flight command as plain numbers, (tau_1, tau_2,
     tau_delta, sat_mask), wheels 3 and 4 driving -tau_1 and -tau_2.
     Saturation is independent per channel (no direction-preserving

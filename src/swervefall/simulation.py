@@ -304,17 +304,18 @@ def validate_run(scenario: ScenarioConfig, controller, params: RobotParams) -> i
     if not controller.enabled and scenario.beta0 != 0.0:
         raise ConfigError("controller_enabled = false needs beta_deg = 0: the steering "
                           "never swings, and the model drops J_xy at beta != 0")
-    # The diagonal model needs a positive J* on every axis; the axle
-    # terms of a steering far from flight can outweigh the rest.  Huge
-    # parameters overflow to inf or NaN, which the comparison judges.
+    # The diagonal model needs a positive, finite J* on every axis; the
+    # axle terms of a steering far from flight can outweigh the rest.
+    # Huge parameters overflow to inf or NaN, which the comparison
+    # judges: an infinite J* times a zero rate is NaN.
     for sub in (SubmovementParams(scenario.alpha0, scenario.beta0), FLIGHT):
         with np.errstate(over="ignore", invalid="ignore"):
             inertia = effective_inertia(params, sub).tolist()
-        if not all(j > 0.0 for j in inertia):
+        if not all(0.0 < j < math.inf for j in inertia):
             raise ConfigError(
                 f"effective inertia J* = ({', '.join(f'{j:.4g}' for j in inertia)}) "
-                f"kg m^2 is not positive at alpha_deg = {math.degrees(sub.alpha):g}, "
-                f"beta_deg = {math.degrees(sub.beta):g}"
+                f"kg m^2 is not positive and finite at "
+                f"alpha_deg = {math.degrees(sub.alpha):g}, beta_deg = {math.degrees(sub.beta):g}"
             )
     if not scenario.t_max >= 0.0:
         raise ConfigError("t_max must be non-negative")

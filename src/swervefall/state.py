@@ -1,5 +1,4 @@
-"""State representations: orientation, steering coordinates and body
-torque.
+"""State representations: orientation and steering coordinates.
 
 Conventions:
     * Body frame: x forward, y left, z up (right-handed).  World frame has
@@ -18,8 +17,10 @@ A body state is a flat list of 17 floats: r_ob and v_ob, position and
 velocity of the base mass center in world axes; quat, the body-to-world
 unit quaternion (w, x, y, z); omega, the body rates in body axes
 [rad/s]; and wheel_speed, the wheel spin rates about their axles
-[rad/s].  Every other type but ``NormBuffer``, a run's scratch buffer
-for numpy's dot, is a frozen value object.
+[rad/s].  A body torque, like a command, is a plain tuple of floats,
+(tau_x, tau_y, tau_z) in body axes [N·m].  ``SubmovementParams`` is a
+frozen value object, and ``NormBuffer`` a run's scratch buffer for
+numpy's dot.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -138,14 +138,3 @@ class SubmovementParams:
 
     alpha: float
     beta: float
-
-
-class BodyTorque(NamedTuple):
-    """Net torque on the base in body axes [N·m]."""
-
-    tau_x: float
-    tau_y: float
-    tau_z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.tau_x, self.tau_y, self.tau_z])

@@ -131,7 +131,7 @@ def test_03_linearization(default_params):
         body_map = sensitivity @ np.linalg.inv(torque_jacobian(ISO).full)
         measured = 1.0 / np.diag(body_map)
         plant = linearized_plant(default_params)
-        np.testing.assert_allclose(measured, plant.as_array(), rtol=1e-6)
+        np.testing.assert_allclose(measured, np.array(plant), rtol=1e-6)
         off_diag = body_map - np.diag(np.diag(body_map))
         assert np.abs(off_diag).max() < 1e-9
 

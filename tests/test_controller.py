@@ -259,7 +259,7 @@ def test_achievable_command_reproduces_demand(params):
     assert not any(saturated(cmd))
     body = map_wheel_to_body_torque(cmd[:3], ISO)
     np.testing.assert_allclose(
-        body.as_array(), np.array(demand), atol=1e-9
+        np.array(body), np.array(demand), atol=1e-9
     )
 
 
@@ -290,12 +290,12 @@ def test_disabled_loop_commands_nothing(params):
 def test_plant_formulas(params):
     from swervefall import reflected_inertia
 
-    plant = linearized_plant(params)
-    refl = reflected_inertia(params, ISO)
+    j_roll, j_pitch, j_yaw = linearized_plant(params)
+    refl_xx, refl_yy, _ = reflected_inertia(params, ISO)
     axle = 2 * math.sqrt(2) * params.j_wxx
-    assert math.isclose(plant.j_roll, params.j_bxx + refl.j_xx + axle, rel_tol=1e-12)
-    assert math.isclose(plant.j_pitch, params.j_byy + refl.j_yy + axle, rel_tol=1e-12)
-    assert plant.j_yaw == params.j_bzz
+    assert math.isclose(j_roll, params.j_bxx + refl_xx + axle, rel_tol=1e-12)
+    assert math.isclose(j_pitch, params.j_byy + refl_yy + axle, rel_tol=1e-12)
+    assert j_yaw == params.j_bzz
 
 
 def test_plant_matches_finite_difference(params):
@@ -316,12 +316,12 @@ def test_plant_matches_finite_difference(params):
     body_map = sensitivity @ np.linalg.inv(torque_jacobian(ISO).full)
     plant = linearized_plant(params)
     measured = 1.0 / np.diag(body_map)
-    np.testing.assert_allclose(measured, plant.as_array(), rtol=1e-6)
+    np.testing.assert_allclose(measured, np.array(plant), rtol=1e-6)
 
 
 def test_closed_loop_poles_stable(params):
-    plant = linearized_plant(params)
-    for inertia in (plant.j_roll, plant.j_pitch):
+    j_roll, j_pitch, _ = linearized_plant(params)
+    for inertia in (j_roll, j_pitch):
         poles = closed_loop_poles(inertia, kp=75.0, kd=12.0)
         assert (poles.real < 0).all()
 

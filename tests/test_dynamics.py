@@ -61,22 +61,22 @@ def random_symmetric_setup(rng):
 def test_reflection_point_wheel_limit(params):
     # c = 0 puts the wheel mass on the steering axes.
     p = dataclasses.replace(params, c=1e-300)
-    refl = reflected_inertia(p, ISO)
-    assert math.isclose(refl.j_xx, p.wheel_mass * p.b**2, rel_tol=1e-9)
-    assert math.isclose(refl.j_yy, p.wheel_mass * p.a**2, rel_tol=1e-9)
+    refl_xx, refl_yy, _ = reflected_inertia(p, ISO)
+    assert math.isclose(refl_xx, p.wheel_mass * p.b**2, rel_tol=1e-9)
+    assert math.isclose(refl_yy, p.wheel_mass * p.a**2, rel_tol=1e-9)
 
 
 def test_reflection_neutral_config(params):
-    refl = reflected_inertia(params, SubmovementParams(0.0, 0.0))
+    refl_xx, _, _ = reflected_inertia(params, SubmovementParams(0.0, 0.0))
     expected = 4 * params.wheel_mass * (params.b / 2 + params.c) ** 2
-    assert math.isclose(refl.j_xx, expected, rel_tol=1e-12)
+    assert math.isclose(refl_xx, expected, rel_tol=1e-12)
 
 
 def test_reflection_zz_is_sum(params, rng):
     for _ in range(20):
         steering = SubmovementParams(*rng.uniform(-3, 3, 2))
-        refl = reflected_inertia(params, steering)
-        assert math.isclose(refl.j_zz, refl.j_xx + refl.j_yy, rel_tol=1e-12)
+        refl_xx, refl_yy, refl_zz = reflected_inertia(params, steering)
+        assert math.isclose(refl_zz, refl_xx + refl_yy, rel_tol=1e-12)
 
 
 def test_reflection_matches_parallel_axis_sum(params, rng):
@@ -84,12 +84,12 @@ def test_reflection_matches_parallel_axis_sum(params, rng):
     # centers directly.
     for _ in range(10):
         steering = SubmovementParams(*rng.uniform(-3, 3, 2))
-        refl = reflected_inertia(params, steering)
+        refl_xx, refl_yy, _ = reflected_inertia(params, steering)
         centers = wheel_centers(params, steering)
         j_xx = sum(params.wheel_mass * (c[1] ** 2 + c[2] ** 2) for c in centers)
         j_yy = sum(params.wheel_mass * (c[0] ** 2 + c[2] ** 2) for c in centers)
-        assert abs(refl.j_xx - j_xx) < 1e-12
-        assert abs(refl.j_yy - j_yy) < 1e-12
+        assert abs(refl_xx - j_xx) < 1e-12
+        assert abs(refl_yy - j_yy) < 1e-12
 
 
 def test_steer_points_symmetry(params):
@@ -117,8 +117,8 @@ def test_equilibrium_is_stationary(params):
 
 def test_isotropic_opposing_torques_roll_only(params):
     acc = angular_acceleration(body_state(), ISO, (-1.0, 1.0, 0.0), params)
-    refl = reflected_inertia(params, ISO)
-    j_roll = params.j_bxx + refl.j_xx + 2 * SQRT2 * params.j_wxx
+    refl_xx, _, _ = reflected_inertia(params, ISO)
+    j_roll = params.j_bxx + refl_xx + 2 * SQRT2 * params.j_wxx
     assert math.isclose(acc[0], 2 * SQRT2 / j_roll, rel_tol=1e-12)
     assert abs(acc[1]) < 1e-15
     assert abs(acc[2]) < 1e-15

@@ -158,6 +158,17 @@ def test_negative_effective_inertia_exit_2():
     assert err.startswith("config error: effective inertia J* = (-3.617, ")
 
 
+@pytest.mark.parametrize("key, value", [("a", "1e300"), ("b", "1e200"), ("c", "1e160")])
+def test_overflowed_effective_inertia_exit_2(key, value):
+    # The wheel-mass reflection overflows J* to inf at the flight
+    # steering.  The run used to exit 3, "simulation diverged at
+    # t=0.000000 s": inf times a zero rate is NaN.
+    code, err = run_cli("run", [{key: value}])
+    assert code == 2
+    assert err.startswith("config error: effective inertia J* = (")
+    assert "inf" in err and "is not positive and finite" in err
+
+
 @pytest.mark.parametrize("key", ["base_mass", "j_wzz"])
 def test_retired_robot_keys_exit_2(key):
     # Neither key entered a run: translation is ballistic and yaw books

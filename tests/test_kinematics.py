@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from swervefall import (
-    BodyTorque,
     ControllerConfig,
     ScenarioConfig,
     SingularConfiguration,
     SubmovementParams,
     allocate_body_torque,
     jacobian_determinant,
+    linearized_plant,
     manipulability,
     map_wheel_to_body_torque,
+    reflected_inertia,
     simulate,
     steering_angles,
 )
@@ -67,7 +68,7 @@ def test_neutral_config_kills_one_authority_axis():
     # At alpha = 0 the wheel torques act about a single body axis: one
     # row of the 2x2 block vanishes and the configuration is singular.
     jac = torque_jacobian(SubmovementParams(0.0, 0.0))
-    row_norms = np.linalg.norm(jac.roll_pitch, axis=1)
+    row_norms = np.linalg.norm(jac.full[:2, :2], axis=1)
     assert min(row_norms) < 1e-15
     assert manipulability(SubmovementParams(0.0, 0.0)).singular
 
@@ -91,7 +92,7 @@ def test_determinant_matches_numeric_block(rng):
 def test_direction_block_relation():
     jac = torque_jacobian(SubmovementParams(0.7, -0.4))
     np.testing.assert_allclose(
-        jac.direction, jac.roll_pitch[[1, 0], :] / 2.0, atol=1e-15
+        jac.direction, jac.full[[1, 0], :2] / 2.0, atol=1e-15
     )
 
 
@@ -103,8 +104,8 @@ def test_beta_rotation_property(rng):
     for _ in range(200):
         alpha = float(rng.uniform(-math.pi, math.pi))
         beta = float(rng.uniform(-math.pi, math.pi))
-        block = torque_jacobian(SubmovementParams(alpha, beta)).roll_pitch
-        aligned = torque_jacobian(SubmovementParams(alpha, 0.0)).roll_pitch
+        block = torque_jacobian(SubmovementParams(alpha, beta)).full[:2, :2]
+        aligned = torque_jacobian(SubmovementParams(alpha, 0.0)).full[:2, :2]
         np.testing.assert_allclose(block, rot(-beta) @ aligned, atol=1e-12)
 
 
@@ -129,7 +130,7 @@ def test_manipulability_flags_what_allocation_refuses(params):
     sub = SubmovementParams(1e-8, 0.0)
     assert manipulability(sub).singular
     with pytest.raises(SingularConfiguration):
-        allocate_body_torque(BodyTorque(1.0, 0.0, 0.0), torque_jacobian(sub), params)
+        allocate_body_torque((1.0, 0.0, 0.0), torque_jacobian(sub), params)
 
 
 def test_authority_scales_with_sin_and_cos():
@@ -152,21 +153,33 @@ def test_axis_angle_reports_beta():
 
 def test_map_isotropic_equal_torques_is_pure_pitch():
     body = map_wheel_to_body_torque((1.0, 1.0, 0.0), ISO)
-    assert abs(body.tau_x) < 1e-12
-    assert math.isclose(body.tau_y, 2 * SQRT2, rel_tol=1e-12)
-    assert abs(body.tau_z) < 1e-12
+    assert abs(body[0]) < 1e-12
+    assert math.isclose(body[1], 2 * SQRT2, rel_tol=1e-12)
+    assert abs(body[2]) < 1e-12
 
 
 def test_map_pure_steering_torque_is_pure_yaw():
     for sub in (ISO, SubmovementParams(0.9, -0.3)):
         body = map_wheel_to_body_torque((0.0, 0.0, 1.0), sub)
-        assert body.tau_x == 0.0 and body.tau_y == 0.0
-        assert math.isclose(body.tau_z, 4.0, rel_tol=1e-15)
+        assert body[0] == 0.0 and body[1] == 0.0
+        assert math.isclose(body[2], 4.0, rel_tol=1e-15)
 
 
 def test_map_zero_command():
     body = map_wheel_to_body_torque((0.0, 0.0, 0.0), ISO)
-    assert body.tau_x == body.tau_y == body.tau_z == 0.0
+    assert body == (0.0, 0.0, 0.0)
+
+
+def test_torque_inertia_and_plant_are_float_triples(params):
+    # A body torque, a reflected inertia and a linearized plant are plain
+    # tuples of three Python floats, not wrapper types or numpy scalars.
+    for triple in (
+        map_wheel_to_body_torque((1.0, -0.5, 0.25), ISO),
+        reflected_inertia(params, SubmovementParams(0.3, -0.2)),
+        linearized_plant(params),
+    ):
+        assert type(triple) is tuple and len(triple) == 3
+        assert all(type(value) is float for value in triple)
 
 
 def test_yaw_decoupling_for_random_configs(rng):
@@ -174,12 +187,12 @@ def test_yaw_decoupling_for_random_configs(rng):
         sub = SubmovementParams(*rng.uniform(-1.5, 1.5, 2))
         t1, t2 = rng.uniform(-5, 5, 2)
         body = map_wheel_to_body_torque((t1, t2, 0.0), sub)
-        assert abs(body.tau_z) < 1e-12
+        assert abs(body[2]) < 1e-12
 
 
 def test_allocate_isotropic_pitch_demand(params):
     cmd = allocate_body_torque(
-        BodyTorque(0.0, 2 * SQRT2, 0.0), torque_jacobian(ISO), params
+        (0.0, 2 * SQRT2, 0.0), torque_jacobian(ISO), params
     )
     np.testing.assert_allclose(cmd[:2], [1.0, 1.0], atol=1e-12)
     assert abs(cmd[2]) < 1e-15
@@ -189,14 +202,14 @@ def test_allocate_isotropic_pitch_demand(params):
 def test_allocate_refuses_singular_configuration(params):
     with pytest.raises(SingularConfiguration):
         allocate_body_torque(
-            BodyTorque(1.0, 0.0, 0.0),
+            (1.0, 0.0, 0.0),
             torque_jacobian(SubmovementParams(0.0, 0.0)),
             params,
         )
 
 
 def test_allocate_clamps_and_flags(params):
-    huge = BodyTorque(0.0, 1e4, 1e4)
+    huge = (0.0, 1e4, 1e4)
     cmd = allocate_body_torque(huge, torque_jacobian(ISO), params)
     assert np.abs(cmd[:2]).max() == params.tau_wheel_max
     assert abs(cmd[2]) == params.tau_steer_max
@@ -205,13 +218,13 @@ def test_allocate_clamps_and_flags(params):
 
 
 @pytest.mark.parametrize("sub, demand", [
-    (ISO, BodyTorque(math.nan, 0.0, 0.0)),
-    (ISO, BodyTorque(math.inf, 0.0, 0.0)),
-    (ISO, BodyTorque(0.0, 0.0, -math.inf)),
+    (ISO, (math.nan, 0.0, 0.0)),
+    (ISO, (math.inf, 0.0, 0.0)),
+    (ISO, (0.0, 0.0, -math.inf)),
     # A finite demand near a singular configuration whose solve overflows
     # to NaN, which would clamp to +2.5 against a negative yaw demand.
     (SubmovementParams(7.062966872867286e-07, 0.7341018350053976),
-     BodyTorque(9.926261847395556e+307, 9.725301265995554e+307, -7.006349478968817e+307)),
+     (9.926261847395556e+307, 9.725301265995554e+307, -7.006349478968817e+307)),
 ], ids=["nan", "inf", "minus-inf", "overflowing-solve"])
 def test_allocate_rejects_non_finite_demand(params, sub, demand):
     # Clamping would turn NaN or inf into full saturation on every channel.
@@ -223,7 +236,7 @@ def test_allocate_expands_symmetric_pairs(params):
     # The command carries the pair torques only; a run's telemetry
     # records wheels 3 and 4 as driving their negatives.
     tau_1, tau_2, tau_delta, sat_mask = allocate_body_torque(
-        BodyTorque(1.0, 2.0, 0.4), torque_jacobian(ISO), params
+        (1.0, 2.0, 0.4), torque_jacobian(ISO), params
     )
     assert sat_mask == 0
     scenario = ScenarioConfig(drop_height=0.3, euler0=(0.2, 0.3, 0.0), dt_physics=1e-3)
