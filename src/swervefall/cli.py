@@ -44,12 +44,14 @@ prints exactly (a seed of any length), any other to 12 significant
 digits; an unknown key or a value the key does not take (a fractional
 seed) exits 2 before any output.  --values may start with a minus sign.
 
-sweep and compare validate every config before the first run and group
-the runs that differ only in drop_height, velocity_x/y/z and t_max:
-each group integrates one attitude history for all of its runs.  The
-groups run in forked worker processes, one per CPU this process may use
-and no more than there are groups (``taskset -c 0`` runs them serially,
-and a one-group sweep runs in process); the workers only simulate.
+run, sweep and compare take one path: they validate every config
+before the first run and group the runs that differ only in drop_height
+and velocity_x/y/z, so each group integrates one attitude history up to
+its one t_max for all of its runs; a t_max sweep runs one group per
+value.  The groups run in forked worker processes, one per CPU this
+process may use and no more than there are groups (``taskset -c 0``
+runs them serially, and run or a one-group sweep runs in process); the
+workers only simulate.
 This process writes each telemetry CSV in input order as its result
 arrives, then the summaries and the sweep aggregate or compare delta
 file, byte-identical to one-value runs'.  A run that diverges ends the

@@ -11,6 +11,7 @@ with every value printed to 12 significant digits.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -37,7 +38,6 @@ from .simulation import (
     Trajectory,
     attitude_key,
     initial_body_state,
-    simulate,
     simulate_lanes,
     validate_run,
 )
@@ -245,12 +245,8 @@ def run_scenario(config: str | Path, output_dir: str | Path) -> RunSummary:
 
     The output directory is made before the run, so an unusable one
     fails before any simulation."""
-    loaded = load_scenario_file(config)
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    trajectory = simulate(loaded.scenario, loaded.controller, loaded.params)
-    write_trajectory_csv(trajectory, out / f"{loaded.name}.csv")
-    return summarize(loaded.name, trajectory)
+    [summary] = _run_and_write([load_scenario_file(config)], Path(output_dir))
+    return summary
 
 
 def _worker_count(groups: int) -> int:
@@ -271,8 +267,8 @@ def _simulate_group(group: list[LoadedScenario]) -> list[Trajectory | NonFiniteS
 def _simulate_in_order(runs: list[LoadedScenario]) -> Iterator[Trajectory]:
     """Yield the trajectory of each validated run, in input order.
 
-    Runs that differ only in drop height, release velocity and t_max
-    form one group, simulated as lanes of one attitude integration
+    Runs that differ only in drop height and release velocity form one
+    group, simulated as lanes of one attitude integration
     (``simulate_lanes``).  With more than one group and more than one
     worker the groups execute in a pool of forked processes, which
     inherit the imported package and are each bound to a CPU of their
@@ -290,18 +286,29 @@ def _simulate_in_order(runs: list[LoadedScenario]) -> Iterator[Trajectory]:
     indices = list(members.values())
     groups = [[runs[i] for i in group] for group in indices]
     workers = _worker_count(len(groups))
-    if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
-        yield from _in_order(indices, map(_simulate_group, groups))
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    with contextlib.ExitStack() as stack:
+        if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
+            results = map(_simulate_group, groups)
+        else:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(
-        workers, mp_context=context,
-        initializer=_bind_to_cpu, initargs=(context.Value("i", 0),),
-    ) as pool:
-        yield from _in_order(indices, pool.map(_simulate_group, groups))
+            context = multiprocessing.get_context("fork")
+            pool = stack.enter_context(ProcessPoolExecutor(
+                workers, mp_context=context,
+                initializer=_bind_to_cpu, initargs=(context.Value("i", 0),),
+            ))
+            results = pool.map(_simulate_group, groups)
+        pending = zip(indices, results)
+        done = {}
+        for index in range(len(runs)):
+            while index not in done:
+                group, outcomes = next(pending)
+                done.update(zip(group, outcomes))
+            result = done.pop(index)
+            if isinstance(result, NonFiniteState):
+                raise result
+            yield result
 
 
 def _bind_to_cpu(taken) -> None:
@@ -320,23 +327,6 @@ def _bind_to_cpu(taken) -> None:
         os.sched_setaffinity(0, {cpus[index % len(cpus)]})
     except OSError:
         pass
-
-
-def _in_order(indices: list[list[int]], results) -> Iterator[Trajectory]:
-    """Yield the run results of the groups, taken from ``results`` as
-    needed, in run order, raising a run's NonFiniteState at its turn.
-    ``indices`` holds each group's run indices; groups are ordered by
-    their first run."""
-    pending = zip(indices, results)
-    done = {}
-    for index in range(sum(map(len, indices))):
-        while index not in done:
-            group, outcomes = next(pending)
-            done.update(zip(group, outcomes))
-        result = done.pop(index)
-        if isinstance(result, NonFiniteState):
-            raise result
-        yield result
 
 
 def _run_and_write(runs: list[LoadedScenario], out: Path) -> list[RunSummary]:

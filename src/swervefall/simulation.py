@@ -248,8 +248,8 @@ NOISE_SIGMA_MAX = (math.pi, 100.0, 1000.0)
 
 # The ScenarioConfig fields in which runs sharing one attitude
 # integration may differ: translation is ballistic and feeds back into
-# nothing, and t_max only ends a run.
-LANE_FIELDS = ("drop_height", "velocity", "t_max")
+# nothing.
+LANE_FIELDS = ("drop_height", "velocity")
 
 
 @dataclass(frozen=True)
@@ -431,9 +431,9 @@ def simulate(scenario, controller, params: RobotParams) -> Trajectory:
 def simulate_lanes(
     scenarios, controller, params: RobotParams
 ) -> list[Trajectory | NonFiniteState]:
-    """Run scenarios that differ only in ``LANE_FIELDS`` (drop height,
-    release velocity and t_max), each to its touchdown or t_max, on one
-    attitude integration.
+    """Run scenarios that differ only in ``LANE_FIELDS`` (drop height
+    and release velocity), each to its touchdown or their shared t_max,
+    on one attitude integration.
 
     ``controller`` is a ControllerConfig; physics advances at
     scenario.dt_physics with the control command held between ticks, the
@@ -450,7 +450,7 @@ def simulate_lanes(
     every live lane with ``SPIN_STEP_EXCEEDED``.
     Translation is ballistic and nothing reads it back, so the runs are
     lanes of one integration, each with its own position and velocity,
-    contact check, touchdown bisection and t_max end; a lane, a
+    contact check and touchdown bisection; a lane, a
     validated release, diverges only with the shared history.  Returns,
     per scenario in order, its Trajectory or the NonFiniteState (with
     the absolute time) that ends it, each bit for bit what the scenario
@@ -478,8 +478,7 @@ def simulate_lanes(
     # attitude, body rates and wheel speeds.
     live = list(range(len(scenarios)))
     states = [initial_body_state(s, sub, params) for s in scenarios]
-    t_ends = [s.t_max + 1e-12 for s in scenarios]
-    soonest_end = min(t_ends)
+    t_end = first.t_max + 1e-12
     max_accel = 0.0
     delta_deg = [math.degrees(d) for d in steering_angles(sub)]
     settled_seen = False
@@ -546,17 +545,11 @@ def simulate_lanes(
                 results[k].events.append((t, "settled"))
             settled_seen = True
 
-        next_tick_t = (tick + 1) * controller.dt_control
-        if next_tick_t > soonest_end:
-            # A lane whose next tick lies past its t_max ends here.
+        if (tick + 1) * controller.dt_control > t_end:
+            # The next tick lies past t_max: every live lane ends here.
             for k in live:
-                if next_tick_t > t_ends[k]:
-                    results[k].max_specific_accel = max_accel
-            states = [s for k, s in zip(live, states) if next_tick_t <= t_ends[k]]
-            live = [k for k in live if next_tick_t <= t_ends[k]]
-            if not live:
-                break
-            soonest_end = min(t_ends[k] for k in live)
+                results[k].max_specific_accel = max_accel
+            break
 
         kernel.set_command(tau_1, tau_2, tau_delta)
         lanes = zip(live, kernel.advance_lanes(states, dt, steps, stop_at_ground=True))

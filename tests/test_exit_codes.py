@@ -51,6 +51,19 @@ OVERRIDES = st.dictionaries(st.sampled_from(KEYS), EXTREMES, max_size=1)
 # A config is BASE with at most one key set to an extreme, or None for a
 # path that does not exist.
 CONFIGS = st.one_of(OVERRIDES, st.none())
+# One key set to a moderate value, where a wrong result hides better than
+# at the extremes (alpha_deg = 180 once ran a flipped roll rate with exit
+# 0): each numeric BASE value halved, doubled, times ten and negated, and
+# each angle key at +-90 and +-180 degrees.
+MODERATE_OVERRIDES = [
+    {key: repr(factor * float(value))}
+    for key, value in BASE.items() if key != "controller_enabled"
+    for factor in (0.5, 2.0, 10.0, -1.0)
+] + [
+    {key: angle}
+    for key in KEYS if key.endswith("_deg")
+    for angle in ("90", "-90", "180", "-180")
+]
 SWEEP_VALUES = st.lists(
     st.sampled_from(["0.25", "0.5", "2", "0", "-1", "1e-300", "1e308", "nan"]),
     min_size=1, max_size=3,
@@ -118,6 +131,15 @@ def run_cli(command: str, configs: list[dict[str, str] | None],
 @example({"dt_physics": "1e-12"})
 @example({"wheel_radius": "1e308"})
 def test_run_exit_code_is_documented(overrides):
+    code, err = run_cli("run", [overrides])
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(MODERATE_OVERRIDES))
+@example({"alpha_deg": "180"})
+def test_run_at_moderate_values_exit_code_is_documented(overrides):
     code, err = run_cli("run", [overrides])
     assert code in (0, 2, 3), err
     assert "Traceback" not in err

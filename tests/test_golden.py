@@ -2,11 +2,21 @@
 drop_height sweep run as lanes must reproduce their CSVs byte for byte,
 and the bundled scenarios their run summaries.  Any change to the
 physics, the controller or the CSV format that moves a single bit shows
-up here."""
+up here.
 
+The digests live in ``golden.json`` beside this file, keyed by workload
+and then by file name: ``bundled``, ``coarse_step_noisy`` and
+``sweep_drop_height`` as the benchmark names its workloads, plus
+``noisy_clamped`` and ``bundled_summaries`` (the sha256 of each bundled
+run's ``RunSummary`` repr, keyed by run name), which only these tests
+check."""
+
+import ast
 import hashlib
+import json
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -19,26 +29,17 @@ from swervefall.scenario import (
     write_trajectory_csv,
 )
 
+TESTS = Path(__file__).resolve().parent
+PINS = json.loads((TESTS / "golden.json").read_text(encoding="utf-8"))
+
 GOLDEN_SHA256 = {
-    "drop_controlled":
-        "b0f1fb3c954fd784a6687d3350422636ee83a63963e764ad68286ccb9345ec8f",
-    "drop_uncontrolled":
-        "e516add2f8ac0badffe12c01b34736440ee7c1495e7b8fac47ad42b3e6107cce",
-    "ledge":
-        "ea05de7c5da5ee7669cc878241caf578ab7dd98747e84895b844cc4eadae03ac",
+    name.removesuffix(".csv"): digest for name, digest in PINS["bundled"].items()
 }
 
 # The bundled scenarios' RunSummary reprs, which print every float
 # exactly: the touchdown attitude and rates come from the touchdown
 # state, which no CSV row holds.
-SUMMARY_SHA256 = {
-    "drop_controlled":
-        "13b1ae2a6ef487a763c1f70f8b216c5d738d5f6572d29c7afdfe59aa56df06ec",
-    "drop_uncontrolled":
-        "09c68d45e6941595c66bf1fa9d4db00c89c47bb02d4edd74d2bf0eeb6ef61e3b",
-    "ledge":
-        "dc3642e7661e84f979abc46cfeb8712ac30da645a750f80079873055a7671e3b",
-}
+SUMMARY_SHA256 = PINS["bundled_summaries"]
 
 # drop_controlled at one physics step per control tick, with IMU noise on
 # and a wheel-speed limit low enough that the clamp fires on 214 of the
@@ -51,24 +52,25 @@ NOISY_CLAMPED = {
     "seed": "7",
     "wheel_speed_max": "15",
 }
-NOISY_CLAMPED_SHA256 = (
-    "037cc8c864f41c688419a07b4e1daa06bc98a3f36b9068e1eb0da0de303d881b"
-)
+NOISY_CLAMPED_SHA256 = PINS["noisy_clamped"]["noisy_clamped.csv"]
 
 # A ledge drop_height sweep whose four runs share one attitude
 # integration as lanes: the run CSVs and the aggregate.
-LANES_SHA256 = {
-    "ledge_drop_height_0.3359.csv":
-        "1d7036d3b57768af053200ec5ee0db4d188fd4757b280857a812cc7703675706",
-    "ledge_drop_height_0.8549.csv":
-        "78c61da4c7586905431f3d20fdf557fb8da92cd27c7adeb7ab2cc97af6b1f5f9",
-    "ledge_drop_height_1.1985.csv":
-        "6280a0a790f67ce6ea0e546777b9be876c2688ebb530188ee54bcd431622c5bf",
-    "ledge_drop_height_1.594.csv":
-        "8daed18d28814af057a5a4707f3b4ca7f65dffd2425642def29765adc1fd06c6",
-    "sweep_drop_height.csv":
-        "4605a022d5e66b6ac3baf534f6d2b3c5ba538a7fa8e35eab87ba2712b77bc570",
-}
+LANES_SHA256 = PINS["sweep_drop_height"]
+
+
+def test_pin_file_matches_benchmark_pins():
+    # perfbench/workloads.py keeps its own copy of the workload pins; read
+    # its PINNED literal without importing the benchmark, so the two
+    # copies cannot drift apart.
+    source = (TESTS.parent / "perfbench" / "workloads.py").read_text(encoding="utf-8")
+    [pinned] = [
+        ast.literal_eval(node.value) for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "PINNED" for target in node.targets)
+    ]
+    workloads = ("bundled", "coarse_step_noisy", "sweep_drop_height")
+    assert pinned == {workload: PINS[workload] for workload in workloads}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))

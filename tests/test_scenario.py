@@ -426,7 +426,8 @@ def assert_sweep_matches_one_value_sweeps(extra: str, param: str, values: list[s
 
 
 @pytest.mark.parametrize("extra, param, values, code", [
-    # Two lanes end at their t_max before touchdown.
+    # Each t_max is a group of its own; two runs end at their t_max
+    # before touchdown.
     ("", "t_max", ["0.3", "0.05", "0.1"], 0),
     # A lane that starts on the ground, among unsorted heights.
     ("", "drop_height", ["0.2", "0", "0.35", "0.1"], 0),
@@ -481,11 +482,33 @@ LANE_VALUES = {
 )
 @example(extra="", param_values=("velocity_z", ["3", "-5", "0"]))
 def test_sweep_over_lane_fields_matches_one_value_sweeps(extra, param_values):
-    # Runs that differ only in drop height, release velocity or t_max
-    # share one attitude integration; every file and line they give is
-    # what one one-value sweep per value gives.
+    # Runs that differ only in drop height or release velocity share one
+    # attitude integration, and each t_max is a group of its own; every
+    # file and line they give is what one one-value sweep per value gives.
     param, values = param_values
     assert_sweep_matches_one_value_sweeps(extra, param, values)
+
+
+@pytest.mark.parametrize("param, values, groups", [
+    ("t_max", [0.3, 0.05, 0.1], 3),
+    ("drop_height", [0.2, 0.0, 0.35], 1),
+])
+def test_sweep_groups_runs_by_attitude_and_t_max(tmp_path, monkeypatch, param, values,
+                                                 groups):
+    # Drop heights share one attitude integration; each t_max ends its
+    # own group, so a lane group stops at one t_max.
+    calls = []
+    real_simulate = scenario.simulate_lanes
+
+    def counted_simulate(*args):
+        calls.append(len(args[0]))
+        return real_simulate(*args)
+
+    monkeypatch.setattr(scenario, "simulate_lanes", counted_simulate)
+    use_workers(monkeypatch, 1)
+    sweep(write_config(tmp_path, QUICK), param, values, tmp_path / "out")
+    assert len(calls) == groups
+    assert sum(calls) == len(values)
 
 
 def test_compare_of_lanes_matches_runs(tmp_path):
@@ -610,7 +633,7 @@ def test_cli_run_makes_output_dir_before_simulating(tmp_path, capsys, monkeypatc
     def simulate_too_early(*args):
         raise AssertionError("simulated before making the output directory")
 
-    monkeypatch.setattr(scenario, "simulate", simulate_too_early)
+    monkeypatch.setattr(scenario, "simulate_lanes", simulate_too_early)
     afile = tmp_path / "afile"
     afile.write_text("not a directory\n", encoding="utf-8")
     assert cli_main(["run", "ledge", "-o", str(afile)]) == 2
