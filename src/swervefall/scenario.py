@@ -41,7 +41,7 @@ from .simulation import (
     simulate_lanes,
     validate_run,
 )
-from .state import SubmovementParams, euler_angles
+from .state import euler_angles
 
 TAU_COLUMNS = tuple(CSV_HEADER.split(",").index(f"tau_{i}") for i in range(1, 5))
 # One CSV line: every value to 12 significant digits, the same text as
@@ -136,12 +136,15 @@ def loaded_from_entries(entries: dict[str, str], name: str) -> LoadedScenario:
         unknown = ", ".join(sorted(entries))
         raise ConfigError(f"unknown config keys: {unknown}")
     validate_run(scenario, controller, params)
-    initial_body_state(
-        scenario, SubmovementParams(scenario.alpha0, scenario.beta0), params
-    )
+    initial_body_state(scenario, params)
     return LoadedScenario(
         params=params, controller=controller, scenario=scenario, name=name
     )
+
+
+def _fmt_or_none(value: float | None) -> str:
+    """An event time in a summary or delta report: six decimals, or none."""
+    return "none" if value is None else f"{value:.6f}"
 
 
 @dataclass(frozen=True)
@@ -160,13 +163,8 @@ class RunSummary:
     max_specific_accel: float
 
     def lines(self) -> list[str]:
-        def fmt(value, unit=""):
-            if value is None:
-                return "none"
-            return f"{value:.6f}{unit}"
-
         out = [f"run: {self.name}"]
-        out.append(f"  touchdown_time_s: {fmt(self.touchdown_time)}")
+        out.append(f"  touchdown_time_s: {_fmt_or_none(self.touchdown_time)}")
         if self.euler_touchdown_deg is None:
             out.append("  touchdown_euler_deg: none")
         else:
@@ -181,8 +179,8 @@ class RunSummary:
                 "  touchdown_omega_rad_s: "
                 + " ".join(f"{w:.4f}" for w in self.omega_touchdown)
             )
-        out.append(f"  settle_time_s: {fmt(self.settle_time)}")
-        out.append(f"  freefall_start_s: {fmt(self.freefall_start)}")
+        out.append(f"  settle_time_s: {_fmt_or_none(self.settle_time)}")
+        out.append(f"  freefall_start_s: {_fmt_or_none(self.freefall_start)}")
         out.append(
             "  peak_wheel_torque_Nm: "
             + " ".join(f"{v:.4f}" for v in self.peak_tau)
@@ -375,17 +373,14 @@ def compare(
     a_phi, a_theta, _ = angles_or_nan(summary_a)
     b_phi, b_theta, _ = angles_or_nan(summary_b)
 
-    def fmt_settle(value):
-        return "none" if value is None else f"{value:.6f}"
-
     report = [
         f"comparison: {summary_a.name} vs {summary_b.name}",
         f"  touchdown_roll_deg:  {a_phi:.4f} vs {b_phi:.4f} "
         f"(delta {a_phi - b_phi:+.4f})",
         f"  touchdown_pitch_deg: {a_theta:.4f} vs {b_theta:.4f} "
         f"(delta {a_theta - b_theta:+.4f})",
-        f"  settle_time_s: {fmt_settle(summary_a.settle_time)} vs "
-        f"{fmt_settle(summary_b.settle_time)}",
+        f"  settle_time_s: {_fmt_or_none(summary_a.settle_time)} vs "
+        f"{_fmt_or_none(summary_b.settle_time)}",
         "  note: impact-phase accelerations are out of scope "
         "(no contact model; runs end at touchdown)",
     ]

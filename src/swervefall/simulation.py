@@ -383,13 +383,13 @@ SETTLED_ANGLE_LIMIT = math.radians(2.0)
 SETTLED_RATE_LIMIT = 0.5
 
 
-def initial_body_state(
-    scenario: ScenarioConfig, sub: SubmovementParams, params: RobotParams
-) -> list[float]:
+def initial_body_state(scenario: ScenarioConfig, params: RobotParams) -> list[float]:
     """The release as a flat body state with its wheels still, placed so
-    the lowest contact point sits at drop_height; raises ConfigError
-    where the placed state misses it by over 1e-9 m."""
+    the lowest contact point sits at drop_height at the release steering
+    ``(alpha0, beta0)``; raises ConfigError where the placed state misses
+    it by over 1e-9 m."""
     quat = NormBuffer().unit(quat_from_euler(*scenario.euler0))
+    sub = SubmovementParams(scenario.alpha0, scenario.beta0)
     centers, radius = wheel_centers(params, sub).tolist(), params.wheel_radius
     z0 = scenario.drop_height - lowest_contact(0.0, quat, centers, radius)
     placed = lowest_contact(z0, quat, centers, radius)
@@ -477,7 +477,7 @@ def simulate_lanes(
     # The running lanes and their flat states, which agree in y[6:17]:
     # attitude, body rates and wheel speeds.
     live = list(range(len(scenarios)))
-    states = [initial_body_state(s, sub, params) for s in scenarios]
+    states = [initial_body_state(s, params) for s in scenarios]
     t_end = first.t_max + 1e-12
     max_accel = 0.0
     delta_deg = [math.degrees(d) for d in steering_angles(sub)]

@@ -9,7 +9,23 @@ and then by file name: ``bundled``, ``coarse_step_noisy`` and
 ``sweep_drop_height`` as the benchmark names its workloads, plus
 ``noisy_clamped`` and ``bundled_summaries`` (the sha256 of each bundled
 run's ``RunSummary`` repr, keyed by run name), which only these tests
-check."""
+check.  CI runs them on the installed package.
+
+A change that moves a pinned bit is a re-pin, made on purpose:
+
+1. at the parent commit, run the pinned commands into a tree OLD, each
+   command's printed summaries saved in the tree (``mkdir OLD``, then
+   ``swervefall run ledge -o OLD > OLD/run_ledge.txt`` and likewise for
+   the other bundled runs and the pinned drop_height sweep);
+2. run the same commands at the change into NEW;
+3. run ``python tests/repin.py OLD NEW``, which reports every column's
+   deviations and every event and refuses (exit 1) a change past the
+   tolerances it states;
+4. only where it accepts, write the new digests into ``golden.json``
+   and paste its report into CHANGES.md with the argument for the
+   change.
+
+docs/model.md (Determinism) states the tolerances and their scale."""
 
 import ast
 import hashlib
@@ -20,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from swervefall import controller, run_scenario, simulation, sweep
+from swervefall import compare, controller, run_scenario, simulation, sweep
 from swervefall.cli import main as cli_main
 from swervefall.params import read_config_file
 from swervefall.scenario import (
@@ -94,6 +110,15 @@ def test_bundled_name_beside_a_directory_of_that_name(tmp_path, monkeypatch):
     assert cli_main(["run", "ledge", "-o", "out"]) == 0
     data = (tmp_path / "out" / "ledge.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256["ledge"]
+
+
+def test_compare_csvs_match_golden_hashes(tmp_path):
+    # compare runs its two configs as two groups, in forked pool workers
+    # where this process may use two CPUs.
+    compare("drop_controlled", "drop_uncontrolled", tmp_path)
+    for name in ("drop_controlled", "drop_uncontrolled"):
+        data = (tmp_path / f"{name}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256[name]
 
 
 def test_drop_height_sweep_matches_golden_hashes(tmp_path):

@@ -53,8 +53,9 @@ def write_config(tmp_path: Path, text: str, name: str = "quick.cfg") -> Path:
 
 def run_cli_process(args: list[str]) -> subprocess.CompletedProcess:
     """``swervefall`` in a fresh interpreter, so that stderr holds what a
-    user sees, numpy's warnings included."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    user sees, numpy's warnings included.  It imports the package this
+    suite imports."""
+    src = str(Path(scenario.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "swervefall.cli", *args],
@@ -263,6 +264,21 @@ def test_gain_sweep_all_stable(tmp_path):
 def use_workers(monkeypatch, count: int) -> None:
     """Run sweep and compare with up to ``count`` worker processes."""
     monkeypatch.setattr(scenario, "_worker_count", lambda groups: min(groups, count))
+
+
+def test_worker_count_reads_the_cpus_this_process_may_use(monkeypatch):
+    # The CPUs of this process's affinity mask count, not the machine's:
+    # under taskset -c 0 a sweep runs serially.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert scenario._worker_count(4) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert (scenario._worker_count(2), scenario._worker_count(5)) == (2, 3)
+    # Without affinity masks, the machine's CPU count, or one if unknown.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert scenario._worker_count(5) == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert scenario._worker_count(5) == 1
 
 
 def output_files(directory: Path) -> dict[str, bytes]:

@@ -250,7 +250,7 @@ def test_wheel_speed_limit_checks_trailing_wheel(params):
 
 def test_initial_state_sets_contact_clearance(params):
     scenario = ScenarioConfig(drop_height=0.85, euler0=(0.3, -0.4, 0.0))
-    state = initial_body_state(scenario, ISO, params)
+    state = initial_body_state(scenario, params)
     assert abs(FlightKernel(ISO, params).clearance(state) - 0.85) < 1e-12
 
 
